@@ -27,7 +27,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -56,96 +56,63 @@ def _parse_auto_int(text: str):
 
 
 def _parse_subjects(text: str) -> tuple:
-    return tuple(part.strip() for part in text.split(",") if part.strip())
+    return tuple(int(part) for part in text.split(",") if part.strip())
 
 
-# key -> (default, parser, help).  This table is the documentation of
-# record for the config file format.
-_SCHEMA = {
-    # model
-    "input_dim":        (None, _parse_auto_int, "feature channels; auto = infer from data"),
-    "num_classes":      (None, _parse_auto_int, "label count; auto = infer from data"),
-    "num_stages":       (2, int, "refinement stages"),
-    "layers_per_stage": (6, int, "dilated blocks per stage"),
-    "hidden_channels":  (32, int, "feature width inside a stage"),
-    "projection_dim":   (16, int, "contrastive embedding width"),
-    "kernel_size":      (3, int, "dilated conv kernel width (odd)"),
-    # objective
-    "temperature":      (0.1, float, "contrastive similarity temperature"),
-    "contrast_weight":  (1.0, float, "contrastive term weight (0 disables)"),
-    # optimization
-    "epochs":           (30, int, "training epochs"),
-    "learning_rate":    (0.001, float, "optimizer step size"),
-    "batch_size":       (32, int, "sequences per optimizer step"),
-    "k_per_class":      (16, int, "hard examples kept per class"),
-    "boundary_radius":  (2, int, "half-width of the boundary zone"),
-    "include_segments": (True, _parse_bool, "add segment-level contrast examples"),
-    "seed":             (0, int, "master seed (init, shuffling, synthesis)"),
-    # synthetic data
-    "synth_classes":    (5, int, "classes in generated data"),
-    "synth_dim":        (6, int, "channels in generated data"),
-    "signal_seed":      (7, int, "seed for the per-class signal banks"),
-    "noise_std":        (0.3, float, "additive noise level"),
-    "dwell_min":        (100, int, "shortest run length"),
-    "dwell_max":        (300, int, "longest run length"),
-    "transition_blur":  (5, int, "cross-fade half-width at boundaries"),
-    "total_length":     (2000, int, "samples per generated sequence"),
-    "sample_rate_hz":   (50.0, float, "sampling rate of the time grid"),
-    "num_train":        (10, int, "generated training sequences"),
-    "num_val":          (2, int, "generated validation sequences"),
-    "num_test":         (2, int, "generated test sequences"),
-    # dataset handling
-    "data_dir":         ("data", str, "dataset root (train/val/test subdirs, or flat)"),
-    "normalize":        (True, _parse_bool, "z-score features with train statistics"),
-    "split_policy":     ("fractions", str, "flat-directory split: fractions | by-subject"),
-    "train_fraction":   (0.8, float, "train share under the fractions policy"),
-    "val_fraction":     (0.1, float, "validation share under the fractions policy"),
-    "val_subjects":     ((), _parse_subjects, "comma-separated validation subject ids"),
-    "test_subjects":    ((), _parse_subjects, "comma-separated test subject ids"),
-    # ablation
-    "ablate_seeds":     (5, int, "seeds per variant in the ablation table"),
-}
+def _key(default, parse, help_text):
+    return field(default=default,
+                 metadata={"parse": parse, "help": help_text})
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One flat namespace over model, objective, optimizer, and data keys."""
-    input_dim: int | None
-    num_classes: int | None
-    num_stages: int
-    layers_per_stage: int
-    hidden_channels: int
-    projection_dim: int
-    kernel_size: int
-    temperature: float
-    contrast_weight: float
-    epochs: int
-    learning_rate: float
-    batch_size: int
-    k_per_class: int
-    boundary_radius: int
-    include_segments: bool
-    seed: int
-    synth_classes: int
-    synth_dim: int
-    signal_seed: int
-    noise_std: float
-    dwell_min: int
-    dwell_max: int
-    transition_blur: int
-    total_length: int
-    sample_rate_hz: float
-    num_train: int
-    num_val: int
-    num_test: int
-    data_dir: str
-    normalize: bool
-    split_policy: str
-    train_fraction: float
-    val_fraction: float
-    val_subjects: tuple
-    test_subjects: tuple
-    ablate_seeds: int
+    """One flat namespace over model, objective, optimizer, and data keys.
+
+    Each field is one config key with its default, parser and help text.
+    This table is the documentation of record for the config file format.
+    """
+    # model
+    input_dim: int | None = _key(None, _parse_auto_int, "feature channels; auto = infer from data")
+    num_classes: int | None = _key(None, _parse_auto_int, "label count; auto = infer from data")
+    num_stages: int = _key(2, int, "refinement stages")
+    layers_per_stage: int = _key(6, int, "dilated blocks per stage")
+    hidden_channels: int = _key(32, int, "feature width inside a stage")
+    projection_dim: int = _key(16, int, "contrastive embedding width")
+    kernel_size: int = _key(3, int, "dilated conv kernel width (odd)")
+    # objective
+    temperature: float = _key(0.1, float, "contrastive similarity temperature")
+    contrast_weight: float = _key(1.0, float, "contrastive term weight (0 disables)")
+    # optimization
+    epochs: int = _key(30, int, "training epochs")
+    learning_rate: float = _key(0.001, float, "optimizer step size")
+    batch_size: int = _key(32, int, "sequences per optimizer step")
+    k_per_class: int = _key(16, int, "hard examples kept per class")
+    boundary_radius: int = _key(2, int, "half-width of the boundary zone")
+    include_segments: bool = _key(True, _parse_bool, "add segment-level contrast examples")
+    seed: int = _key(0, int, "master seed (init, shuffling, synthesis)")
+    # synthetic data
+    synth_classes: int = _key(5, int, "classes in generated data")
+    synth_dim: int = _key(6, int, "channels in generated data")
+    signal_seed: int = _key(7, int, "seed for the per-class signal banks")
+    noise_std: float = _key(0.3, float, "additive noise level")
+    dwell_min: int = _key(100, int, "shortest run length")
+    dwell_max: int = _key(300, int, "longest run length")
+    transition_blur: int = _key(5, int, "cross-fade half-width at boundaries")
+    total_length: int = _key(2000, int, "samples per generated sequence")
+    sample_rate_hz: float = _key(50.0, float, "sampling rate of the time grid")
+    num_train: int = _key(10, int, "generated training sequences")
+    num_val: int = _key(2, int, "generated validation sequences")
+    num_test: int = _key(2, int, "generated test sequences")
+    # dataset handling
+    data_dir: str = _key("data", str, "dataset root (train/val/test subdirs, or flat)")
+    normalize: bool = _key(True, _parse_bool, "z-score features with train statistics")
+    split_policy: str = _key("fractions", str, "flat-directory split: fractions | by-subject")
+    train_fraction: float = _key(0.8, float, "train share under the fractions policy")
+    val_fraction: float = _key(0.1, float, "validation share under the fractions policy")
+    val_subjects: tuple[int, ...] = _key((), _parse_subjects, "comma-separated validation subject ids")
+    test_subjects: tuple[int, ...] = _key((), _parse_subjects, "comma-separated test subject ids")
+    # ablation
+    ablate_seeds: int = _key(5, int, "seeds per variant in the ablation table")
 
     def synth_config(self) -> dt.SynthConfig:
         return dt.default_synth_config(
@@ -156,25 +123,22 @@ class ExperimentConfig:
             total_length=self.total_length,
             sample_rate_hz=self.sample_rate_hz, seed=self.seed)
 
+    def _build(self, cls, **given):
+        """cls from given values plus this config's same-named keys."""
+        shared = {f.name: getattr(self, f.name)
+                  for f in dataclasses.fields(cls) if f.name not in given}
+        return cls(**given, **shared)
+
     def model_config(self, input_dim: int, num_classes: int) -> md.ModelConfig:
-        return md.ModelConfig(
-            input_dim=input_dim, num_classes=num_classes,
-            num_stages=self.num_stages,
-            layers_per_stage=self.layers_per_stage,
-            hidden_channels=self.hidden_channels,
-            projection_dim=self.projection_dim,
-            kernel_size=self.kernel_size,
-            temperature=self.temperature,
-            contrast_weight=self.contrast_weight)
+        return self._build(md.ModelConfig, input_dim=input_dim,
+                           num_classes=num_classes)
 
     def train_config(self) -> tr.TrainConfig:
-        return tr.TrainConfig(
-            epochs=self.epochs, learning_rate=self.learning_rate,
-            batch_size=self.batch_size, seed=self.seed,
-            contrast_weight=self.contrast_weight,
-            temperature=self.temperature, k_per_class=self.k_per_class,
-            boundary_radius=self.boundary_radius,
-            include_segments=self.include_segments)
+        return self._build(tr.TrainConfig)
+
+
+_PARSERS = {f.name: f.metadata["parse"]
+            for f in dataclasses.fields(ExperimentConfig)}
 
 
 def parse_config_file(path) -> dict:
@@ -190,10 +154,10 @@ def parse_config_file(path) -> dict:
             if not sep:
                 raise ValueError(f"{path}:{lineno}: expected key = value")
             key, text = key.strip(), text.strip()
-            if key not in _SCHEMA:
+            if key not in _PARSERS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             try:
-                values[key] = _SCHEMA[key][1](text)
+                values[key] = _PARSERS[key](text)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad {key}: {exc}") from exc
     return values
@@ -201,11 +165,9 @@ def parse_config_file(path) -> dict:
 
 def load_experiment_config(config_path=None, overrides: dict | None = None
                            ) -> ExperimentConfig:
-    values = {key: default for key, (default, _, _) in _SCHEMA.items()}
-    if config_path is not None:
-        values.update(parse_config_file(config_path))
+    values = {} if config_path is None else parse_config_file(config_path)
     for key, value in (overrides or {}).items():
-        if key not in _SCHEMA:
+        if key not in _PARSERS:
             raise ValueError(f"unknown config key {key!r}")
         values[key] = value
     return ExperimentConfig(**values)
@@ -230,17 +192,8 @@ def cmd_generate(cfg: ExperimentConfig, out_dir) -> int:
     base = cfg.synth_config()
     manifest = {
         "seed": cfg.seed,
-        "synth": {
-            "num_classes": base.num_classes, "dim": base.dim,
-            "frequencies": base.frequencies.tolist(),
-            "amplitudes": base.amplitudes.tolist(),
-            "offsets": base.offsets.tolist(),
-            "noise_std": base.noise_std, "dwell_min": base.dwell_min,
-            "dwell_max": base.dwell_max,
-            "transition_blur": base.transition_blur,
-            "total_length": base.total_length,
-            "sample_rate_hz": base.sample_rate_hz,
-        },
+        "synth": {f.name: np.asarray(getattr(base, f.name)).tolist()
+                  for f in dataclasses.fields(base) if f.name != "seed"},
         "splits": {},
     }
     counts = {"train": cfg.num_train, "val": cfg.num_val, "test": cfg.num_test}
@@ -319,14 +272,11 @@ def _prepared_splits(cfg: ExperimentConfig):
 def _train_once(cfg: ExperimentConfig, splits_bundle, log_fn=None):
     """Fit one model; returns the state with best-snapshot params applied."""
     train, val, _test, dim, classes, stats = splits_bundle
-    model_cfg = cfg.model_config(dim, classes)
-    state = tr.init_train_state(model_cfg, cfg.seed)
+    state = tr.init_train_state(cfg.model_config(dim, classes), cfg.seed)
     state.norm_stats = stats
     tr.fit(state, train, val, cfg.train_config(), log_fn=log_fn)
-    best = tr.TrainState(params=state.best_params, model_config=model_cfg,
-                         m=state.m, v=state.v, step=state.step,
-                         norm_stats=stats)
-    return best, state.best_epoch, state.best_metric
+    state.params = state.best_params
+    return state
 
 
 def cmd_train(cfg: ExperimentConfig, out_dir, variant=None) -> int:
@@ -336,37 +286,29 @@ def cmd_train(cfg: ExperimentConfig, out_dir, variant=None) -> int:
     with open(out / "training_log.jsonl", "w") as fh:
         def log_record(record):
             fh.write(json.dumps(record, sort_keys=True) + "\n")
-        best, best_epoch, best_metric = _train_once(cfg, bundle, log_record)
+        state = _train_once(cfg, bundle, log_record)
     metadata = {"seed": cfg.seed, "variant": variant or 0,
-                "best_epoch": best_epoch, "best_metric": best_metric}
-    tr.save_checkpoint(best, out / "model.ckpt", metadata=metadata)
-    print(f"checkpoint {out / 'model.ckpt'} (best epoch {best_epoch}, "
-          f"validation F1 {best_metric:.4f})")
+                "best_epoch": state.best_epoch,
+                "best_metric": state.best_metric}
+    tr.save_checkpoint(state, out / "model.ckpt", metadata=metadata)
+    print(f"checkpoint {out / 'model.ckpt'} (best epoch {state.best_epoch}, "
+          f"validation F1 {state.best_metric:.4f})")
     return 0
 
 
-def _forward_dataset(state: tr.TrainState, sequences):
-    """Concatenated final-stage outputs with normalization applied."""
-    expected = state.model_config.input_dim
-    for seq in sequences:
-        dim = seq.features.shape[1]
-        if dim != expected:
-            raise ValueError(f"checkpoint expects {expected} channels, "
-                             f"dataset has {dim}")
+def _forward_dataset(checkpoint_path, data_path):
+    """A checkpoint's concatenated final-stage outputs over a dataset, with
+    the checkpoint's normalization applied."""
+    state = tr.load_checkpoint(checkpoint_path)
+    sequences = dt.load_csv_dataset(data_path, state.model_config.input_dim)
     if state.norm_stats is not None:
         sequences = [replace(s, features=state.norm_stats.apply(s.features))
                      for s in sequences]
-    truth, preds, probs, embeds = [], [], [], []
-    for seq in sequences:
-        outs = md.mstcn_forward(seq.features, state.params,
-                                state.model_config)
-        p = outs[-1].probs.values
-        truth.append(seq.labels)
-        preds.append(np.argmax(p, axis=1))
-        probs.append(p)
-        embeds.append(outs[-1].projected.values)
-    return (np.concatenate(truth), np.concatenate(preds),
-            np.concatenate(probs), np.concatenate(embeds))
+    probs, embeds = zip(*tr.final_stage_outputs(
+        state.params, state.model_config, sequences))
+    probs = np.concatenate(probs)
+    return (np.concatenate([s.labels for s in sequences]),
+            np.argmax(probs, axis=1), probs, np.concatenate(embeds))
 
 
 def _write_predictions_csv(path, preds, probs, truth=None):
@@ -408,11 +350,8 @@ def _write_embeddings_csv(path, embeds, truth):
 def cmd_eval(checkpoint_path, data_path, out_dir) -> int:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    state = tr.load_checkpoint(checkpoint_path)
-    sequences = dt.load_csv_dataset(data_path)
-    truth, preds, probs, embeds = _forward_dataset(state, sequences)
-    report = evaluate_predictions(truth, preds, probs,
-                                  state.model_config.num_classes)
+    truth, preds, probs, embeds = _forward_dataset(checkpoint_path, data_path)
+    report = evaluate_predictions(truth, preds, probs, probs.shape[1])
     (out / "metrics.json").write_text(report.to_json() + "\n")
     _write_predictions_csv(out / "predictions.csv", preds, probs, truth)
     _write_embeddings_csv(out / "embeddings.csv", embeds, truth)
@@ -424,9 +363,8 @@ def cmd_eval(checkpoint_path, data_path, out_dir) -> int:
 def cmd_predict(checkpoint_path, data_path, out_dir) -> int:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    state = tr.load_checkpoint(checkpoint_path)
-    sequences = dt.load_csv_dataset(data_path)
-    _truth, preds, probs, _embeds = _forward_dataset(state, sequences)
+    _truth, preds, probs, _embeds = _forward_dataset(checkpoint_path,
+                                                     data_path)
     _write_predictions_csv(out / "predictions.csv", preds, probs)
     print(f"wrote {len(preds)} predictions to {out / 'predictions.csv'}")
     return 0
@@ -465,7 +403,7 @@ def cmd_ablate(cfg: ExperimentConfig, out_dir) -> int:
         for offset in range(cfg.ablate_seeds):
             run_cfg = dataclasses.replace(
                 cfg, seed=cfg.seed + offset, **variant_settings(variant))
-            best, _epoch, _metric = _train_once(run_cfg, base_bundle)
+            best = _train_once(run_cfg, base_bundle)
             report, _ = tr.evaluate(best.params, best.model_config, test)
             rows.append((variant, run_cfg.seed, report.macro_f1,
                          report.jaccard))
@@ -522,10 +460,8 @@ def _add_config_flags(parser):
 
 
 def _config_from_args(args) -> ExperimentConfig:
-    overrides = {key: getattr(args, key)
-                 for key in ("seed", "num_stages", "contrast_weight",
-                             "temperature")
-                 if getattr(args, key, None) is not None}
+    overrides = {key: value for key, value in vars(args).items()
+                 if key in _PARSERS and value is not None}
     variant = getattr(args, "variant", None)
     if variant is not None:
         overrides.update(variant_settings(variant))

@@ -323,6 +323,12 @@ def split_sequences(sequences: list[SensorSequence], policy: str,
                              "sequence")
         val_subjects = set(val_subjects)
         test_subjects = set(test_subjects)
+        # an id that names no sequence would leave its split empty
+        unknown = (val_subjects | test_subjects) - {
+            s.subject_id for s in sequences}
+        if unknown:
+            raise ValueError("no sequence has subject id "
+                             + ", ".join(sorted(map(str, unknown))))
         train = [s for s in sequences if s.subject_id not in val_subjects
                  and s.subject_id not in test_subjects]
         val = [s for s in sequences if s.subject_id in val_subjects]

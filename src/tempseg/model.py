@@ -25,8 +25,6 @@ class ModelConfig:
     hidden_channels: int = 32
     projection_dim: int = 16
     kernel_size: int = 3
-    temperature: float = 0.1
-    contrast_weight: float = 1.0
 
     def __post_init__(self):
         if self.input_dim < 1:
@@ -39,10 +37,6 @@ class ModelConfig:
             raise ValueError("hidden_channels and projection_dim must be >= 1")
         if self.kernel_size < 1 or self.kernel_size % 2 == 0:
             raise ValueError("kernel_size must be a positive odd integer")
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
-        if self.contrast_weight < 0:
-            raise ValueError("contrast_weight must be nonnegative")
 
 
 @dataclass
@@ -146,6 +140,15 @@ def init_params(config: ModelConfig, seed: int) -> ModelParams:
             proj_out_b=_zero_bias(config.projection_dim),
         ))
     return ModelParams(stages=stages)
+
+
+def parameter_count(config: ModelConfig) -> int:
+    """Scalars that init_params allocates for config, without allocating."""
+    f, c, p = config.hidden_channels, config.num_classes, config.projection_dim
+    block = f * f * (config.kernel_size + 1) + 2 * f
+    stage = config.layers_per_stage * block + (c + f + p) * f + c + 2 * f + p
+    adapters = f * (config.input_dim + (config.num_stages - 1) * c)
+    return config.num_stages * stage + adapters
 
 
 def sstcn_forward(x: Tensor, stage: StageParams) -> Tensor:

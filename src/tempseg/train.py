@@ -6,15 +6,20 @@ of whole sequences rather than windows.  All randomness flows through one
 caller-owned generator, which makes full runs bitwise reproducible.
 
 Checkpoints are a flat binary container: magic, format version, a JSON
-header (model config, step, normalization statistics, free-form metadata),
-then each tensor as name, shape, and little-endian float64 data.  Adam
-moments are stored alongside parameters so training can resume.
+header (model config, normalization statistics, free-form metadata), then
+each parameter tensor as name, shape, and little-endian float64 data.  They
+hold what inference needs and nothing else: no optimizer state, so a
+loaded state starts with zero Adam moments at step 0.  Format 1 files,
+which also carried Adam moments and the step count, still load.
 """
 
 import copy
 import dataclasses
+import io
 import json
+import math
 import struct
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,7 +34,10 @@ from .model import ModelConfig, ModelParams
 from .sampling import build_example_set
 
 _MAGIC = b"TSEGCKPT"
-_VERSION = 1
+_VERSION = 2
+
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPSILON = 1e-8
 
 
 @dataclass(frozen=True)
@@ -43,9 +51,6 @@ class TrainConfig:
     k_per_class: int = 16
     boundary_radius: int = 2
     include_segments: bool = True  # drop to sample-level contrast only
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_epsilon: float = 1e-8
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -54,6 +59,10 @@ class TrainConfig:
             raise ValueError("epochs must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.temperature <= 0:
+            raise ValueError("temperature must be positive")
+        if self.contrast_weight < 0:
+            raise ValueError("contrast_weight must be nonnegative")
 
 
 @dataclass
@@ -167,27 +176,28 @@ def train_epoch(state: TrainState, sequences: list[SensorSequence],
 def _apply_accumulated(state: TrainState, cfg: TrainConfig, count: int):
     gradients = {name: t.grad / count
                  for name, t in state.params.named_parameters()}
-    adam_step(state, gradients, cfg.learning_rate,
-              (cfg.adam_beta1, cfg.adam_beta2), cfg.adam_epsilon)
+    adam_step(state, gradients, cfg.learning_rate, ADAM_BETAS, ADAM_EPSILON)
     state.params.zero_grads()
+
+
+def final_stage_outputs(params: ModelParams, model_config: ModelConfig,
+                        sequences):
+    """Yield the final stage's (probs, projected) values per sequence."""
+    for seq in sequences:
+        out = md.mstcn_forward(seq.features, params, model_config)[-1]
+        yield out.probs.values, out.projected.values
 
 
 def evaluate(params: ModelParams, model_config: ModelConfig,
              sequences: list[SensorSequence]
              ) -> tuple[MetricsReport, list[np.ndarray]]:
     """Frozen-model metrics over a list of sequences, final stage only."""
-    truth_parts, pred_parts, prob_parts, per_seq = [], [], [], []
-    for seq in sequences:
-        outs = md.mstcn_forward(seq.features, params, model_config)
-        probs = outs[-1].probs.values
-        preds = np.argmax(probs, axis=1)
-        truth_parts.append(seq.labels)
-        pred_parts.append(preds)
-        prob_parts.append(probs)
-        per_seq.append(preds)
-    report = evaluate_predictions(np.concatenate(truth_parts),
-                                  np.concatenate(pred_parts),
-                                  np.concatenate(prob_parts),
+    probs = [p for p, _ in final_stage_outputs(params, model_config,
+                                               sequences)]
+    per_seq = [np.argmax(p, axis=1) for p in probs]
+    truth = np.concatenate([s.labels for s in sequences])
+    report = evaluate_predictions(truth, np.concatenate(per_seq),
+                                  np.concatenate(probs),
                                   model_config.num_classes)
     return report, per_seq
 
@@ -233,29 +243,10 @@ def _write_tensor(fh, name: str, values: np.ndarray):
     fh.write(values.astype("<f8", copy=False).tobytes())
 
 
-def _read_exact(fh, n: int) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise ValueError("checkpoint truncated")
-    return data
-
-
-def _read_tensor(fh) -> tuple[str, np.ndarray]:
-    (name_len,) = struct.unpack("<H", _read_exact(fh, 2))
-    name = _read_exact(fh, name_len).decode("utf-8")
-    (ndim,) = struct.unpack("<B", _read_exact(fh, 1))
-    shape = tuple(struct.unpack("<Q", _read_exact(fh, 8))[0]
-                  for _ in range(ndim))
-    count = int(np.prod(shape)) if shape else 1
-    data = np.frombuffer(_read_exact(fh, count * 8), dtype="<f8")
-    return name, data.reshape(shape).astype(np.float64)
-
-
 def save_checkpoint(state: TrainState, path, metadata: dict | None = None):
-    path = Path(path)
+    """Write the parameters, normalization stats, model config and metadata."""
     header = {
         "model_config": dataclasses.asdict(state.model_config),
-        "step": state.step,
         "norm_mean": (None if state.norm_stats is None
                       else state.norm_stats.mean.tolist()),
         "norm_std": (None if state.norm_stats is None
@@ -269,53 +260,110 @@ def save_checkpoint(state: TrainState, path, metadata: dict | None = None):
         fh.write(struct.pack("<I", _VERSION))
         fh.write(struct.pack("<Q", len(header_bytes)))
         fh.write(header_bytes)
-        fh.write(struct.pack("<I", 3 * len(named)))
+        fh.write(struct.pack("<I", len(named)))
         for name, tensor in named:
             _write_tensor(fh, name, tensor.values)
-        for name, _ in named:
-            _write_tensor(fh, "adam.m." + name, state.m[name])
-        for name, _ in named:
-            _write_tensor(fh, "adam.v." + name, state.v[name])
+
+
+def _read_exact(fh, n: int) -> bytes:
+    data = fh.read(min(n, sys.maxsize))  # a corrupt shape can exceed it
+    if len(data) != n:
+        raise ValueError("checkpoint truncated")
+    return data
+
+
+def _read_tensor(fh) -> tuple[str, np.ndarray]:
+    (name_len,) = struct.unpack("<H", _read_exact(fh, 2))
+    name = _read_exact(fh, name_len).decode("utf-8")
+    (ndim,) = struct.unpack("<B", _read_exact(fh, 1))
+    shape = struct.unpack(f"<{ndim}Q", _read_exact(fh, 8 * ndim))
+    data = np.frombuffer(_read_exact(fh, 8 * math.prod(shape)), dtype="<f8")
+    return name, data.reshape(shape).astype(np.float64)
+
+
+def _read_header(path) -> tuple[int, dict, io.BytesIO]:
+    """Magic, format version and JSON header; the returned stream is left
+    at the tensor count.  The file is read whole first, so no corrupt
+    length field can make a read allocate more than the file holds."""
+    fh = io.BytesIO(Path(path).read_bytes())
+    if _read_exact(fh, len(_MAGIC)) != _MAGIC:
+        raise ValueError(f"{path} is not a checkpoint file")
+    (version,) = struct.unpack("<I", _read_exact(fh, 4))
+    if version not in (1, _VERSION):
+        raise ValueError(f"unsupported checkpoint version {version}")
+    (header_len,) = struct.unpack("<Q", _read_exact(fh, 8))
+    try:
+        header = json.loads(_read_exact(fh, header_len).decode("utf-8"))
+    except RecursionError:
+        header = None
+    if not isinstance(header, dict):
+        raise ValueError("checkpoint header is not a JSON object")
+    return version, header, fh
 
 
 def read_checkpoint_header(path) -> dict:
-    """Parse only the JSON header, cheaply and without tensor data."""
-    with open(path, "rb") as fh:
-        if _read_exact(fh, len(_MAGIC)) != _MAGIC:
-            raise ValueError(f"{path} is not a checkpoint file")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4))
-        if version != _VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        (header_len,) = struct.unpack("<Q", _read_exact(fh, 8))
-        return json.loads(_read_exact(fh, header_len).decode("utf-8"))
+    """Parse only the JSON header, not the tensors."""
+    return _read_header(path)[1]
+
+
+def _header_model_config(header: dict, version: int) -> ModelConfig:
+    raw = header.get("model_config")
+    if version == 1 and isinstance(raw, dict):
+        # format 1 also stored the contrastive hyperparameters here
+        raw = {k: v for k, v in raw.items()
+               if k not in ("temperature", "contrast_weight")}
+    names = {f.name for f in dataclasses.fields(ModelConfig)}
+    if (not isinstance(raw, dict) or raw.keys() != names
+            or any(type(v) is not int for v in raw.values())):
+        raise ValueError("checkpoint model_config must hold exactly the "
+                         "integers " + ", ".join(sorted(names)))
+    return ModelConfig(**raw)
+
+
+def _header_norm_stats(header: dict, dim: int) -> NormStats | None:
+    stats = [header.get("norm_mean"), header.get("norm_std")]
+    if stats == [None, None]:
+        return None
+    if not all(isinstance(values, list) and len(values) == dim
+               and all(type(v) in (int, float) and math.isfinite(v)
+                       for v in values) for values in stats):
+        raise ValueError("checkpoint normalization stats must be "
+                         f"{dim} finite numbers each")
+    return NormStats(*(np.array(values, dtype=np.float64) for values in stats))
 
 
 def load_checkpoint(path) -> TrainState:
-    path = Path(path)
-    with open(path, "rb") as fh:
-        if _read_exact(fh, len(_MAGIC)) != _MAGIC:
-            raise ValueError(f"{path} is not a checkpoint file")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4))
-        if version != _VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        (header_len,) = struct.unpack("<Q", _read_exact(fh, 8))
-        header = json.loads(_read_exact(fh, header_len).decode("utf-8"))
-        (n_tensors,) = struct.unpack("<I", _read_exact(fh, 4))
-        tensors = dict(_read_tensor(fh) for _ in range(n_tensors))
+    """Parameters and normalization stats, with fresh optimizer state.
 
-    model_config = ModelConfig(**header["model_config"])
+    Raises ValueError for any file that is not a well-formed checkpoint.
+    """
+    version, header, fh = _read_header(path)
+    model_config = _header_model_config(header, version)
+    (n_tensors,) = struct.unpack("<I", _read_exact(fh, 4))
+    tensors = dict(_read_tensor(fh) for _ in range(n_tensors))
+    if fh.read(1):
+        raise ValueError("checkpoint has bytes after its last tensor")
+    if version == 1:  # format 1 also stored Adam moments
+        tensors = {name: values for name, values in tensors.items()
+                   if not name.startswith("adam.")}
+    # Checked before init_train_state allocates anything from the header.
+    if sum(v.size for v in tensors.values()) != md.parameter_count(
+            model_config):
+        raise ValueError("checkpoint tensor sizes do not match its "
+                         "model_config")
+
     state = init_train_state(model_config, seed=0)
-    for name, tensor in state.params.named_parameters():
-        if name not in tensors:
-            raise ValueError(f"checkpoint missing tensor {name}")
+    named = dict(state.params.named_parameters())
+    if tensors.keys() != named.keys():
+        raise ValueError("checkpoint tensor names do not match its "
+                         "model_config: "
+                         + ", ".join(sorted(tensors.keys() ^ named.keys())))
+    for name, tensor in named.items():
         if tensors[name].shape != tensor.shape:
             raise ValueError(f"checkpoint tensor {name} has shape "
                              f"{tensors[name].shape}, expected {tensor.shape}")
+        if not np.all(np.isfinite(tensors[name])):
+            raise ValueError(f"checkpoint tensor {name} is not finite")
         tensor.values = tensors[name]
-        state.m[name] = tensors["adam.m." + name]
-        state.v[name] = tensors["adam.v." + name]
-    state.step = header["step"]
-    if header["norm_mean"] is not None:
-        state.norm_stats = NormStats(mean=np.array(header["norm_mean"]),
-                                     std=np.array(header["norm_std"]))
+    state.norm_stats = _header_norm_stats(header, model_config.input_dim)
     return state

@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from tempseg.cli import (load_experiment_config, main, parse_config_file,
-                         variant_settings)
-from tempseg.data import load_csv_dataset
+from tempseg.cli import (_load_splits, load_experiment_config, main,
+                         parse_config_file, variant_settings)
+from tempseg.data import SensorSequence, load_csv_dataset, write_csv_sequence
 from tempseg.gradcheck_suite import OP_CHECKS
 from tempseg.metrics import MetricsReport
 from tempseg.model import ModelConfig, init_params
@@ -151,7 +151,12 @@ class TestTrain:
             assert {"epoch", "classification", "contrast", "total",
                     "val_macro_f1", "val_jaccard"} <= set(record)
             assert len(record["classification"]) == 2
-        assert load_checkpoint(out / "model.ckpt").step > 0
+        state = load_checkpoint(out / "model.ckpt")
+        fresh = init_params(state.model_config, seed=0)
+        assert any(not np.array_equal(got.values, want.values)
+                   for (_, got), (_, want) in zip(
+                       state.params.named_parameters(),
+                       fresh.named_parameters()))
 
     def test_zero_epochs_checkpoint_is_initialization(self, workspace,
                                                       tmp_path):
@@ -239,6 +244,18 @@ class TestEval:
                      "--out", str(out)]) == 0
         assert (out / "metrics.json").read_bytes() == blob
 
+    def test_corrupt_checkpoint_is_a_one_line_error(self, trained, tmp_path,
+                                                    capsys):
+        config, data, run = trained
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes((run / "model.ckpt").read_bytes().replace(
+            b'"kernel_size"', b'"bogus_size_"'))
+        code = main(["eval", str(bad), str(data / "test"),
+                     "--out", str(tmp_path / "evalbad")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
 
 class TestPredict:
     def test_prediction_only_output(self, trained, tmp_path):
@@ -303,18 +320,55 @@ class TestAblate:
         assert seeds == [0, 1] * 5
 
 
+class TestSubjectSplit:
+    @pytest.fixture
+    def subject_config(self, tmp_path):
+        flat = tmp_path / "flat"
+        flat.mkdir()
+        rng = np.random.default_rng(0)
+        for subject in (1, 2, 3):
+            write_csv_sequence(flat / f"s{subject}.csv", SensorSequence(
+                features=rng.normal(size=(40, 2)),
+                labels=np.arange(40) // 10 % 2, subject_id=subject))
+        config = tmp_path / "subjects.cfg"
+        config.write_text(f"data_dir = {flat}\nsplit_policy = by-subject\n"
+                          "val_subjects = 2\nepochs = 1\n")
+        return config
+
+    def test_integer_ids_select_their_subjects(self, subject_config):
+        subject_config.write_text(subject_config.read_text()
+                                  + "test_subjects = 3\n")
+        splits = _load_splits(load_experiment_config(subject_config))
+        assert [[s.subject_id for s in split] for split in splits] == [
+            [1], [2], [3]]
+
+    def test_unknown_id_exits_1(self, subject_config, tmp_path, capsys):
+        subject_config.write_text(subject_config.read_text()
+                                  + "test_subjects = 9\n")
+        code = main(["train", "--config", str(subject_config),
+                     "--out", str(tmp_path / "run")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "9" in err
+
+
 class TestMainPlumbing:
     def test_invalid_log_level_exits_2(self, monkeypatch, capsys):
         monkeypatch.setenv("TEMPSEG_LOG_LEVEL", "chatty")
         assert main(["gradcheck"]) == 2
         assert "TEMPSEG_LOG_LEVEL" in capsys.readouterr().err
 
-    def test_errors_exit_1_with_message(self, tmp_path, capsys):
-        out = tmp_path / "x"
-        code = main(["train", "--config", str(tmp_path / "missing.cfg"),
-                     "--out", str(out)])
-        assert code == 1
-        assert "error:" in capsys.readouterr().err
+    def test_errors_exit_1_with_message(self, workspace, tmp_path, capsys):
+        root, config, data = workspace
+        cases = [(tmp_path / "missing.cfg", [], "missing.cfg"),
+                 (config, ["--tau", "0"], "temperature"),
+                 (config, ["--lambda", "-0.1"], "contrast_weight")]
+        for cfg, flags, message in cases:
+            code = main(["train", "--config", str(cfg), *flags,
+                         "--out", str(tmp_path / "x")])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and message in err
 
     def test_missing_dataset_reports_path(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"

@@ -23,7 +23,7 @@ class TestModelConfig:
 
     @pytest.mark.parametrize("bad", [
         dict(num_stages=0), dict(layers_per_stage=0), dict(hidden_channels=0),
-        dict(projection_dim=0), dict(temperature=0.0), dict(contrast_weight=-0.1),
+        dict(projection_dim=0),
     ])
     def test_positivity_checks(self, bad):
         with pytest.raises(ValueError):
@@ -68,6 +68,16 @@ class TestInitParams:
         params = md.init_params(cfg, seed=0)
         # per stage: adapter(2) + 2 blocks * 4 + classifier(2) + projection(4)
         assert len(list(params.named_parameters())) == cfg.num_stages * 16
+
+    @pytest.mark.parametrize("over", [
+        dict(), dict(num_stages=1), dict(num_stages=3, layers_per_stage=4),
+        dict(kernel_size=5, projection_dim=2, input_dim=7),
+    ])
+    def test_parameter_count_matches_allocation(self, over):
+        cfg = small_config(**over)
+        params = md.init_params(cfg, seed=0)
+        assert md.parameter_count(cfg) == sum(t.values.size
+                                              for t in params.tensors())
 
 
 class TestSstcnForward:

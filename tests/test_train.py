@@ -1,8 +1,13 @@
+import json
+import struct
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tempseg.data import NormStats, SensorSequence
-from tempseg.model import ModelConfig
+from tempseg.model import ModelConfig, init_params
 from tempseg.train import (TrainConfig, adam_step, evaluate, fit,
                            init_train_state, load_checkpoint,
                            read_checkpoint_header, save_checkpoint,
@@ -115,11 +120,12 @@ class TestTrainConfig:
         cfg = TrainConfig()
         assert cfg.learning_rate == 0.001
         assert cfg.batch_size == 32
-        assert cfg.adam_beta1 == 0.9 and cfg.adam_beta2 == 0.999
 
     @pytest.mark.parametrize("kwargs", [dict(learning_rate=0.0),
                                         dict(epochs=-1),
-                                        dict(batch_size=0)])
+                                        dict(batch_size=0),
+                                        dict(temperature=0.0),
+                                        dict(contrast_weight=-0.1)])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             TrainConfig(**kwargs)
@@ -279,12 +285,11 @@ class TestCheckpoint:
         save_checkpoint(state, path, metadata={"seed": 7})
         loaded = load_checkpoint(path)
         assert loaded.model_config == state.model_config
-        assert loaded.step == state.step
+        assert loaded.step == 0
         for name, tensor in state.params.named_parameters():
             restored = dict(loaded.params.named_parameters())[name]
             np.testing.assert_array_equal(restored.values, tensor.values)
-            np.testing.assert_array_equal(loaded.m[name], state.m[name])
-            np.testing.assert_array_equal(loaded.v[name], state.v[name])
+            assert not loaded.m[name].any() and not loaded.v[name].any()
         np.testing.assert_array_equal(loaded.norm_stats.mean,
                                       state.norm_stats.mean)
         np.testing.assert_array_equal(loaded.norm_stats.std,
@@ -314,7 +319,8 @@ class TestCheckpoint:
         save_checkpoint(state, path, metadata={"seed": 7, "note": "abc"})
         header = read_checkpoint_header(path)
         assert header["metadata"] == {"seed": 7, "note": "abc"}
-        assert header["step"] == state.step
+        assert set(header) == {"model_config", "norm_mean", "norm_std",
+                               "metadata"}
 
     def test_truncated_file_is_a_format_error(self, tmp_path):
         state = self.trained_state(tmp_path)
@@ -340,3 +346,113 @@ class TestCheckpoint:
         path.write_bytes(bytes(blob))
         with pytest.raises(ValueError, match="version 99"):
             load_checkpoint(path)
+
+    def test_unknown_tensor_name_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(self.trained_state(tmp_path), path)
+        path.write_bytes(path.read_bytes().replace(b"stage0.classifier.w",
+                                                   b"stage0.classifieR.w"))
+        with pytest.raises(ValueError, match="tensor names"):
+            load_checkpoint(path)
+
+    def test_non_finite_parameter_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(self.trained_state(tmp_path), path)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:-8] + struct.pack("<d", float("nan")))
+        with pytest.raises(ValueError, match="not finite"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("keys, value", [
+        (("model_config", "bogus"), 1),
+        (("model_config", "kernel_size"), None),
+        (("model_config", "num_stages"), "2"),
+        (("model_config", "hidden_channels"), 6.0),
+        (("model_config", "hidden_channels"), 10 ** 5),
+        (("model_config",), [1]),
+        (("norm_mean",), [0.0]),
+        (("norm_std",), [1.0, float("nan"), 1.0]),
+        ((), [{}]),
+    ])
+    def test_malformed_header_is_a_format_error(self, tmp_path, keys, value):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(self.trained_state(tmp_path, epochs=0), path)
+        blob = path.read_bytes()
+        (length,) = struct.unpack("<Q", blob[12:20])
+        header = json.loads(blob[20:20 + length])
+        if keys:
+            target = header
+            for key in keys[:-1]:
+                target = target[key]
+            target[keys[-1]] = value
+        else:
+            header = value
+        encoded = json.dumps(header).encode("utf-8")
+        path.write_bytes(blob[:12] + struct.pack("<Q", len(encoded))
+                         + encoded + blob[20 + length:])
+        with pytest.raises(ValueError):
+            load_checkpoint(path)
+
+
+V1_FIXTURE = Path(__file__).parent / "data" / "v1_tiny.ckpt"
+
+
+def test_v1_checkpoint_still_loads(tmp_path):
+    """A format 1 file (with Adam moments and a step count) written from
+    init_train_state(config, seed=3) before format 2 existed."""
+    config = ModelConfig(input_dim=3, num_classes=3, num_stages=2,
+                         layers_per_stage=1, hidden_channels=4,
+                         projection_dim=2, kernel_size=3)
+    loaded = load_checkpoint(V1_FIXTURE)
+    assert loaded.model_config == config and loaded.step == 0
+    for (name, got), (_, want) in zip(
+            loaded.params.named_parameters(),
+            init_params(config, seed=3).named_parameters()):
+        assert got.values.tobytes() == want.values.tobytes(), name
+    np.testing.assert_array_equal(loaded.norm_stats.mean, [0.25, -1.5, 3.0])
+    np.testing.assert_array_equal(loaded.norm_stats.std, [1.0, 0.5, 2.0])
+
+    metadata = read_checkpoint_header(V1_FIXTURE)["metadata"]
+    first, second = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+    save_checkpoint(loaded, first, metadata=metadata)
+    save_checkpoint(load_checkpoint(first), second, metadata=metadata)
+    assert first.read_bytes()[8:12] == (2).to_bytes(4, "little")
+    assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def tiny_checkpoint(tmp_path_factory):
+    state = init_train_state(small_config(num_stages=2, layers_per_stage=1,
+                                          hidden_channels=2,
+                                          projection_dim=2), seed=1)
+    state.norm_stats = NormStats(mean=np.zeros(3), std=np.ones(3))
+    path = tmp_path_factory.mktemp("fuzz") / "tiny.ckpt"
+    save_checkpoint(state, path, metadata={"seed": 1})
+    return path, path.read_bytes()
+
+
+class TestCheckpointCorruption:
+    """Any damage to a checkpoint either loads or raises ValueError."""
+
+    def test_every_truncation_is_a_format_error(self, tiny_checkpoint):
+        path, blob = tiny_checkpoint
+        for cut in range(len(blob)):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(ValueError):
+                load_checkpoint(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(flips=st.lists(st.tuples(st.integers(min_value=0),
+                                    st.integers(1, 255)),
+                          min_size=1, max_size=6))
+    def test_byte_flips_load_or_raise_value_error(self, tiny_checkpoint,
+                                                  flips):
+        path, blob = tiny_checkpoint
+        corrupt = bytearray(blob)
+        for pos, mask in flips:
+            corrupt[pos % len(blob)] ^= mask
+        path.write_bytes(bytes(corrupt))
+        try:
+            load_checkpoint(path)
+        except ValueError:
+            pass
