@@ -7,6 +7,11 @@ pass is a single reverse walk over a topologically ordered graph. There is
 no broadcasting engine beyond the few structured cases the model uses
 (scalars against arrays, biases inside conv1d_dilated).
 
+Inside ``with no_grad():`` the same ops record nothing: each output is a
+leaf, so a forward pass keeps no intermediate array alive.  The switch is
+a context variable, so it holds for the current thread (or asyncio task)
+only; another thread keeps recording.
+
 Tensors are immutable once created except for their ``grad`` slot, so
 forward evaluation of a frozen parameter set is safe from multiple threads.
 A graph and its backward pass belong to a single training step and are not
@@ -15,6 +20,8 @@ thread-safe.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
 from typing import Callable, Optional, Sequence
 
@@ -25,6 +32,7 @@ __all__ = [
     "CompGraph",
     "backward",
     "grad_check",
+    "no_grad",
     "conv1d_dilated",
     "relu",
     "add",
@@ -46,17 +54,40 @@ __all__ = [
 ]
 
 
+_recording = contextvars.ContextVar("tempseg_autodiff_recording",
+                                    default=True)
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Run ops without recording a graph, in this context only.
+
+    Outputs created inside the block are leaves with the same values, so
+    nothing can be differentiated through them and no vjp closure keeps
+    its inputs alive.  The previous setting is restored on exit, also when
+    the block raises.
+    """
+    token = _recording.set(False)
+    try:
+        yield
+    finally:
+        _recording.reset(token)
+
+
 class Tensor:
     """Dense float64 array with an optional gradient slot.
 
-    A tensor is either a leaf (constructed directly from data) or the output
-    of a recorded operation, in which case it keeps references to its parent
-    tensors and a closure computing the parents' gradient contributions.
+    A tensor is either a leaf (constructed directly from data, or by an op
+    under ``no_grad``) or the output of a recorded operation, in which case
+    it keeps references to its parent tensors and a closure computing the
+    parents' gradient contributions.
     """
 
     __slots__ = ("values", "grad", "_parents", "_vjp", "_op")
 
     def __init__(self, values, _parents=(), _vjp=None, _op="leaf"):
+        if _parents and not _recording.get():
+            _parents, _vjp = (), None
         self.values = np.asarray(values, dtype=np.float64)
         self.grad: Optional[np.ndarray] = None
         self._parents: tuple = _parents
@@ -153,13 +184,30 @@ def backward(graph: CompGraph, loss: Tensor) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _overlap(shift: int, t_len: int) -> tuple[slice, slice]:
+    """Output rows and input rows of a tap reading x[t + shift].
+
+    Rows whose source falls outside [0, t_len) would read zero padding and
+    are left out.  Requires |shift| < t_len.
+    """
+    if shift >= 0:
+        return slice(0, t_len - shift), slice(shift, t_len)
+    return slice(-shift, t_len), slice(0, t_len + shift)
+
+
 def conv1d_dilated(x: Tensor, w: Tensor, b: Tensor, dilation: int = 1) -> Tensor:
     """Length-preserving dilated 1-D convolution.
 
     ``x`` is T x C_in (time major), ``w`` is C_out x C_in x k with odd k,
-    ``b`` is a C_out bias vector. The input is zero padded by
-    (k-1)*dilation/2 on each side so the output is T x C_out, which is what
-    lets a residual block add its input back onto the convolution output.
+    ``b`` is a C_out bias vector. The output is T x C_out, as if the input
+    were zero padded by (k-1)*dilation/2 on each side, which is what lets
+    a residual block add its input back onto the convolution output.
+
+    No padded copy is made: the centre tap and the bias give ``x @ W_c.T +
+    b``, and each other tap adds one matmul over the rows where ``x``
+    shifted by ``(j - centre) * dilation`` overlaps the sequence (padding
+    only ever contributes zeros). Taps that miss the sequence entirely are
+    skipped, and a 1x1 convolution is a single affine map.
     """
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     if not isinstance(dilation, int) or dilation < 1:
@@ -178,23 +226,23 @@ def conv1d_dilated(x: Tensor, w: Tensor, b: Tensor, dilation: int = 1) -> Tensor
     if b.shape != (c_out,):
         raise ValueError(f"bias shape {b.shape} does not match C_out={c_out}")
 
-    pad = (k - 1) // 2 * dilation
-    padded = np.zeros((t_len + 2 * pad, c_in), dtype=np.float64)
-    padded[pad:pad + t_len] = x.values
-    out = np.tile(b.values, (t_len, 1))
-    wv = w.values
-    for j in range(k):
-        out += padded[j * dilation:j * dilation + t_len] @ wv[:, :, j].T
+    xv, wv = x.values, w.values
+    centre = (k - 1) // 2
+    taps = [(j, *_overlap((j - centre) * dilation, t_len)) for j in range(k)
+            if j != centre and abs(j - centre) * dilation < t_len]
+    out = xv @ wv[:, :, centre].T
+    out += b.values
+    for j, dst, src in taps:
+        out[dst] += xv[src] @ wv[:, :, j].T
 
     def vjp(g):
         gb = g.sum(axis=0)
-        gw = np.empty_like(wv)
-        gpad = np.zeros_like(padded)
-        for j in range(k):
-            sl = slice(j * dilation, j * dilation + t_len)
-            gw[:, :, j] = g.T @ padded[sl]
-            gpad[sl] += g @ wv[:, :, j]
-        gx = gpad[pad:pad + t_len] if pad else gpad
+        gw = np.zeros_like(wv)
+        gw[:, :, centre] = g.T @ xv
+        gx = g @ wv[:, :, centre]
+        for j, dst, src in taps:
+            gw[:, :, j] = g[dst].T @ xv[src]
+            gx[src] += g[dst] @ wv[:, :, j]
         return gx, gw, gb
 
     return Tensor(out, (x, w, b), vjp, "conv1d_dilated")
@@ -202,12 +250,12 @@ def conv1d_dilated(x: Tensor, w: Tensor, b: Tensor, dilation: int = 1) -> Tensor
 
 def relu(x: Tensor) -> Tensor:
     x = _as_tensor(x)
-    mask = x.values > 0
+    out = np.maximum(x.values, 0.0)
 
     def vjp(g):
-        return (g * mask,)
+        return (g * (out > 0),)
 
-    return Tensor(np.where(mask, x.values, 0.0), (x,), vjp, "relu")
+    return Tensor(out, (x,), vjp, "relu")
 
 
 def _binary_shapes(a: Tensor, b: Tensor, op: str) -> None:

@@ -9,14 +9,11 @@ straddle a boundary genuinely mix two activities.
 """
 
 import csv
-import logging
 from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-
-log = logging.getLogger("tempseg.data")
 
 
 @dataclass
@@ -171,22 +168,21 @@ def _parse_csv_file(path: Path) -> list[SensorSequence]:
         has_subject = rest == ["label", "subject"]
 
         rows, labels, subjects = [], [], []
-        dropped = 0
         for lineno, cells in enumerate(reader, start=2):
             if len(cells) != len(header):
                 raise ValueError(f"{path}:{lineno}: expected {len(header)} "
                                  f"cells, got {len(cells)}")
+            # Dropping the row would splice its neighbours into one stream
+            # and could fake an activity boundary, so the file is rejected.
             if any(cell.strip() == "" for cell in cells):
-                dropped += 1
-                continue
+                raise ValueError(f"{path}:{lineno}: blank or non-finite cell")
             try:
                 values = [float(cell) for cell in cells[:d]]
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: non-numeric feature "
                                  "cell") from None
             if not all(np.isfinite(values)):
-                dropped += 1
-                continue
+                raise ValueError(f"{path}:{lineno}: blank or non-finite cell")
             try:
                 label = int(cells[d])
             except ValueError:
@@ -204,8 +200,6 @@ def _parse_csv_file(path: Path) -> list[SensorSequence]:
             rows.append(values)
             labels.append(label)
 
-    if dropped:
-        log.warning("%s: dropped %d rows with missing values", path, dropped)
     if not rows:
         raise ValueError(f"{path}: no usable rows")
     features = np.array(rows)

@@ -149,15 +149,20 @@ def check_softmax_rows(rng) -> float:
 
 
 def check_conv1d_dilated(rng) -> float:
-    x = ad.Tensor(rng.normal(size=(9, 3)))
-    w = ad.Tensor(rng.normal(size=(2, 3, 3)))
-    b = ad.Tensor(rng.normal(size=2))
+    # (T, k, dilation): a general case, a 1x1, and a dilation >= T whose
+    # outer taps fall wholly outside the sequence
+    worst = 0.0
+    for t_len, k, dilation in ((9, 3, 2), (6, 1, 1), (4, 3, 5)):
+        x = ad.Tensor(rng.normal(size=(t_len, 3)))
+        w = ad.Tensor(rng.normal(size=(2, 3, k)))
+        b = ad.Tensor(rng.normal(size=2))
 
-    def f(p):
-        out = ad.conv1d_dilated(p[0], p[1], p[2], dilation=2)
-        return ad.tsum(ad.mul(out, out))
+        def f(p, dilation=dilation):
+            out = ad.conv1d_dilated(p[0], p[1], p[2], dilation=dilation)
+            return ad.tsum(ad.mul(out, out))
 
-    return ad.grad_check(f, [x, w, b], eps=EPS)
+        worst = max(worst, ad.grad_check(f, [x, w, b], eps=EPS))
+    return worst
 
 
 def check_softmax_cross_entropy(rng) -> float:

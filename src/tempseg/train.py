@@ -115,6 +115,7 @@ class EpochStats:
     contrast: list[float]
     total: float
     optimizer_steps: int
+    skipped_anchors: int    # contrast anchors lacking a positive or negative
 
 
 def _sequence_loss(state: TrainState, seq: SensorSequence, cfg: TrainConfig,
@@ -145,6 +146,7 @@ def train_epoch(state: TrainState, sequences: list[SensorSequence],
     con_sums = np.zeros(n_stages)
     total_sum = 0.0
     steps = 0
+    skipped = 0
 
     order = rng.permutation(len(sequences))
     state.params.zero_grads()
@@ -159,6 +161,7 @@ def train_epoch(state: TrainState, sequences: list[SensorSequence],
         ce_sums += breakdown.classification
         con_sums += breakdown.contrast
         total_sum += breakdown.total
+        skipped += breakdown.skipped_anchors
         if accumulated == cfg.batch_size:
             _apply_accumulated(state, cfg, accumulated)
             accumulated = 0
@@ -170,7 +173,8 @@ def train_epoch(state: TrainState, sequences: list[SensorSequence],
     n = len(sequences)
     return EpochStats(classification=(ce_sums / n).tolist(),
                       contrast=(con_sums / n).tolist(),
-                      total=total_sum / n, optimizer_steps=steps)
+                      total=total_sum / n, optimizer_steps=steps,
+                      skipped_anchors=skipped)
 
 
 def _apply_accumulated(state: TrainState, cfg: TrainConfig, count: int):
@@ -182,9 +186,15 @@ def _apply_accumulated(state: TrainState, cfg: TrainConfig, count: int):
 
 def final_stage_outputs(params: ModelParams, model_config: ModelConfig,
                         sequences):
-    """Yield the final stage's (probs, projected) values per sequence."""
+    """Yield the final stage's (probs, projected) values per sequence.
+
+    The forward pass records no graph, so only the arrays it returns
+    outlive it.  Recording is off around the forward call alone, never
+    while the generator is suspended at a yield.
+    """
     for seq in sequences:
-        out = md.mstcn_forward(seq.features, params, model_config)[-1]
+        with ad.no_grad():
+            out = md.mstcn_forward(seq.features, params, model_config)[-1]
         yield out.probs.values, out.projected.values
 
 
@@ -217,7 +227,9 @@ def fit(state: TrainState, train_seqs: list[SensorSequence],
         record = {"epoch": epoch,
                   "classification": stats.classification,
                   "contrast": stats.contrast,
-                  "total": stats.total}
+                  "total": stats.total,
+                  "optimizer_steps": stats.optimizer_steps,
+                  "skipped_anchors": stats.skipped_anchors}
         if val_seqs:
             report, _ = evaluate(state.params, state.model_config, val_seqs)
             record["val_macro_f1"] = report.macro_f1

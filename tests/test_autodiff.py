@@ -5,11 +5,14 @@ every differentiable op has to survive a central-difference gradient check.
 """
 
 import math
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tempseg import autodiff as ad
+from tempseg import model as md
 
 
 def naive_conv1d(x, w, b, dilation):
@@ -28,6 +31,28 @@ def naive_conv1d(x, w, b, dilation):
                         acc += x[src, ci] * w[co, ci, j]
             out[t, co] = acc
     return out
+
+
+def padded_conv1d(x, w, b, dilation, g):
+    """Values and (gx, gw, gb) of a conv through a zero-padded copy of x.
+
+    This is the earlier algorithm, kept as the reference for the one that
+    works on shifted slices of x.
+    """
+    t_len = x.shape[0]
+    k = w.shape[2]
+    pad = (k - 1) // 2 * dilation
+    padded = np.zeros((t_len + 2 * pad, x.shape[1]))
+    padded[pad:pad + t_len] = x
+    out = np.tile(b, (t_len, 1))
+    gw = np.empty_like(w)
+    gpad = np.zeros_like(padded)
+    for j in range(k):
+        sl = slice(j * dilation, j * dilation + t_len)
+        out += padded[sl] @ w[:, :, j].T
+        gw[:, :, j] = g.T @ padded[sl]
+        gpad[sl] += g @ w[:, :, j]
+    return out, gpad[pad:pad + t_len], gw, g.sum(axis=0)
 
 
 @pytest.fixture
@@ -84,6 +109,25 @@ class TestConv1dDilated:
         rhs = (a_coef * ad.conv1d_dilated(ad.Tensor(x), w, b, 2).values
                + b_coef * ad.conv1d_dilated(ad.Tensor(y), w, b, 2).values)
         np.testing.assert_allclose(lhs, rhs, atol=1e-10)
+
+    @settings(max_examples=150, deadline=None)
+    @given(k=st.sampled_from([1, 3, 5]), t_len=st.integers(1, 40),
+           dilation=st.integers(1, 48), c_in=st.integers(1, 4),
+           c_out=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_matches_padded_reference_with_gradients(self, k, t_len, dilation,
+                                                     c_in, c_out, seed):
+        # dilations up to 48 against T <= 40 put whole taps outside
+        r = np.random.default_rng(seed)
+        x = r.normal(size=(t_len, c_in))
+        w = r.normal(size=(c_out, c_in, k))
+        b = r.normal(size=c_out)
+        g = r.normal(size=(t_len, c_out))
+        out = ad.conv1d_dilated(ad.Tensor(x), ad.Tensor(w), ad.Tensor(b),
+                                dilation)
+        got = (out.values, *out._vjp(g))
+        for a, ref in zip(got, padded_conv1d(x, w, b, dilation, g)):
+            assert a.shape == ref.shape
+            np.testing.assert_allclose(a, ref, rtol=0, atol=1e-12)
 
     def test_channel_mismatch_raises(self, rng):
         x = ad.Tensor(rng.normal(size=(5, 3)))
@@ -289,3 +333,57 @@ class TestGradCheck:
         w = ad.Tensor(rng.normal(size=2))
         with pytest.raises(ValueError):
             ad.grad_check(lambda p: ad.dot(p[0], p[0]), [w], eps=0.0)
+
+
+class TestNoGrad:
+    def test_forward_is_bitwise_equal_and_records_nothing(self, rng):
+        cfg = md.ModelConfig(input_dim=3, num_classes=4, num_stages=2,
+                             layers_per_stage=3, hidden_channels=8,
+                             projection_dim=5)
+        params = md.init_params(cfg, seed=7)
+        x = rng.normal(size=(37, 3))
+        recorded = md.mstcn_forward(x, params, cfg)
+        with ad.no_grad():
+            free = md.mstcn_forward(x, params, cfg)
+        for rec, out in zip(recorded, free, strict=True):
+            for field in ("features", "logits", "probs", "projected"):
+                np.testing.assert_array_equal(getattr(out, field).values,
+                                              getattr(rec, field).values)
+                assert getattr(out, field)._parents == ()
+                assert getattr(out, field)._vjp is None
+            assert rec.probs._parents != ()
+
+    def test_recording_restored_after_exception(self):
+        with pytest.raises(RuntimeError):
+            with ad.no_grad():
+                raise RuntimeError("inside")
+        out = ad.relu(ad.Tensor([1.0, -1.0]))
+        assert out._vjp is not None and len(out._parents) == 1
+
+    def test_other_threads_keep_recording(self):
+        entered, release = threading.Event(), threading.Event()
+        seen = {}
+
+        def hold():
+            with ad.no_grad():
+                entered.set()
+                release.wait(timeout=10)
+                seen["holder"] = ad.relu(ad.Tensor([1.0]))._vjp
+
+        def other():
+            seen["other"] = ad.relu(ad.Tensor([1.0]))._vjp
+
+        holder = threading.Thread(target=hold)
+        holder.start()
+        try:
+            assert entered.wait(timeout=10)
+            worker = threading.Thread(target=other)
+            worker.start()
+            worker.join(timeout=10)
+            assert not worker.is_alive()
+        finally:
+            release.set()
+            holder.join(timeout=10)
+        assert not holder.is_alive()
+        assert seen["other"] is not None
+        assert seen["holder"] is None

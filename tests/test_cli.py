@@ -149,8 +149,10 @@ class TestTrain:
         for line in lines:
             record = json.loads(line)
             assert {"epoch", "classification", "contrast", "total",
+                    "optimizer_steps", "skipped_anchors",
                     "val_macro_f1", "val_jaccard"} <= set(record)
             assert len(record["classification"]) == 2
+            assert record["optimizer_steps"] == 3   # batch 1, 3 recordings
         state = load_checkpoint(out / "model.ckpt")
         fresh = init_params(state.model_config, seed=0)
         assert any(not np.array_equal(got.values, want.values)
@@ -266,6 +268,24 @@ class TestPredict:
         rows = (out / "predictions.csv").read_text().splitlines()
         assert rows[0] == "index,pred,prob_0,prob_1,prob_2"
         assert len(rows) - 1 == 200
+
+    def test_gap_in_recording_is_a_one_line_error(self, trained, tmp_path,
+                                                  capsys):
+        config, data, run = trained
+        src = sorted((data / "test").glob("*.csv"))[0]
+        lines = src.read_text().splitlines()
+        cells = lines[5].split(",")
+        cells[1] = ""
+        lines[5] = ",".join(cells)
+        gapped = tmp_path / "gapped"
+        gapped.mkdir()
+        (gapped / "rec.csv").write_text("\n".join(lines) + "\n")
+        code = main(["predict", str(run / "model.ckpt"), str(gapped),
+                     "--out", str(tmp_path / "pred")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "rec.csv:6: blank or non-finite cell" in err
 
 
 class TestGradcheck:

@@ -1,4 +1,3 @@
-import logging
 
 import numpy as np
 import pytest
@@ -157,16 +156,21 @@ class TestLoadCsvDataset:
         assert len(seqs) == 1 and len(seqs[0]) == 3
         np.testing.assert_array_equal(seqs[0].labels, [0, 1, 1])
 
-    def test_missing_cell_dropped_and_reported(self, tmp_path, caplog):
-        p = self.write(tmp_path, "ch_0,label\n1.0,0\n,1\n2.0,1\n")
-        with caplog.at_level(logging.WARNING, logger="tempseg.data"):
-            seqs = dt.load_csv_dataset(p)
-        assert len(seqs[0]) == 2
-        assert "dropped 1 rows" in caplog.text
+    # A gap is an error, not a dropped row: dropping it would splice the
+    # samples on either side into one stream.
+    def test_missing_cell_dropped_and_reported(self, tmp_path):
+        for body in ("1.0,0\n,1\n2.0,1\n", "1.0,0\n3.0, \n2.0,1\n"):
+            p = self.write(tmp_path, "ch_0,label\n" + body)
+            with pytest.raises(ValueError,
+                               match=r":3: blank or non-finite cell$"):
+                dt.load_csv_dataset(p)
 
     def test_nonfinite_cell_dropped(self, tmp_path):
-        p = self.write(tmp_path, "ch_0,label\nnan,0\n2.0,1\n")
-        assert len(dt.load_csv_dataset(p)[0]) == 1
+        for cell in ("nan", "inf", "-inf"):
+            p = self.write(tmp_path, f"ch_0,label\n{cell},0\n2.0,1\n")
+            with pytest.raises(ValueError,
+                               match=r":2: blank or non-finite cell$"):
+                dt.load_csv_dataset(p)
 
     def test_wrong_cell_count_names_line(self, tmp_path):
         p = self.write(tmp_path, "ch_0,label\n1.0,0\n1.0\n")

@@ -232,6 +232,28 @@ class TestEvaluate:
         b, _ = evaluate(state.params, state.model_config, data)
         assert a.to_json() == b.to_json()
 
+    def test_forward_is_graph_free_only_inside_the_loop(self, monkeypatch):
+        from tempseg import autodiff as ad
+        from tempseg import model as md
+        from tempseg.train import final_stage_outputs
+        outputs = []
+        original = md.mstcn_forward
+
+        def spy(*args, **kwargs):
+            result = original(*args, **kwargs)
+            outputs.extend(result)
+            return result
+
+        monkeypatch.setattr(md, "mstcn_forward", spy)
+        state = init_train_state(small_config(), seed=4)
+        loop = final_stage_outputs(state.params, state.model_config,
+                                   make_dataset(2))
+        next(loop)
+        assert outputs and all(out.probs._parents == () for out in outputs)
+        # suspended at a yield, the caller records again
+        assert ad.relu(ad.Tensor([1.0]))._vjp is not None
+        loop.close()
+
 
 class TestFit:
     def test_zero_epochs_keeps_initial_parameters(self):
@@ -254,7 +276,49 @@ class TestFit:
         assert len(history) == 3 and seen == history
         for record in history:
             assert {"epoch", "classification", "contrast", "total",
+                    "optimizer_steps", "skipped_anchors",
                     "val_macro_f1", "val_jaccard"} <= set(record)
+            assert record["optimizer_steps"] == 2
+            assert record["skipped_anchors"] == 0   # no contrast term
+
+    def test_skipped_anchors_are_summed_over_the_epoch(self, monkeypatch):
+        from tempseg import train as tr
+        per_sequence = []
+        original = tr.total_objective
+
+        def spy(*args, **kwargs):
+            loss, breakdown = original(*args, **kwargs)
+            per_sequence.append(breakdown.skipped_anchors)
+            return loss, breakdown
+
+        monkeypatch.setattr(tr, "total_objective", spy)
+        state = init_train_state(small_config(), seed=6)
+        cfg = TrainConfig(epochs=2, batch_size=2, k_per_class=2)
+        # a single-class sequence: its anchors have no negative
+        data = make_dataset(2) + make_dataset(1, run=96)
+        history = fit(state, data, [], cfg)
+        assert [r["skipped_anchors"] for r in history] == [
+            sum(per_sequence[:3]), sum(per_sequence[3:])]
+        assert history[0]["skipped_anchors"] > 0
+        assert [r["optimizer_steps"] for r in history] == [2, 2]
+
+    def test_validation_leaves_training_differentiable(self, monkeypatch):
+        # validation runs graph-free; the epoch after it must still
+        # produce gradients for every parameter the first epoch reached
+        from tempseg import train as tr
+        nonzero = []
+        original = tr.adam_step
+
+        def spy(state, gradients, *args, **kwargs):
+            nonzero.append({n for n, g in gradients.items() if np.any(g)})
+            return original(state, gradients, *args, **kwargs)
+
+        monkeypatch.setattr(tr, "adam_step", spy)
+        state = init_train_state(small_config(), seed=6)
+        cfg = TrainConfig(epochs=2, batch_size=2, contrast_weight=0.5)
+        fit(state, make_dataset(2), make_dataset(1, seed=9), cfg)
+        assert len(nonzero) == 2
+        assert nonzero[0] and nonzero[1] == nonzero[0]
 
     def test_best_snapshot_reproduces_logged_metric(self):
         state = init_train_state(small_config(), seed=6)
