@@ -14,7 +14,7 @@ from tempseg import grad_check
 from tempseg.gradcheck_suite import OP_CHECKS, check_full_objective
 
 # A composite function touching convolution, a nonlinearity, and a
-# reduction.  grad_check returns the worst relative error over every
+# reduction (a sum; every op works on whole matrices).  grad_check returns the worst relative error over every
 # coordinate of every parameter.
 rng = np.random.default_rng(0)
 weights = ad.Tensor(rng.normal(size=(5, 4, 3)))   # out x in x taps
@@ -25,11 +25,11 @@ signal = ad.Tensor(rng.normal(size=(30, 4)) + 0.3)
 def loss_fn(params):
     w, b, x = params
     hidden = ad.relu(ad.conv1d_dilated(x, w, b, dilation=2))
-    return ad.mean(hidden)
+    return ad.tsum(hidden)
 
 
 error = grad_check(loss_fn, [weights, bias, signal])
-print(f"composite conv -> relu -> mean: max relative error {error:.2e}")
+print(f"composite conv -> relu -> sum: max relative error {error:.2e}")
 
 # The per-op audit: one tiny instance per differentiable operation.
 print(f"\nper-op audit ({len(OP_CHECKS)} ops):")

@@ -6,14 +6,15 @@ The contrastive loss never sees the whole sequence.  Per class it gets
 a budget: misclassified samples first, then samples near activity
 boundaries, then random fill.  Segment-level examples (one pooled
 embedding per contiguous run) join the same loss so samples are also
-pulled toward their segment summaries.
+pulled toward their segment summaries.  Each level is one pool: a matrix
+of unit-norm embedding rows plus one class label per row.
 """
 import numpy as np
 
 from tempseg import (ModelConfig, build_example_set, default_synth_config,
-                     find_boundaries, init_params, mstcn_forward,
-                     select_hard_examples, supervised_contrast,
-                     synthesize_sequence)
+                     find_boundaries, init_params, multilevel_contrast,
+                     mstcn_forward, select_hard_examples,
+                     supervised_contrast, synthesize_sequence)
 
 config = default_synth_config(num_classes=3, dim=4, total_length=400,
                               dwell_min=40, dwell_max=90)
@@ -42,16 +43,18 @@ for cls, indices in sorted(plan.items()):
     print(f"  class {cls}: {len(indices)} picks, {misses} misclassified, "
           f"{np.sum(near <= 2)} within 2 of a boundary")
 
-# The full example set adds one pooled, re-normalized embedding per
-# contiguous run of a class.
+# The full example set is two pools: the hard samples gathered as one
+# matrix, and one pooled, re-normalized embedding per contiguous run of
+# a class.
 samples, segments = build_example_set(outputs[-1].projected, predictions,
                                       sequence.labels, rng, k_per_class=8,
                                       boundary_radius=2)
-print(f"\nexample set: {len(samples)} sample-level + "
-      f"{len(segments)} segment-level")
+print(f"\nexample set: {len(samples)} sample-level rows "
+      f"{samples.embeddings.shape} + {len(segments)} segment-level rows "
+      f"{segments.embeddings.shape}")
 
-sample_only = supervised_contrast(samples, temperature=0.1)
-both = supervised_contrast(samples + segments, temperature=0.1)
+sample_only = supervised_contrast([samples], temperature=0.1)
+both = multilevel_contrast(samples, segments, temperature=0.1)
 print(f"contrastive loss, samples only:       {sample_only.values:.4f}")
 print(f"contrastive loss, samples + segments: {both.values:.4f}")
 print("\nsegment embeddings act as extra positives: same-class samples"

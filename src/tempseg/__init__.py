@@ -12,14 +12,14 @@ from .data import (NormStats, SensorSequence, SynthConfig,
                    multiclass_window_rate, normalize_features,
                    sliding_windows, split_sequences, synthesize_sequence,
                    write_csv_sequence)
-from .losses import (ContrastExample, LossBreakdown, info_nce,
+from .losses import (ContrastPool, LossBreakdown, info_nce,
                      multilevel_contrast, supervised_contrast,
                      total_objective)
 from .metrics import MetricsReport, evaluate_predictions
 from .model import (ModelConfig, ModelParams, StageOutput, init_params,
                     mstcn_forward, predict_labels)
 from .sampling import (SegmentRun, build_example_set, find_boundaries,
-                       labels_to_segments, segment_features,
+                       labels_to_segments, sample_pool, segment_pool,
                        select_hard_examples)
 from .train import (TrainConfig, TrainState, evaluate, fit,
                     init_train_state, load_checkpoint, save_checkpoint,
@@ -33,13 +33,14 @@ __all__ = [
     "load_csv_dataset", "multiclass_window_rate", "normalize_features",
     "sliding_windows", "split_sequences", "synthesize_sequence",
     "write_csv_sequence",
-    "ContrastExample", "LossBreakdown", "info_nce", "multilevel_contrast",
+    "ContrastPool", "LossBreakdown", "info_nce", "multilevel_contrast",
     "supervised_contrast", "total_objective",
     "MetricsReport", "evaluate_predictions",
     "ModelConfig", "ModelParams", "StageOutput", "init_params",
     "mstcn_forward", "predict_labels",
     "SegmentRun", "build_example_set", "find_boundaries",
-    "labels_to_segments", "segment_features", "select_hard_examples",
+    "labels_to_segments", "sample_pool", "segment_pool",
+    "select_hard_examples",
     "TrainConfig", "TrainState", "evaluate", "fit", "init_train_state",
     "load_checkpoint", "save_checkpoint", "train_epoch",
     "__version__",

@@ -7,6 +7,13 @@ pass is a single reverse walk over a topologically ordered graph. There is
 no broadcasting engine beyond the few structured cases the model uses
 (scalars against arrays, biases inside conv1d_dilated).
 
+Contracts are matrix-only: apart from the scalar operand of the
+elementwise ops and the scalar result of ``tsum`` and
+``softmax_cross_entropy``, every op takes and returns 2-D arrays, with no
+vector forms.  Row sets are handled whole: ``row`` gathers an index
+array of rows, ``mean_rows`` pools R row ranges into R rows, and
+``stack_rows`` joins matrices, one graph node each.
+
 Inside ``with no_grad():`` the same ops record nothing: each output is a
 leaf, so a forward pass keeps no intermediate array alive.  The switch is
 a context variable, so it holds for the current thread (or asyncio task)
@@ -39,11 +46,9 @@ __all__ = [
     "mul",
     "matmul",
     "scale",
-    "mean",
     "tsum",
     "exp",
     "log",
-    "dot",
     "l2_normalize",
     "row",
     "mean_rows",
@@ -290,25 +295,17 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product with numpy semantics for 1-D/2-D operands."""
+    """Product of two matrices."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim not in (1, 2) or b.ndim not in (1, 2):
-        raise ValueError(f"matmul supports 1-D/2-D operands, got {a.shape} @ {b.shape}")
-    if a.shape[-1] != b.shape[0]:
+    if a.ndim != 2 or b.ndim != 2:
+        raise ValueError(f"matmul expects matrices, got {a.shape} @ {b.shape}")
+    if a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul: inner dimensions differ, {a.shape} @ {b.shape}")
-    out = a.values @ b.values
 
     def vjp(g):
-        av, bv = a.values, b.values
-        if a.ndim == 2 and b.ndim == 2:
-            return g @ bv.T, av.T @ g
-        if a.ndim == 2 and b.ndim == 1:
-            return np.outer(g, bv), av.T @ g
-        if a.ndim == 1 and b.ndim == 2:
-            return bv @ g, np.outer(av, g)
-        return g * bv, g * av
+        return g @ b.values.T, a.values.T @ g
 
-    return Tensor(out, (a, b), vjp, "matmul")
+    return Tensor(a.values @ b.values, (a, b), vjp, "matmul")
 
 
 def scale(x: Tensor, c: float) -> Tensor:
@@ -319,16 +316,6 @@ def scale(x: Tensor, c: float) -> Tensor:
         return (c * g,)
 
     return Tensor(c * x.values, (x,), vjp, "scale")
-
-
-def mean(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
-    n = x.values.size
-
-    def vjp(g):
-        return (np.full_like(x.values, g / n),)
-
-    return Tensor(x.values.mean(), (x,), vjp, "mean")
 
 
 def tsum(x: Tensor) -> Tensor:
@@ -362,94 +349,93 @@ def log(x: Tensor) -> Tensor:
     return Tensor(np.log(x.values), (x,), vjp, "log")
 
 
-def dot(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim != 1 or b.ndim != 1 or a.shape != b.shape:
-        raise ValueError(f"dot expects equal-length vectors, got {a.shape}, {b.shape}")
-
-    def vjp(g):
-        return g * b.values, g * a.values
-
-    return Tensor(a.values @ b.values, (a, b), vjp, "dot")
-
-
 def l2_normalize(x: Tensor) -> Tensor:
-    """Scale a vector (or each row of a matrix) to unit L2 norm.
+    """Scale each row of a matrix to unit L2 norm.
 
-    The zero vector maps to the zero vector: freshly initialized projection
-    heads can emit near-zero rows and must not blow up the forward pass.
+    A zero row maps to a zero row: freshly initialized projection heads
+    can emit near-zero rows and must not blow up the forward pass.
     """
     x = _as_tensor(x)
-    if x.ndim == 1:
-        norms = np.linalg.norm(x.values)
-        safe = norms if norms > 0 else 1.0
-        out = x.values / safe
+    if x.ndim != 2:
+        raise ValueError(f"l2_normalize expects a matrix, got shape {x.shape}")
+    norms = np.linalg.norm(x.values, axis=1, keepdims=True)
+    safe = np.where(norms > 0, norms, 1.0)
+    out = x.values / safe
 
-        def vjp(g):
-            if norms == 0:
-                return (np.zeros_like(x.values),)
-            return ((g - out * (out @ g)) / norms,)
+    def vjp(g):
+        proj = (out * g).sum(axis=1, keepdims=True)
+        gx = (g - out * proj) / safe
+        return (np.where(norms > 0, gx, 0.0),)
 
-        return Tensor(out, (x,), vjp, "l2_normalize")
-    if x.ndim == 2:
-        norms = np.linalg.norm(x.values, axis=1, keepdims=True)
-        safe = np.where(norms > 0, norms, 1.0)
-        out = x.values / safe
-
-        def vjp(g):
-            proj = (out * g).sum(axis=1, keepdims=True)
-            gx = (g - out * proj) / safe
-            return (np.where(norms > 0, gx, 0.0),)
-
-        return Tensor(out, (x,), vjp, "l2_normalize")
-    raise ValueError(f"l2_normalize expects a vector or matrix, got shape {x.shape}")
+    return Tensor(out, (x,), vjp, "l2_normalize")
 
 
-def row(x: Tensor, i: int) -> Tensor:
-    """Extract row ``i`` of a matrix as a vector."""
+def _index_array(values, name: str) -> np.ndarray:
+    arr = np.asarray(values)
+    if arr.ndim != 1 or (arr.size and not np.issubdtype(arr.dtype, np.integer)):
+        raise ValueError(f"{name} must be a 1-D integer array")
+    return arr.astype(np.intp)
+
+
+def row(x: Tensor, idx) -> Tensor:
+    """Rows ``idx`` of a matrix, in that order, as a len(idx) x P matrix.
+
+    Indices may repeat or be empty; the vjp sums the gradient of every
+    copy of a row into that row.
+    """
     x = _as_tensor(x)
+    idx = _index_array(idx, "row indices")
     if x.ndim != 2:
         raise ValueError(f"row expects a matrix, got shape {x.shape}")
-    if not 0 <= i < x.shape[0]:
-        raise ValueError(f"row index {i} out of range for {x.shape[0]} rows")
+    if idx.size and (idx.min() < 0 or idx.max() >= x.shape[0]):
+        raise ValueError(f"row index out of range for {x.shape[0]} rows")
 
     def vjp(g):
         gx = np.zeros_like(x.values)
-        gx[i] = g
+        np.add.at(gx, idx, g)
         return (gx,)
 
-    return Tensor(x.values[i].copy(), (x,), vjp, "row")
+    return Tensor(x.values[idx], (x,), vjp, "row")
 
 
-def mean_rows(x: Tensor, start: int, end: int) -> Tensor:
-    """Mean of the row slice [start, end) of a matrix, as a vector."""
+def mean_rows(x: Tensor, starts, ends) -> Tensor:
+    """Means of the row slices [starts[r], ends[r]), as an R x P matrix."""
     x = _as_tensor(x)
+    starts = _index_array(starts, "starts")
+    ends = _index_array(ends, "ends")
     if x.ndim != 2:
         raise ValueError(f"mean_rows expects a matrix, got shape {x.shape}")
-    if not 0 <= start < end <= x.shape[0]:
-        raise ValueError(f"bad row range [{start}, {end}) for {x.shape[0]} rows")
-    n = end - start
+    if starts.shape != ends.shape:
+        raise ValueError("starts and ends must have the same length")
+    if np.any((starts < 0) | (starts >= ends) | (ends > x.shape[0])):
+        raise ValueError(f"bad row ranges for {x.shape[0]} rows")
+    out = np.empty((len(starts), x.shape[1]))
+    for r, (a, b) in enumerate(zip(starts, ends)):
+        out[r] = x.values[a:b].mean(axis=0)
 
     def vjp(g):
         gx = np.zeros_like(x.values)
-        gx[start:end] = g / n
+        for r, (a, b) in enumerate(zip(starts, ends)):
+            gx[a:b] += g[r] / (b - a)
         return (gx,)
 
-    return Tensor(x.values[start:end].mean(axis=0), (x,), vjp, "mean_rows")
+    return Tensor(out, (x,), vjp, "mean_rows")
 
 
-def stack_rows(vectors: Sequence[Tensor]) -> Tensor:
-    """Stack equal-length vectors into the rows of a matrix."""
-    vectors = tuple(_as_tensor(v) for v in vectors)
-    if not vectors:
-        raise ValueError("stack_rows needs at least one vector")
-    if any(v.ndim != 1 or v.shape != vectors[0].shape for v in vectors):
-        raise ValueError("stack_rows expects equal-length vectors")
+def stack_rows(matrices: Sequence[Tensor]) -> Tensor:
+    """Stack matrices of equal width on top of each other."""
+    matrices = tuple(_as_tensor(m) for m in matrices)
+    if not matrices:
+        raise ValueError("stack_rows needs at least one matrix")
+    if any(m.ndim != 2 or m.shape[1] != matrices[0].shape[1] for m in matrices):
+        raise ValueError("stack_rows expects matrices of equal width")
+    edges = np.cumsum([0] + [m.shape[0] for m in matrices])
 
     def vjp(g):
-        return tuple(g[i] for i in range(len(vectors)))
+        return tuple(g[a:b] for a, b in zip(edges[:-1], edges[1:]))
 
-    return Tensor(np.stack([v.values for v in vectors]), vectors, vjp, "stack_rows")
+    return Tensor(np.concatenate([m.values for m in matrices]), matrices, vjp,
+                  "stack_rows")
 
 
 def transpose(x: Tensor) -> Tensor:

@@ -307,6 +307,9 @@ def split_sequences(sequences: list[SensorSequence], policy: str,
     if policy == "fractions":
         if fractions is None or abs(sum(fractions) - 1.0) > 1e-9:
             raise ValueError("fractions must be given and sum to 1")
+        # the same rounding slack as the sum: 1 - 0.9 - 0.1 is -2.8e-17
+        if any(not -1e-9 <= f <= 1.0 + 1e-9 for f in fractions):
+            raise ValueError(f"fractions must lie in [0, 1], got {fractions}")
         n = len(sequences)
         e1 = int(round(n * fractions[0]))
         e2 = int(round(n * (fractions[0] + fractions[1])))

@@ -5,14 +5,19 @@ contrastive term computed over a curated example set.  Contrast follows the
 per-pair form: each anchor/positive pair is scored against the anchor's
 full negative set, anchors lacking positives or negatives are skipped, and
 the result averages first over an anchor's positives and then over valid
-anchors.  Segment-level examples join sample-level ones in a single pool so
-every cross-level pairing contributes.
+anchors.
 
-Examples are canonically sorted (class, level, embedding bytes) before any
-summation, which makes the loss bitwise invariant to input order.
+Examples come in pools, one per level: a `ContrastPool` is one matrix of
+unit-norm embedding rows with one class label per row.  The hard-sample
+pool and the segment-summary pool are stacked into a single matrix so
+every cross-level pairing contributes.  Its rows are canonically sorted
+(class, level, embedding bytes) before any summation, which makes the
+loss bitwise invariant to row order; a row's level is the position of
+its pool.
 """
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
@@ -20,30 +25,29 @@ from scipy.special import logsumexp
 from . import autodiff as ad
 from .autodiff import Tensor
 
-LEVEL_SAMPLE = "sample"
-LEVEL_SEGMENT = "segment"
-_LEVEL_ORDER = {LEVEL_SAMPLE: 0, LEVEL_SEGMENT: 1}
-
 
 @dataclass
-class ContrastExample:
-    """A unit-norm embedding tagged with its class and granularity level."""
-    embedding: Tensor
-    class_label: int
-    level: str = LEVEL_SAMPLE
+class ContrastPool:
+    """Unit-norm embedding rows (n x P) and their n class labels."""
+    embeddings: Tensor
+    labels: np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.embedding, Tensor):
-            self.embedding = Tensor(np.asarray(self.embedding, dtype=np.float64))
-        if self.embedding.ndim != 1:
-            raise ValueError("embedding must be a 1-D vector")
-        norm = np.linalg.norm(self.embedding.values)
-        if abs(norm - 1.0) > 1e-9:
-            raise ValueError(f"embedding norm {norm:.3e} is not 1")
-        if self.level not in _LEVEL_ORDER:
-            raise ValueError(f"unknown level {self.level!r}")
-        if self.class_label < 0:
-            raise ValueError("class_label must be nonnegative")
+        if not isinstance(self.embeddings, Tensor):
+            self.embeddings = Tensor(self.embeddings)
+        self.labels = np.asarray(self.labels, dtype=int)
+        if self.embeddings.ndim != 2:
+            raise ValueError("embeddings must be a matrix")
+        if self.labels.shape != (self.embeddings.shape[0],):
+            raise ValueError("need one class label per embedding row")
+        if np.any(self.labels < 0):
+            raise ValueError("class labels must be nonnegative")
+        norms = np.linalg.norm(self.embeddings.values, axis=1)
+        if np.any(np.abs(norms - 1.0) > 1e-9):
+            raise ValueError("every embedding row must have norm 1")
+
+    def __len__(self) -> int:
+        return len(self.labels)
 
 
 @dataclass
@@ -52,6 +56,8 @@ class LossBreakdown:
     contrast: list[float]
     contrast_weight: float
     total: float
+    sample_examples: list[int]      # pool sizes per stage
+    segment_examples: list[int]
     skipped_anchors: int = 0
 
     def __post_init__(self):
@@ -77,25 +83,25 @@ def info_nce(anchor, positive, negatives, temperature: float) -> float:
     return float(logsumexp([pos_sim] + neg_sims) - pos_sim)
 
 
-def _canonical_order(examples: list[ContrastExample]) -> list[ContrastExample]:
-    return sorted(examples, key=lambda e: (e.class_label,
-                                           _LEVEL_ORDER[e.level],
-                                           e.embedding.values.tobytes()))
-
-
-def supervised_contrast(examples: list[ContrastExample], temperature: float,
+def supervised_contrast(pools: Sequence[ContrastPool], temperature: float,
                         diagnostics: dict | None = None) -> Tensor:
-    """Class-supervised contrast over one example pool.
+    """Class-supervised contrast over the rows of every pool together.
 
     Returns a scalar graph tensor so gradients reach the embeddings.  The
     whole computation is a handful of matrix ops on the n x n similarity
-    matrix; per-pair masks are constants and carry no gradient.
+    matrix; per-pair masks are constants and carry no gradient.  Empty
+    pools (or empty lists) contribute nothing.
     """
     if temperature <= 0:
         raise ValueError("temperature must be positive")
-    examples = _canonical_order(examples)
-    n = len(examples)
-    labels = np.array([e.class_label for e in examples], dtype=int)
+    pools = [p for p in pools if len(p)]
+    rows = [r for p in pools for r in p.embeddings.values]
+    labels = np.array([c for p in pools for c in p.labels], dtype=int)
+    levels = [level for level, p in enumerate(pools) for _ in range(len(p))]
+    order = sorted(range(len(rows)), key=lambda i: (labels[i], levels[i],
+                                                    rows[i].tobytes()))
+    labels = labels[order]
+    n = len(labels)
 
     same = labels[:, None] == labels[None, :]
     pos_mask = same & ~np.eye(n, dtype=bool)
@@ -108,7 +114,7 @@ def supervised_contrast(examples: list[ContrastExample], temperature: float,
     if n_valid == 0:
         return Tensor(0.0)
 
-    emb = ad.stack_rows([e.embedding for e in examples])
+    emb = ad.row(ad.stack_rows([p.embeddings for p in pools]), order)
     sims = ad.scale(ad.matmul(emb, ad.transpose(emb)), 1.0 / temperature)
     exp_sims = ad.exp(sims)
     # row i of this product is constant at sum_{j in N_i} exp(s_ij)
@@ -125,31 +131,32 @@ def supervised_contrast(examples: list[ContrastExample], temperature: float,
     return ad.tsum(ad.mul(pair_losses, Tensor(weights)))
 
 
-def multilevel_contrast(sample_examples: list[ContrastExample],
-                        segment_examples: list[ContrastExample],
+def multilevel_contrast(samples: ContrastPool, segments: ContrastPool,
                         temperature: float,
                         diagnostics: dict | None = None) -> Tensor:
-    """Contrast over the union of sample- and segment-level examples."""
-    return supervised_contrast(list(sample_examples) + list(segment_examples),
-                               temperature, diagnostics)
+    """Contrast over the union of the sample and segment pools."""
+    return supervised_contrast((samples, segments), temperature, diagnostics)
 
 
 def total_objective(stage_outputs, labels, example_sets, contrast_weight: float,
                     temperature: float) -> tuple[Tensor, LossBreakdown]:
     """Sum per-stage cross entropy plus weighted contrast.
 
-    `example_sets` supplies one (sample_examples, segment_examples) pair per
-    stage.  With contrast_weight 0 the contrast graphs are never built, so
-    the returned loss is exactly the plain cross-entropy sum.
+    `example_sets` supplies one (samples, segments) pair of pools per
+    stage; an empty list stands for an empty pool.  With contrast_weight 0
+    the contrast graphs are never built, so the returned loss is exactly
+    the plain cross-entropy sum.
     """
     if len(example_sets) != len(stage_outputs):
         raise ValueError("need one example set per stage")
     labels = np.asarray(labels, dtype=int)
 
-    ce_values, con_values = [], []
+    ce_values, con_values, n_samples, n_segments = [], [], [], []
     skipped = 0
     total = None
     for out, (samples, segments) in zip(stage_outputs, example_sets):
+        n_samples.append(len(samples))
+        n_segments.append(len(segments))
         ce, _ = ad.softmax_cross_entropy(out.logits, labels)
         ce_values.append(ce.item())
         stage_term = ce
@@ -165,5 +172,7 @@ def total_objective(stage_outputs, labels, example_sets, contrast_weight: float,
 
     breakdown = LossBreakdown(classification=ce_values, contrast=con_values,
                               contrast_weight=contrast_weight,
-                              total=total.item(), skipped_anchors=skipped)
+                              total=total.item(), sample_examples=n_samples,
+                              segment_examples=n_segments,
+                              skipped_anchors=skipped)
     return total, breakdown

@@ -6,11 +6,13 @@ boundaries, and whatever is left is filled uniformly from the rest of the
 class.  Segment-level examples are built separately by pooling each
 contiguous ground-truth run of the projected features.
 
-Selection is split from materialization on purpose: `select_hard_examples`
-works on plain index arrays and owns all randomness, while
-`materialize_examples` turns a frozen plan into graph tensors.  Gradient
-checks rely on that split to keep the example set fixed while parameters
-are perturbed.
+Selection is split from building the pools on purpose:
+`select_hard_examples` works on plain index arrays and owns all
+randomness, while `sample_pool` turns a frozen plan into one gathered
+matrix (one `row` node) and `segment_pool` turns the label runs into one
+pooled, renormalized matrix (one `mean_rows` and one `l2_normalize`
+node).  Gradient checks rely on that split to keep the example set fixed
+while parameters are perturbed.
 """
 
 from dataclasses import dataclass
@@ -19,7 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .losses import LEVEL_SAMPLE, LEVEL_SEGMENT, ContrastExample
+from .losses import ContrastPool
 
 
 @dataclass(frozen=True)
@@ -97,47 +99,37 @@ def select_hard_examples(predictions, labels, k_per_class: int,
     return plan
 
 
-def pooled_run_embedding(projected: Tensor, run: SegmentRun) -> Tensor | None:
-    """Mean of a run's projected rows, renormalized; None if the mean is zero."""
-    pooled = ad.mean_rows(projected, run.start, run.end)
-    if np.linalg.norm(pooled.values) == 0.0:
-        return None
-    return ad.l2_normalize(pooled)
-
-
-def segment_features(projected: Tensor, labels) -> list[tuple[int, Tensor]]:
-    """One pooled unit vector per ground-truth run; zero means are dropped."""
-    out = []
-    for run in labels_to_segments(labels):
-        vec = pooled_run_embedding(projected, run)
-        if vec is not None:
-            out.append((run.class_label, vec))
-    return out
-
-
-def materialize_examples(projected: Tensor,
-                         plan: dict[int, np.ndarray]) -> list[ContrastExample]:
-    """Turn a frozen index plan into sample-level graph examples.
+def sample_pool(projected: Tensor, plan: dict[int, np.ndarray]) -> ContrastPool:
+    """The planned rows of `projected`, class by class, as one pool.
 
     Zero projection rows carry no direction and are silently excluded.
     """
-    examples = []
-    for c in sorted(plan):
-        for i in plan[c]:
-            if np.linalg.norm(projected.values[i]) == 0.0:
-                continue
-            examples.append(ContrastExample(ad.row(projected, int(i)), c,
-                                            LEVEL_SAMPLE))
-    return examples
+    idx = np.array([i for c in sorted(plan) for i in plan[c]], dtype=int)
+    labels = np.array([c for c in sorted(plan) for _ in plan[c]], dtype=int)
+    keep = np.linalg.norm(projected.values[idx], axis=1) > 0
+    return ContrastPool(ad.row(projected, idx[keep]), labels[keep])
+
+
+def segment_pool(projected: Tensor, labels) -> ContrastPool:
+    """One renormalized mean of `projected` per ground-truth run.
+
+    Runs whose mean is zero carry no direction and are dropped.
+    """
+    runs = labels_to_segments(labels)
+    starts = np.array([r.start for r in runs])
+    ends = np.array([r.end for r in runs])
+    classes = np.array([r.class_label for r in runs])
+    pooled = ad.mean_rows(projected, starts, ends)
+    keep = np.linalg.norm(pooled.values, axis=1) > 0
+    if not keep.all():
+        pooled = ad.mean_rows(projected, starts[keep], ends[keep])
+    return ContrastPool(ad.l2_normalize(pooled), classes[keep])
 
 
 def build_example_set(projected: Tensor, predictions, labels, rng,
                       k_per_class: int = 16, boundary_radius: int = 2,
-                      ) -> tuple[list[ContrastExample], list[ContrastExample]]:
-    """Full per-sequence example pool: hard samples plus pooled segments."""
+                      ) -> tuple[ContrastPool, ContrastPool]:
+    """Full per-sequence example set: the hard-sample and segment pools."""
     plan = select_hard_examples(predictions, labels, k_per_class,
                                 boundary_radius, rng)
-    samples = materialize_examples(projected, plan)
-    segments = [ContrastExample(vec, c, LEVEL_SEGMENT)
-                for c, vec in segment_features(projected, labels)]
-    return samples, segments
+    return sample_pool(projected, plan), segment_pool(projected, labels)

@@ -63,6 +63,10 @@ class TrainConfig:
             raise ValueError("temperature must be positive")
         if self.contrast_weight < 0:
             raise ValueError("contrast_weight must be nonnegative")
+        if self.k_per_class < 2 or self.k_per_class % 2 != 0:
+            raise ValueError("k_per_class must be an even integer >= 2")
+        if self.boundary_radius < 0:
+            raise ValueError("boundary_radius must be >= 0")
 
 
 @dataclass
@@ -111,11 +115,14 @@ def adam_step(state: TrainState, gradients: dict[str, np.ndarray],
 
 @dataclass
 class EpochStats:
+    """One epoch's summary; its fields are the training-log record's keys."""
     classification: list[float]     # per stage, averaged over sequences
     contrast: list[float]
     total: float
     optimizer_steps: int
     skipped_anchors: int    # contrast anchors lacking a positive or negative
+    sample_examples: list[int]      # pool rows per stage, summed
+    segment_examples: list[int]
 
 
 def _sequence_loss(state: TrainState, seq: SensorSequence, cfg: TrainConfig,
@@ -147,6 +154,8 @@ def train_epoch(state: TrainState, sequences: list[SensorSequence],
     total_sum = 0.0
     steps = 0
     skipped = 0
+    n_samples = np.zeros(n_stages, dtype=int)
+    n_segments = np.zeros(n_stages, dtype=int)
 
     order = rng.permutation(len(sequences))
     state.params.zero_grads()
@@ -162,6 +171,8 @@ def train_epoch(state: TrainState, sequences: list[SensorSequence],
         con_sums += breakdown.contrast
         total_sum += breakdown.total
         skipped += breakdown.skipped_anchors
+        n_samples += breakdown.sample_examples
+        n_segments += breakdown.segment_examples
         if accumulated == cfg.batch_size:
             _apply_accumulated(state, cfg, accumulated)
             accumulated = 0
@@ -174,7 +185,9 @@ def train_epoch(state: TrainState, sequences: list[SensorSequence],
     return EpochStats(classification=(ce_sums / n).tolist(),
                       contrast=(con_sums / n).tolist(),
                       total=total_sum / n, optimizer_steps=steps,
-                      skipped_anchors=skipped)
+                      skipped_anchors=skipped,
+                      sample_examples=n_samples.tolist(),
+                      segment_examples=n_segments.tolist())
 
 
 def _apply_accumulated(state: TrainState, cfg: TrainConfig, count: int):
@@ -224,12 +237,7 @@ def fit(state: TrainState, train_seqs: list[SensorSequence],
     history = []
     for epoch in range(cfg.epochs):
         stats = train_epoch(state, train_seqs, cfg, rng)
-        record = {"epoch": epoch,
-                  "classification": stats.classification,
-                  "contrast": stats.contrast,
-                  "total": stats.total,
-                  "optimizer_steps": stats.optimizer_steps,
-                  "skipped_anchors": stats.skipped_anchors}
+        record = {"epoch": epoch, **dataclasses.asdict(stats)}
         if val_seqs:
             report, _ = evaluate(state.params, state.model_config, val_seqs)
             record["val_macro_f1"] = report.macro_f1

@@ -13,6 +13,10 @@ from hypothesis import given, settings, strategies as st
 
 from tempseg import autodiff as ad
 from tempseg import model as md
+from tempseg.gradcheck_suite import OP_CHECKS
+
+# names in autodiff.__all__ that are not differentiable ops
+NOT_OPS = {"Tensor", "CompGraph", "backward", "grad_check", "no_grad"}
 
 
 def naive_conv1d(x, w, b, dilation):
@@ -158,12 +162,18 @@ class TestElementwiseOps:
             ad.add(ad.Tensor(np.zeros(3)), ad.Tensor(np.zeros(4)))
 
     def test_l2_normalize_vector(self):
-        out = ad.l2_normalize(ad.Tensor([3.0, 4.0]))
-        np.testing.assert_allclose(out.values, [0.6, 0.8])
+        # a vector is a one-row matrix; a 1-D array is not accepted
+        out = ad.l2_normalize(ad.Tensor([[3.0, 4.0]]))
+        np.testing.assert_allclose(out.values, [[0.6, 0.8]])
+        with pytest.raises(ValueError, match="matrix"):
+            ad.l2_normalize(ad.Tensor([3.0, 4.0]))
 
     def test_l2_normalize_zero_vector(self):
-        out = ad.l2_normalize(ad.Tensor([0.0, 0.0]))
-        np.testing.assert_array_equal(out.values, [0.0, 0.0])
+        x = ad.Tensor([[0.0, 0.0]])
+        out = ad.l2_normalize(x)
+        np.testing.assert_array_equal(out.values, [[0.0, 0.0]])
+        ad.tsum(ad.mul(out, ad.Tensor([[1.0, 2.0]]))).backward()
+        np.testing.assert_array_equal(x.grad, [[0.0, 0.0]])
 
     def test_l2_normalize_matrix_rows(self, rng):
         x = rng.normal(size=(6, 4))
@@ -177,9 +187,118 @@ class TestElementwiseOps:
         with pytest.raises(ValueError, match="positive"):
             ad.log(ad.Tensor([1.0, -2.0]))
 
-    def test_dot(self):
-        out = ad.dot(ad.Tensor([1.0, 2.0]), ad.Tensor([3.0, 4.0]))
-        assert out.item() == 11.0
+    def test_matmul_rejects_vectors(self):
+        with pytest.raises(ValueError, match="matrices"):
+            ad.matmul(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones(3)))
+
+
+def loop_row(x, idx, g):
+    """Values and input gradient of gathering rows idx (oracle)."""
+    out = np.zeros((len(idx), x.shape[1]))
+    gx = np.zeros_like(x)
+    for r, i in enumerate(idx):
+        out[r] = x[i]
+        gx[i] += g[r]
+    return out, gx
+
+
+def loop_mean_rows(x, starts, ends, g):
+    """Values and input gradient of per-range row means (oracle)."""
+    out = np.zeros((len(starts), x.shape[1]))
+    gx = np.zeros_like(x)
+    for r, (a, b) in enumerate(zip(starts, ends)):
+        for t in range(a, b):
+            out[r] += x[t] / (b - a)
+            gx[t] += g[r] / (b - a)
+    return out, gx
+
+
+def loop_stack_rows(parts, g):
+    """Values and per-part gradients of stacking matrices (oracle)."""
+    rows, grads, offset = [], [], 0
+    for part in parts:
+        rows.extend(part)
+        grads.append(g[offset:offset + len(part)])
+        offset += len(part)
+    return np.array(rows).reshape(offset, g.shape[1]), grads
+
+
+def values_and_grads(build, inputs, g):
+    """Run op(inputs), backpropagate sum(out * g), return values and grads."""
+    tensors = [ad.Tensor(v) for v in inputs]
+    out = build(tensors)
+    ad.tsum(ad.mul(out, ad.Tensor(g))).backward()
+    return out.values, [t.grad for t in tensors]
+
+
+class TestRowOps:
+    """row, mean_rows and stack_rows against plain loops."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_row_matches_loop(self, data):
+        t_len, width = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 4))
+        idx = data.draw(st.lists(st.integers(0, t_len - 1), max_size=12))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+        x = rng.normal(size=(t_len, width))
+        g = rng.normal(size=(len(idx), width))
+        out, (gx,) = values_and_grads(
+            lambda t: ad.row(t[0], np.array(idx, dtype=int)), [x], g)
+        want_out, want_gx = loop_row(x, idx, g)
+        np.testing.assert_array_equal(out, want_out)
+        np.testing.assert_allclose(gx, want_gx, rtol=0, atol=1e-12)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_mean_rows_matches_loop(self, data):
+        t_len, width = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 4))
+        ranges = data.draw(st.lists(
+            st.integers(0, t_len - 1).flatmap(
+                lambda a: st.tuples(st.just(a), st.integers(a + 1, t_len))),
+            max_size=6))
+        starts = [a for a, _ in ranges]
+        ends = [b for _, b in ranges]
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+        x = rng.normal(size=(t_len, width))
+        g = rng.normal(size=(len(ranges), width))
+        out, (gx,) = values_and_grads(
+            lambda t: ad.mean_rows(t[0], np.array(starts, dtype=int),
+                                   np.array(ends, dtype=int)), [x], g)
+        want_out, want_gx = loop_mean_rows(x, starts, ends, g)
+        np.testing.assert_allclose(out, want_out, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(gx, want_gx, rtol=0, atol=1e-12)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_stack_rows_matches_loop(self, data):
+        width = data.draw(st.integers(1, 4))
+        heights = data.draw(st.lists(st.integers(0, 4), min_size=1,
+                                     max_size=4))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+        parts = [rng.normal(size=(h, width)) for h in heights]
+        g = rng.normal(size=(sum(heights), width))
+        out, grads = values_and_grads(ad.stack_rows, parts, g)
+        want_out, want_grads = loop_stack_rows(parts, g)
+        np.testing.assert_array_equal(out, want_out)
+        for got, want in zip(grads, want_grads, strict=True):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("build", [
+        lambda x: ad.row(x, [0, 3]),
+        lambda x: ad.row(x, [-1]),
+        lambda x: ad.row(x, np.array([0.0, 1.0])),
+        lambda x: ad.row(x, [[0, 1]]),
+        lambda x: ad.row(ad.Tensor(np.ones(3)), [0]),
+        lambda x: ad.mean_rows(x, [1], [1]),
+        lambda x: ad.mean_rows(x, [0], [4]),
+        lambda x: ad.mean_rows(x, [0, 1], [2]),
+        lambda x: ad.stack_rows([]),
+        lambda x: ad.stack_rows([x, ad.Tensor(np.ones((2, 3)))]),
+        lambda x: ad.stack_rows([ad.Tensor(np.ones(2))]),
+    ])
+    def test_malformed_arguments_rejected(self, build):
+        with pytest.raises(ValueError):
+            build(ad.Tensor(np.ones((3, 2))))
 
 
 class TestSoftmaxCrossEntropy:
@@ -216,13 +335,13 @@ class TestBackward:
     def test_linear_loss_gradient(self, rng):
         x = rng.normal(size=5)
         w = ad.Tensor(rng.normal(size=5))
-        loss = ad.dot(w, ad.Tensor(x))
+        loss = ad.tsum(ad.mul(w, ad.Tensor(x)))
         loss.backward()
         np.testing.assert_allclose(w.grad, x)
 
     def test_dead_relu(self):
         w = ad.Tensor([-1.0, -2.0, -0.5])
-        loss = ad.mean(ad.relu(w))
+        loss = ad.tsum(ad.relu(w))
         loss.backward()
         np.testing.assert_array_equal(w.grad, np.zeros(3))
 
@@ -235,7 +354,7 @@ class TestBackward:
         used = ad.Tensor(rng.normal(size=3))
         unused = ad.Tensor(rng.normal(size=3))
         unused.zero_grad()
-        loss = ad.mean(ad.mul(used, used))
+        loss = ad.tsum(ad.mul(used, used))
         loss.backward()
         np.testing.assert_array_equal(unused.grad, np.zeros(3))
         assert used.grad is not None
@@ -249,7 +368,7 @@ class TestBackward:
             build(w).backward()
             return w.grad
 
-        loss_a = lambda w: ad.mean(ad.relu(ad.matmul(x, w)))
+        loss_a = lambda w: ad.tsum(ad.relu(ad.matmul(x, w)))
         loss_b = lambda w: ad.tsum(ad.mul(ad.matmul(x, w), ad.matmul(x, w)))
         combined = grads_of(lambda w: ad.add(loss_a(w), loss_b(w)))
         np.testing.assert_allclose(combined, grads_of(loss_a) + grads_of(loss_b),
@@ -258,16 +377,16 @@ class TestBackward:
     def test_gradient_accumulates_across_backward_calls(self, rng):
         w = ad.Tensor(rng.normal(size=3))
         x = ad.Tensor(rng.normal(size=3))
-        ad.dot(w, x).backward()
+        ad.tsum(ad.mul(w, x)).backward()
         first = w.grad.copy()
-        ad.dot(w, x).backward()
+        ad.tsum(ad.mul(w, x)).backward()
         np.testing.assert_allclose(w.grad, 2 * first)
 
     def test_graph_topologically_ordered(self, rng):
         x = ad.Tensor(rng.normal(size=(5, 2)))
         y = ad.relu(x)
         z = ad.add(ad.mul(y, y), y)
-        loss = ad.mean(z)
+        loss = ad.tsum(z)
         graph = ad.CompGraph.from_output(loss)
         pos = {id(n): i for i, n in enumerate(graph.nodes)}
         assert len(pos) == len(graph.nodes)
@@ -300,7 +419,8 @@ class TestBackward:
 class TestGradCheck:
     def test_quadratic_is_exact(self, rng):
         w = ad.Tensor(rng.normal(size=6))
-        err = ad.grad_check(lambda p: ad.dot(p[0], p[0]), [w], eps=1e-3)
+        err = ad.grad_check(lambda p: ad.tsum(ad.mul(p[0], p[0])), [w],
+                            eps=1e-3)
         assert err < 1e-8
 
     def test_conv_relu_mean_composite(self, rng):
@@ -308,7 +428,8 @@ class TestGradCheck:
         w = ad.Tensor(rng.normal(size=(3, 2, 3)))
         b = ad.Tensor(rng.normal(size=3))
         err = ad.grad_check(
-            lambda p: ad.mean(ad.relu(ad.conv1d_dilated(x, p[0], p[1], 2))),
+            lambda p: ad.scale(
+                ad.tsum(ad.relu(ad.conv1d_dilated(x, p[0], p[1], 2))), 1 / 24),
             [w, b], eps=1e-3)
         assert err < 1e-4
 
@@ -319,20 +440,18 @@ class TestGradCheck:
             lambda p: ad.softmax_cross_entropy(p[0], labels)[0], [logits], eps=1e-3)
         assert err < 1e-6
 
-    @pytest.mark.parametrize("name", [
-        "relu", "add", "mul", "matmul", "scale", "mean", "tsum", "exp", "log",
-        "dot", "l2_normalize", "row", "mean_rows", "stack_rows", "transpose",
-        "softmax_rows", "conv1d_dilated", "softmax_cross_entropy",
-    ])
+    def test_op_checks_cover_exactly_the_ops(self):
+        assert set(OP_CHECKS) == set(ad.__all__) - NOT_OPS
+
+    @pytest.mark.parametrize("name", sorted(OP_CHECKS))
     def test_every_op_passes_grad_check(self, name, rng):
-        from tempseg.gradcheck_suite import OP_CHECKS
         err = OP_CHECKS[name](np.random.default_rng(99))
         assert err < 1e-4, f"{name}: {err}"
 
     def test_nonpositive_eps_rejected(self, rng):
         w = ad.Tensor(rng.normal(size=2))
         with pytest.raises(ValueError):
-            ad.grad_check(lambda p: ad.dot(p[0], p[0]), [w], eps=0.0)
+            ad.grad_check(lambda p: ad.tsum(ad.mul(p[0], p[0])), [w], eps=0.0)
 
 
 class TestNoGrad:

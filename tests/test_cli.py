@@ -149,9 +149,12 @@ class TestTrain:
         for line in lines:
             record = json.loads(line)
             assert {"epoch", "classification", "contrast", "total",
-                    "optimizer_steps", "skipped_anchors",
-                    "val_macro_f1", "val_jaccard"} <= set(record)
+                    "optimizer_steps", "skipped_anchors", "sample_examples",
+                    "segment_examples", "val_macro_f1",
+                    "val_jaccard"} <= set(record)
             assert len(record["classification"]) == 2
+            assert len(record["sample_examples"]) == 2
+            assert all(n > 0 for n in record["segment_examples"])
             assert record["optimizer_steps"] == 3   # batch 1, 3 recordings
         state = load_checkpoint(out / "model.ckpt")
         fresh = init_params(state.model_config, seed=0)
@@ -370,6 +373,26 @@ class TestSubjectSplit:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "9" in err
+
+
+class TestFractionSplit:
+    def test_shares_above_one_exit_1(self, tmp_path, capsys):
+        flat = tmp_path / "flat"
+        flat.mkdir()
+        rng = np.random.default_rng(0)
+        for i in range(10):
+            write_csv_sequence(flat / f"r{i}.csv", SensorSequence(
+                features=rng.normal(size=(20, 2)),
+                labels=np.arange(20) // 10))
+        config = tmp_path / "fractions.cfg"
+        config.write_text(f"data_dir = {flat}\ntrain_fraction = 0.9\n"
+                          "val_fraction = 0.3\nepochs = 1\n")
+        code = main(["train", "--config", str(config),
+                     "--out", str(tmp_path / "run")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "[0, 1]" in err
+        assert len(err.strip().splitlines()) == 1
 
 
 class TestMainPlumbing:

@@ -355,3 +355,16 @@ class TestSplitSequences:
         with pytest.raises(ValueError, match="sum to 1"):
             dt.split_sequences(self.make(4), "fractions",
                                fractions=(0.5, 0.2, 0.2))
+
+    @pytest.mark.parametrize("fractions", [(0.9, 0.3, -0.2), (1.2, 0.0, -0.2),
+                                           (-0.1, 0.6, 0.5)])
+    def test_fraction_outside_unit_interval_rejected(self, fractions):
+        # these sum to 1; (0.9, 0.3, -0.2) used to give a 9/1/0 split
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            dt.split_sequences(self.make(10), "fractions", fractions=fractions)
+
+    def test_rounding_slack_in_a_derived_fraction_is_accepted(self):
+        # the CLI derives the test share as 1 - 0.9 - 0.1 = -2.8e-17
+        train, val, test = dt.split_sequences(
+            self.make(10), "fractions", fractions=(0.9, 0.1, 1.0 - 0.9 - 0.1))
+        assert (len(train), len(val), len(test)) == (9, 1, 0)

@@ -32,29 +32,35 @@ def unit_rows(rng, n, p):
     return m / np.linalg.norm(m, axis=1, keepdims=True)
 
 
-def make_examples(embeddings, labels, level=ls.LEVEL_SAMPLE):
-    return [ls.ContrastExample(e, int(c), level)
-            for e, c in zip(embeddings, labels)]
+def pool(embeddings, labels):
+    return ls.ContrastPool(np.asarray(embeddings, dtype=np.float64), labels)
 
 
 class TestContrastExample:
+    """Every row of a ContrastPool is one example: a unit vector and a label."""
+
     def test_rejects_non_unit(self):
         with pytest.raises(ValueError, match="norm"):
-            ls.ContrastExample(np.array([1.0, 1.0]), 0)
+            pool([[1.0, 0.0], [1.0, 1.0]], [0, 1])
 
     def test_rejects_zero_vector(self):
         with pytest.raises(ValueError, match="norm"):
-            ls.ContrastExample(np.zeros(4), 0)
+            pool([[1.0, 0.0], [0.0, 0.0]], [0, 0])
 
-    def test_rejects_unknown_level(self):
-        with pytest.raises(ValueError, match="level"):
-            ls.ContrastExample(np.array([1.0, 0.0]), 0, "window")
+    def test_rejects_misaligned_or_negative_labels(self):
+        with pytest.raises(ValueError, match="one class label per"):
+            pool([[1.0, 0.0], [0.0, 1.0]], [0])
+        with pytest.raises(ValueError, match="nonnegative"):
+            pool([[1.0, 0.0]], [-1])
+        with pytest.raises(ValueError, match="matrix"):
+            pool([1.0, 0.0], [0])
 
     def test_accepts_array_or_tensor(self):
-        a = ls.ContrastExample(np.array([0.0, 1.0]), 1)
-        b = ls.ContrastExample(ad.Tensor([0.0, 1.0]), 1, ls.LEVEL_SEGMENT)
-        assert isinstance(a.embedding, ad.Tensor)
-        assert b.level == ls.LEVEL_SEGMENT
+        a = pool([[0.0, 1.0]], [1])
+        b = ls.ContrastPool(ad.Tensor([[0.0, 1.0], [1.0, 0.0]]), [1, 2])
+        assert isinstance(a.embeddings, ad.Tensor)
+        assert len(a) == 1 and len(b) == 2
+        assert len(pool(np.zeros((0, 3)), [])) == 0
 
 
 class TestInfoNce:
@@ -100,20 +106,24 @@ class TestSupervisedContrast:
     def test_two_identical_vs_one_orthogonal(self):
         u = np.array([1.0, 0.0])
         v = np.array([0.0, 1.0])
-        examples = make_examples([u, u, v], [0, 0, 1])
-        loss = ls.supervised_contrast(examples, temperature=1.0)
+        loss = ls.supervised_contrast([pool([u, u, v], [0, 0, 1])],
+                                      temperature=1.0)
         assert abs(loss.item() - math.log(1 + math.exp(-1))) < 1e-12
 
     def test_single_class_returns_zero(self):
         rng = np.random.default_rng(1)
-        examples = make_examples(unit_rows(rng, 5, 4), [2] * 5)
         diag = {}
-        loss = ls.supervised_contrast(examples, 0.5, diag)
+        loss = ls.supervised_contrast([pool(unit_rows(rng, 5, 4), [2] * 5)],
+                                      0.5, diag)
         assert loss.item() == 0.0
         assert diag["skipped_anchors"] == 5
 
     def test_empty_pool_returns_zero(self):
         assert ls.supervised_contrast([], 1.0).item() == 0.0
+        empty = pool(np.zeros((0, 3)), [])
+        diag = {}
+        assert ls.supervised_contrast([empty, []], 1.0, diag).item() == 0.0
+        assert diag == {"anchors": 0, "skipped_anchors": 0}
 
     def test_matches_bruteforce_on_random_pools(self):
         rng = np.random.default_rng(2)
@@ -122,7 +132,7 @@ class TestSupervisedContrast:
             embeddings = unit_rows(rng, n, 5)
             labels = rng.integers(0, 3, size=n)
             got = ls.supervised_contrast(
-                make_examples(embeddings, labels), 0.3).item()
+                [pool(embeddings, labels)], 0.3).item()
             want = naive_supervised_contrast(embeddings, labels, 0.3)
             assert abs(got - want) < 1e-10, f"trial {trial}"
 
@@ -130,21 +140,20 @@ class TestSupervisedContrast:
         rng = np.random.default_rng(3)
         embeddings = unit_rows(rng, 8, 4)
         labels = [0, 1, 0, 2, 1, 2, 0, 1]
-        examples = make_examples(embeddings, labels)
-        base = ls.supervised_contrast(examples, 0.2).item()
+        base = ls.supervised_contrast([pool(embeddings, labels)], 0.2).item()
         for _ in range(5):
             perm = rng.permutation(8)
-            shuffled = [examples[i] for i in perm]
-            assert ls.supervised_contrast(shuffled, 0.2).item() == base
+            shuffled = pool(embeddings[perm], np.array(labels)[perm])
+            assert ls.supervised_contrast([shuffled], 0.2).item() == base
 
     def test_class_relabeling_invariant(self):
         rng = np.random.default_rng(4)
         embeddings = unit_rows(rng, 7, 4)
         labels = np.array([0, 1, 0, 2, 1, 2, 0])
-        base = ls.supervised_contrast(make_examples(embeddings, labels), 0.4).item()
+        base = ls.supervised_contrast([pool(embeddings, labels)], 0.4).item()
         remap = {0: 5, 1: 9, 2: 7}
         relabeled = [remap[int(c)] for c in labels]
-        got = ls.supervised_contrast(make_examples(embeddings, relabeled), 0.4).item()
+        got = ls.supervised_contrast([pool(embeddings, relabeled)], 0.4).item()
         assert abs(got - base) < 1e-12
 
     def test_anchor_without_positive_skipped(self):
@@ -152,8 +161,7 @@ class TestSupervisedContrast:
         v = np.array([0.0, 1.0])
         w = np.array([-1.0, 0.0])
         diag = {}
-        ls.supervised_contrast(make_examples([u, u, v, w], [0, 0, 1, 2]),
-                               1.0, diag)
+        ls.supervised_contrast([pool([u, u, v, w], [0, 0, 1, 2])], 1.0, diag)
         assert diag["skipped_anchors"] == 2
 
     def test_gradient_flows_to_embeddings(self):
@@ -162,9 +170,8 @@ class TestSupervisedContrast:
 
         def f(params):
             normed = ad.l2_normalize(params[0])
-            examples = [ls.ContrastExample(ad.row(normed, i), i % 2)
-                        for i in range(6)]
-            return ls.supervised_contrast(examples, 0.5)
+            return ls.supervised_contrast(
+                [ls.ContrastPool(normed, np.arange(6) % 2)], 0.5)
 
         assert ad.grad_check(f, [raw], eps=1e-3) < 1e-4
 
@@ -172,29 +179,39 @@ class TestSupervisedContrast:
 class TestMultilevelContrast:
     def test_empty_segments_bitwise_equal(self):
         rng = np.random.default_rng(6)
-        examples = make_examples(unit_rows(rng, 6, 4), [0, 1, 0, 1, 2, 2])
-        a = ls.multilevel_contrast(examples, [], 0.3).item()
-        b = ls.supervised_contrast(examples, 0.3).item()
-        assert a == b
+        samples = pool(unit_rows(rng, 6, 4), [0, 1, 0, 1, 2, 2])
+        b = ls.supervised_contrast([samples], 0.3).item()
+        assert ls.multilevel_contrast(samples, [], 0.3).item() == b
+        empty = pool(np.zeros((0, 4)), [])
+        assert ls.multilevel_contrast(samples, empty, 0.3).item() == b
+
+    def test_row_order_invariant_bitwise_across_levels(self):
+        rng = np.random.default_rng(10)
+        emb = unit_rows(rng, 9, 4)
+        labels = np.array([0, 1, 0, 2, 1, 2, 0, 1, 2])
+        base = ls.multilevel_contrast(pool(emb[:6], labels[:6]),
+                                      pool(emb[6:], labels[6:]), 0.2).item()
+        for _ in range(5):
+            a, b = rng.permutation(6), 6 + rng.permutation(3)
+            got = ls.multilevel_contrast(pool(emb[a], labels[a]),
+                                         pool(emb[b], labels[b]), 0.2)
+            assert got.item() == base
 
     def test_segment_equal_to_duplicated_sample(self):
         rng = np.random.default_rng(7)
         emb = unit_rows(rng, 4, 4)
         labels = [0, 0, 1, 1]
-        samples = make_examples(emb, labels)
         as_segment = ls.multilevel_contrast(
-            samples, [ls.ContrastExample(emb[0], 0, ls.LEVEL_SEGMENT)], 0.5)
+            pool(emb, labels), pool(emb[:1], [0]), 0.5)
         as_sample = ls.supervised_contrast(
-            samples + [ls.ContrastExample(emb[0], 0)], 0.5)
+            [pool(np.vstack([emb, emb[:1]]), labels + [0])], 0.5)
         assert abs(as_segment.item() - as_sample.item()) < 1e-12
 
     def test_four_example_hand_case(self):
         u = np.array([1.0, 0.0])
         v = np.array([0.0, 1.0])
-        samples = [ls.ContrastExample(u, 0), ls.ContrastExample(v, 1)]
-        segments = [ls.ContrastExample(u, 0, ls.LEVEL_SEGMENT),
-                    ls.ContrastExample(v, 1, ls.LEVEL_SEGMENT)]
-        loss = ls.multilevel_contrast(samples, segments, temperature=1.0)
+        loss = ls.multilevel_contrast(pool([u, v], [0, 1]), pool([u, v], [0, 1]),
+                                      temperature=1.0)
         # every anchor: one positive at sim 1, two negatives at sim 0
         want = -math.log(math.e / (math.e + 2.0))
         assert abs(loss.item() - want) < 1e-12
@@ -202,9 +219,8 @@ class TestMultilevelContrast:
     def test_cross_level_pairs_counted(self):
         rng = np.random.default_rng(8)
         emb = unit_rows(rng, 3, 4)
-        samples = [ls.ContrastExample(emb[0], 0), ls.ContrastExample(emb[1], 1)]
-        segments = [ls.ContrastExample(emb[2], 0, ls.LEVEL_SEGMENT)]
-        got = ls.multilevel_contrast(samples, segments, 0.3).item()
+        got = ls.multilevel_contrast(pool(emb[:2], [0, 1]), pool(emb[2:], [0]),
+                                     0.3).item()
         want = naive_supervised_contrast(emb, [0, 1, 0], 0.3)
         assert abs(got - want) < 1e-10
 
@@ -214,10 +230,9 @@ def forward_with_examples(cfg, params, x, labels, rng):
     sets = []
     for out in outs:
         normed = out.projected
-        samples = [ls.ContrastExample(ad.row(normed, i), int(labels[i]))
-                   for i in range(0, len(labels), 3)
-                   if np.linalg.norm(normed.values[i]) > 0.5]
-        sets.append((samples, []))
+        idx = np.array([i for i in range(0, len(labels), 3)
+                        if np.linalg.norm(normed.values[i]) > 0.5])
+        sets.append((ls.ContrastPool(ad.row(normed, idx), labels[idx]), []))
     return outs, sets
 
 

@@ -128,48 +128,66 @@ class TestSelectHardExamples:
                 assert set(wrong.tolist()) <= set(idx.tolist())
 
 
+def graph_ops(tensor):
+    return [node._op for node in ad.CompGraph.from_output(tensor).nodes]
+
+
 class TestSegmentFeatures:
+    """sp.segment_pool: one renormalized mean per ground-truth run."""
+
     def test_identical_rows_reproduce_vector(self):
         u = np.array([0.6, 0.8])
         projected = ad.Tensor(np.tile(u, (5, 1)))
-        feats = sp.segment_features(projected, np.zeros(5, dtype=int))
-        assert len(feats) == 1
-        cls, vec = feats[0]
-        assert cls == 0
-        np.testing.assert_allclose(vec.values, u, atol=1e-15)
+        got = sp.segment_pool(projected, np.zeros(5, dtype=int))
+        assert len(got) == 1
+        assert got.labels.tolist() == [0]
+        np.testing.assert_allclose(got.embeddings.values, [u], atol=1e-15)
 
     def test_orthogonal_pair_averages_and_renormalizes(self):
         rows = np.array([[1.0, 0.0], [0.0, 1.0]])
-        feats = sp.segment_features(ad.Tensor(rows), [2, 2])
-        _, vec = feats[0]
-        np.testing.assert_allclose(vec.values, [1 / np.sqrt(2), 1 / np.sqrt(2)])
+        got = sp.segment_pool(ad.Tensor(rows), [2, 2])
+        np.testing.assert_allclose(got.embeddings.values,
+                                   [[1 / np.sqrt(2), 1 / np.sqrt(2)]])
 
     def test_zero_mean_run_dropped(self):
         rows = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
-        feats = sp.segment_features(ad.Tensor(rows), [0, 0, 1])
-        assert len(feats) == 1
-        assert feats[0][0] == 1
+        projected = ad.Tensor(rows)
+        got = sp.segment_pool(projected, [0, 0, 1])
+        assert len(got) == 1
+        assert got.labels.tolist() == [1]
+        # the dropped run leaves no row in the graph
+        ad.tsum(got.embeddings).backward()
+        np.testing.assert_array_equal(projected.grad[:2], 0.0)
+        assert graph_ops(got.embeddings).count("mean_rows") == 1
 
     def test_one_output_per_run_and_unit_norms(self):
         rng = np.random.default_rng(6)
         rows = rng.normal(size=(30, 4))
         rows /= np.linalg.norm(rows, axis=1, keepdims=True)
         labels = np.repeat([0, 1, 0, 2], [8, 7, 9, 6])
-        feats = sp.segment_features(ad.Tensor(rows), labels)
-        assert [c for c, _ in feats] == [0, 1, 0, 2]
-        for _, vec in feats:
-            assert abs(np.linalg.norm(vec.values) - 1.0) < 1e-9
+        got = sp.segment_pool(ad.Tensor(rows), labels)
+        assert got.labels.tolist() == [0, 1, 0, 2]
+        np.testing.assert_allclose(
+            np.linalg.norm(got.embeddings.values, axis=1), 1.0, atol=1e-9)
+        assert graph_ops(got.embeddings) == ["leaf", "mean_rows",
+                                             "l2_normalize"]
 
 
 class TestBuildExampleSet:
     def test_empty_plan_materializes_nothing(self):
         projected = ad.Tensor(np.eye(4))
-        assert sp.materialize_examples(projected, {}) == []
+        got = sp.sample_pool(projected, {})
+        assert len(got) == 0
+        assert got.embeddings.shape == (0, 4)
 
     def test_zero_rows_excluded(self):
         rows = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
-        got = sp.materialize_examples(ad.Tensor(rows), {0: np.array([0, 1, 2])})
+        got = sp.sample_pool(ad.Tensor(rows), {0: np.array([0, 1]),
+                                               3: np.array([2])})
         assert len(got) == 2
+        assert got.labels.tolist() == [0, 3]
+        np.testing.assert_array_equal(got.embeddings.values, rows[[0, 2]])
+        assert graph_ops(got.embeddings) == ["leaf", "row"]
 
     def test_sizes_match_procedure_enumeration(self):
         rng = np.random.default_rng(7)
@@ -185,8 +203,9 @@ class TestBuildExampleSet:
         want = sum(min(6, int(np.sum(labels == c))) for c in np.unique(labels))
         assert len(samples) == want
         assert len(segments) == 5
-        assert all(e.level == "sample" for e in samples)
-        assert all(e.level == "segment" for e in segments)
+        assert samples.embeddings.shape == (want, 5)
+        assert segments.embeddings.shape == (5, 5)
+        assert segments.labels.tolist() == [0, 1, 2, 1, 0]
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(9)
@@ -198,7 +217,7 @@ class TestBuildExampleSet:
                                         np.random.default_rng(11))
         b_s, b_g = sp.build_example_set(ad.Tensor(rows), predictions, labels,
                                         np.random.default_rng(11))
-        assert len(a_s) == len(b_s) and len(a_g) == len(b_g)
-        for ea, eb in zip(a_s + a_g, b_s + b_g):
-            assert ea.class_label == eb.class_label
-            assert ea.embedding.values.tobytes() == eb.embedding.values.tobytes()
+        for pa, pb in ((a_s, b_s), (a_g, b_g)):
+            np.testing.assert_array_equal(pa.labels, pb.labels)
+            assert (pa.embeddings.values.tobytes()
+                    == pb.embeddings.values.tobytes())

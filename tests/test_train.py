@@ -125,7 +125,11 @@ class TestTrainConfig:
                                         dict(epochs=-1),
                                         dict(batch_size=0),
                                         dict(temperature=0.0),
-                                        dict(contrast_weight=-0.1)])
+                                        dict(contrast_weight=-0.1),
+                                        dict(k_per_class=3),
+                                        dict(k_per_class=0),
+                                        dict(k_per_class=-2),
+                                        dict(boundary_radius=-1)])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             TrainConfig(**kwargs)
@@ -276,10 +280,13 @@ class TestFit:
         assert len(history) == 3 and seen == history
         for record in history:
             assert {"epoch", "classification", "contrast", "total",
-                    "optimizer_steps", "skipped_anchors",
-                    "val_macro_f1", "val_jaccard"} <= set(record)
+                    "optimizer_steps", "skipped_anchors", "sample_examples",
+                    "segment_examples", "val_macro_f1",
+                    "val_jaccard"} <= set(record)
             assert record["optimizer_steps"] == 2
             assert record["skipped_anchors"] == 0   # no contrast term
+            assert record["sample_examples"] == [0]
+            assert record["segment_examples"] == [0]
 
     def test_skipped_anchors_are_summed_over_the_epoch(self, monkeypatch):
         from tempseg import train as tr
@@ -301,6 +308,56 @@ class TestFit:
             sum(per_sequence[:3]), sum(per_sequence[3:])]
         assert history[0]["skipped_anchors"] > 0
         assert [r["optimizer_steps"] for r in history] == [2, 2]
+
+    def test_pool_sizes_are_summed_per_stage(self, monkeypatch):
+        from tempseg import train as tr
+        per_sequence = []
+        original = tr.total_objective
+
+        def spy(outputs, labels, example_sets, *args, **kwargs):
+            per_sequence.append([(len(s), len(g)) for s, g in example_sets])
+            return original(outputs, labels, example_sets, *args, **kwargs)
+
+        monkeypatch.setattr(tr, "total_objective", spy)
+        state = init_train_state(small_config(num_stages=2), seed=6)
+        cfg = TrainConfig(epochs=2, batch_size=2, k_per_class=4)
+        # runs of 16 and 24 samples: different segment counts per sequence
+        data = make_dataset(2) + make_dataset(1, run=24)
+        history = fit(state, data, [], cfg)
+        for epoch, record in enumerate(history):
+            sizes = np.array(per_sequence[3 * epoch:3 * epoch + 3])
+            assert record["sample_examples"] == sizes[:, :, 0].sum(0).tolist()
+            assert record["segment_examples"] == sizes[:, :, 1].sum(0).tolist()
+        # at most 3 sequences x 2 classes x 4 (zero projection rows drop)
+        assert all(0 < n <= 24 for n in history[0]["sample_examples"])
+        assert history[0]["segment_examples"] == [16, 16]   # 6 + 6 + 4 runs
+
+        no_segments = TrainConfig(epochs=1, k_per_class=4,
+                                  include_segments=False)
+        record = fit(init_train_state(small_config(), seed=6), data, [],
+                     no_segments)[0]
+        assert 0 < record["sample_examples"][0] <= 24
+        assert record["segment_examples"] == [0]
+
+    @pytest.mark.parametrize("include_segments", [True, False])
+    def test_contrast_graph_size_does_not_grow_with_k(self, include_segments):
+        # per stage: one gathered sample pool, one pooled segment matrix
+        # (only with segments), one stack and one row permutation
+        from tempseg import autodiff as ad
+        from tempseg import train as tr
+        seq = make_dataset(1)[0]
+        want = {"row": 2, "stack_rows": 1,
+                "mean_rows": int(include_segments),
+                "l2_normalize": 1 + int(include_segments)}
+        for k in (2, 4, 8, 16):
+            state = init_train_state(small_config(num_stages=2), seed=1)
+            cfg = TrainConfig(k_per_class=k,
+                              include_segments=include_segments)
+            loss, _ = tr._sequence_loss(state, seq, cfg,
+                                        np.random.default_rng(0))
+            ops = [n._op for n in ad.CompGraph.from_output(loss).nodes]
+            assert {op: ops.count(op) for op in want} == {
+                op: 2 * count for op, count in want.items()}, f"k={k}"
 
     def test_validation_leaves_training_differentiable(self, monkeypatch):
         # validation runs graph-free; the epoch after it must still
