@@ -13,7 +13,7 @@ import numpy as np
 
 from tempseg import (ModelConfig, build_example_set, default_synth_config,
                      find_boundaries, init_params, multilevel_contrast,
-                     mstcn_forward, select_hard_examples,
+                     mstcn_forward, project, select_hard_examples,
                      supervised_contrast, synthesize_sequence)
 
 config = default_synth_config(num_classes=3, dim=4, total_length=400,
@@ -43,10 +43,11 @@ for cls, indices in sorted(plan.items()):
     print(f"  class {cls}: {len(indices)} picks, {misses} misclassified, "
           f"{np.sum(near <= 2)} within 2 of a boundary")
 
-# The full example set is two pools: the hard samples gathered as one
-# matrix, and one pooled, re-normalized embedding per contiguous run of
-# a class.
-samples, segments = build_example_set(outputs[-1].projected, predictions,
+# The full example set is two pools drawn from the stage's projection
+# head: the hard samples gathered as one matrix, and one pooled,
+# re-normalized embedding per contiguous run of a class.
+projected = project(outputs[-1].features, params.stages[-1])
+samples, segments = build_example_set(projected, predictions,
                                       sequence.labels, rng, k_per_class=8,
                                       boundary_radius=2)
 print(f"\nexample set: {len(samples)} sample-level rows "

@@ -17,7 +17,7 @@ from .losses import (ContrastPool, LossBreakdown, info_nce,
                      total_objective)
 from .metrics import MetricsReport, evaluate_predictions
 from .model import (ModelConfig, ModelParams, StageOutput, init_params,
-                    mstcn_forward, predict_labels)
+                    mstcn_forward, predict_labels, project)
 from .sampling import (SegmentRun, build_example_set, find_boundaries,
                        labels_to_segments, sample_pool, segment_pool,
                        select_hard_examples)
@@ -37,7 +37,7 @@ __all__ = [
     "supervised_contrast", "total_objective",
     "MetricsReport", "evaluate_predictions",
     "ModelConfig", "ModelParams", "StageOutput", "init_params",
-    "mstcn_forward", "predict_labels",
+    "mstcn_forward", "predict_labels", "project",
     "SegmentRun", "build_example_set", "find_boundaries",
     "labels_to_segments", "sample_pool", "segment_pool",
     "select_hard_examples",

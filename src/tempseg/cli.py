@@ -269,24 +269,30 @@ def _prepared_splits(cfg: ExperimentConfig):
     return train, val, test, dim, classes, stats
 
 
-def _train_once(cfg: ExperimentConfig, splits_bundle, log_fn=None):
-    """Fit one model; returns the state with best-snapshot params applied."""
+def _train_once(cfg: ExperimentConfig, train_cfg: tr.TrainConfig,
+                splits_bundle, log_fn=None):
+    """Fit one model; returns the state with best-snapshot params applied.
+
+    train_cfg is cfg.train_config(), built (and so validated) by the
+    caller before any data is loaded or output written.
+    """
     train, val, _test, dim, classes, stats = splits_bundle
     state = tr.init_train_state(cfg.model_config(dim, classes), cfg.seed)
     state.norm_stats = stats
-    tr.fit(state, train, val, cfg.train_config(), log_fn=log_fn)
+    tr.fit(state, train, val, train_cfg, log_fn=log_fn)
     state.params = state.best_params
     return state
 
 
 def cmd_train(cfg: ExperimentConfig, out_dir, variant=None) -> int:
+    train_cfg = cfg.train_config()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     bundle = _prepared_splits(cfg)
     with open(out / "training_log.jsonl", "w") as fh:
         def log_record(record):
             fh.write(json.dumps(record, sort_keys=True) + "\n")
-        state = _train_once(cfg, bundle, log_record)
+        state = _train_once(cfg, train_cfg, bundle, log_record)
     metadata = {"seed": cfg.seed, "variant": variant or 0,
                 "best_epoch": state.best_epoch,
                 "best_metric": state.best_metric}
@@ -296,19 +302,20 @@ def cmd_train(cfg: ExperimentConfig, out_dir, variant=None) -> int:
     return 0
 
 
-def _forward_dataset(checkpoint_path, data_path):
+def _forward_dataset(checkpoint_path, data_path, embed: bool):
     """A checkpoint's concatenated final-stage outputs over a dataset, with
-    the checkpoint's normalization applied."""
+    the checkpoint's normalization applied; embeddings only if `embed`."""
     state = tr.load_checkpoint(checkpoint_path)
     sequences = dt.load_csv_dataset(data_path, state.model_config.input_dim)
     if state.norm_stats is not None:
         sequences = [replace(s, features=state.norm_stats.apply(s.features))
                      for s in sequences]
     probs, embeds = zip(*tr.final_stage_outputs(
-        state.params, state.model_config, sequences))
+        state.params, state.model_config, sequences, embed))
     probs = np.concatenate(probs)
     return (np.concatenate([s.labels for s in sequences]),
-            np.argmax(probs, axis=1), probs, np.concatenate(embeds))
+            np.argmax(probs, axis=1), probs,
+            np.concatenate(embeds) if embed else None)
 
 
 def _write_predictions_csv(path, preds, probs, truth=None):
@@ -350,7 +357,8 @@ def _write_embeddings_csv(path, embeds, truth):
 def cmd_eval(checkpoint_path, data_path, out_dir) -> int:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    truth, preds, probs, embeds = _forward_dataset(checkpoint_path, data_path)
+    truth, preds, probs, embeds = _forward_dataset(checkpoint_path,
+                                                   data_path, embed=True)
     report = evaluate_predictions(truth, preds, probs, probs.shape[1])
     (out / "metrics.json").write_text(report.to_json() + "\n")
     _write_predictions_csv(out / "predictions.csv", preds, probs, truth)
@@ -363,8 +371,8 @@ def cmd_eval(checkpoint_path, data_path, out_dir) -> int:
 def cmd_predict(checkpoint_path, data_path, out_dir) -> int:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _truth, preds, probs, _embeds = _forward_dataset(checkpoint_path,
-                                                     data_path)
+    _truth, preds, probs, _embeds = _forward_dataset(
+        checkpoint_path, data_path, embed=False)
     _write_predictions_csv(out / "predictions.csv", preds, probs)
     print(f"wrote {len(preds)} predictions to {out / 'predictions.csv'}")
     return 0
@@ -391,6 +399,12 @@ def cmd_gradcheck(seed: int = 0, inject_fault: str | None = None) -> int:
 
 
 def cmd_ablate(cfg: ExperimentConfig, out_dir) -> int:
+    runs = []   # every variant's TrainConfig is checked before loading
+    for variant in range(1, 6):
+        for offset in range(cfg.ablate_seeds):
+            run_cfg = dataclasses.replace(
+                cfg, seed=cfg.seed + offset, **variant_settings(variant))
+            runs.append((variant, run_cfg, run_cfg.train_config()))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     base_bundle = _prepared_splits(cfg)
@@ -399,16 +413,12 @@ def cmd_ablate(cfg: ExperimentConfig, out_dir) -> int:
         raise ValueError("ablation needs a non-empty test split")
 
     rows = []
-    for variant in range(1, 6):
-        for offset in range(cfg.ablate_seeds):
-            run_cfg = dataclasses.replace(
-                cfg, seed=cfg.seed + offset, **variant_settings(variant))
-            best = _train_once(run_cfg, base_bundle)
-            report, _ = tr.evaluate(best.params, best.model_config, test)
-            rows.append((variant, run_cfg.seed, report.macro_f1,
-                         report.jaccard))
-            log.info("variant %d seed %d: F1 %.4f JI %.4f", variant,
-                     run_cfg.seed, report.macro_f1, report.jaccard)
+    for variant, run_cfg, train_cfg in runs:
+        best = _train_once(run_cfg, train_cfg, base_bundle)
+        report, _ = tr.evaluate(best.params, best.model_config, test)
+        rows.append((variant, run_cfg.seed, report.macro_f1, report.jaccard))
+        log.info("variant %d seed %d: F1 %.4f JI %.4f", variant,
+                 run_cfg.seed, report.macro_f1, report.jaccard)
 
     with open(out / "ablation_runs.csv", "w") as fh:
         fh.write("variant,seed,macro_f1,jaccard\n")

@@ -193,9 +193,11 @@ def _graph_kink_margins(loss: ad.Tensor) -> tuple[float, float]:
 def _build_objective_loss(cfg, params, x, labels, plans):
     """Assemble the training loss from frozen example plans."""
     outs = md.mstcn_forward(x, params, cfg)
-    sets = [(sp.sample_pool(out.projected, plan),
-             sp.segment_pool(out.projected, labels))
-            for out, plan in zip(outs, plans)]
+    sets = []
+    for out, stage, plan in zip(outs, params.stages, plans):
+        projected = md.project(out.features, stage)
+        sets.append((sp.sample_pool(projected, plan),
+                     sp.segment_pool(projected, labels)))
     loss, breakdown = ls.total_objective(outs, labels, sets,
                                          contrast_weight=0.5, temperature=0.5)
     return loss, breakdown
@@ -230,14 +232,15 @@ def build_full_objective_instance(seed_start: int = 0, max_tries: int = 400):
         for stage_idx, out in enumerate(outs):
             raw = md._project_raw(out.features, params.stages[stage_idx])
             row_norms = np.linalg.norm(raw.values, axis=1)
+            projected = ad.l2_normalize(raw).values
             plan = sp.select_hard_examples(predictions, labels, 4, 2,
                                            np.random.default_rng(seed))
             plan = {c: idx[row_norms[idx] > _NORM_MARGIN]
                     for c, idx in plan.items()}
             runs = sp.labels_to_segments(labels)
             pooled_ok = all(
-                np.linalg.norm(np.mean(out.projected.values[r.start:r.end],
-                                       axis=0)) > _NORM_MARGIN for r in runs)
+                np.linalg.norm(np.mean(projected[r.start:r.end], axis=0))
+                > _NORM_MARGIN for r in runs)
             if not pooled_ok:
                 ok = False
                 break

@@ -2,10 +2,16 @@
 
 A stage maps its input channels to a hidden width with a 1x1 adapter, runs a
 stack of dilated residual blocks (dilation doubling per layer), and exposes
-three views of the result: hidden features, per-sample class logits, and a
-unit-normalized projection for contrastive training.  Stage n >= 2 consumes
-the previous stage's per-sample class probabilities, so later stages refine
-earlier predictions and gradients flow through the whole cascade.
+two views of the result: hidden features and per-sample class logits.  The
+unit-normalized projection for contrastive training is computed from the
+features on demand (`project`), only where something reads it.  Stage
+n >= 2 consumes the previous stage's per-sample class probabilities, so
+later stages refine earlier predictions and gradients flow through the
+whole cascade.
+
+Every op after the dilated stack is per-sample, so an output sample
+depends only on the inputs within `receptive_radius` of it; that is what
+lets inference label a long recording in overlapping chunks exactly.
 """
 
 from dataclasses import dataclass, field
@@ -37,6 +43,16 @@ class ModelConfig:
             raise ValueError("hidden_channels and projection_dim must be >= 1")
         if self.kernel_size < 1 or self.kernel_size % 2 == 0:
             raise ValueError("kernel_size must be a positive odd integer")
+
+
+def receptive_radius(config: ModelConfig) -> int:
+    """Samples on each side of t that can influence output t.
+
+    Block i of a stage reaches (k-1)/2 * 2^i samples per side, the 1x1
+    convs and the softmax reach none, and stages compose additively.
+    """
+    half_kernel = (config.kernel_size - 1) // 2
+    return config.num_stages * half_kernel * (2 ** config.layers_per_stage - 1)
 
 
 @dataclass
@@ -96,7 +112,6 @@ class StageOutput:
     features: Tensor    # T x F hidden features
     logits: Tensor      # T x C, pre-softmax
     probs: Tensor       # T x C, rows sum to 1
-    projected: Tensor   # T x P, unit-norm rows (zero rows allowed)
 
 
 def _conv_weight(rng, c_out, c_in, k) -> Tensor:
@@ -173,6 +188,8 @@ def _project_raw(features: Tensor, stage: StageParams) -> Tensor:
 
 
 def project(features: Tensor, stage: StageParams) -> Tensor:
+    """The stage's contrastive embedding: T x P, unit-norm rows (zero rows
+    allowed)."""
     return ad.l2_normalize(_project_raw(features, stage))
 
 
@@ -192,8 +209,7 @@ def mstcn_forward(features: np.ndarray, params: ModelParams,
         z = sstcn_forward(stage_in, stage)
         logits = classify(z, stage)
         probs = ad.softmax_rows(logits)
-        outputs.append(StageOutput(features=z, logits=logits, probs=probs,
-                                   projected=project(z, stage)))
+        outputs.append(StageOutput(features=z, logits=logits, probs=probs))
         stage_in = probs
     return outputs
 

@@ -128,8 +128,15 @@ def segment_pool(projected: Tensor, labels) -> ContrastPool:
 
 def build_example_set(projected: Tensor, predictions, labels, rng,
                       k_per_class: int = 16, boundary_radius: int = 2,
+                      include_segments: bool = True,
                       ) -> tuple[ContrastPool, ContrastPool]:
-    """Full per-sequence example set: the hard-sample and segment pools."""
+    """Full per-sequence example set: the hard-sample and segment pools.
+
+    Without segments the segment pool is empty and no pooling runs.
+    """
     plan = select_hard_examples(predictions, labels, k_per_class,
                                 boundary_radius, rng)
-    return sample_pool(projected, plan), segment_pool(projected, labels)
+    samples = sample_pool(projected, plan)
+    if not include_segments:
+        return samples, ContrastPool(np.zeros((0, projected.shape[1])), [])
+    return samples, segment_pool(projected, labels)

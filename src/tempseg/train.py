@@ -5,6 +5,10 @@ mean every batch_size sequences (and at epoch end), so a batch is a group
 of whole sequences rather than windows.  All randomness flows through one
 caller-owned generator, which makes full runs bitwise reproducible.
 
+Inference (`final_stage_outputs`, behind `evaluate`) labels a recording
+in chunks that overlap by the model's receptive radius, on several
+threads, with the same result as one whole-recording forward.
+
 Checkpoints are a flat binary container: magic, format version, a JSON
 header (model config, normalization statistics, free-form metadata), then
 each parameter tensor as name, shape, and little-endian float64 data.  They
@@ -18,8 +22,10 @@ import dataclasses
 import io
 import json
 import math
+import os
 import struct
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -38,6 +44,8 @@ _VERSION = 2
 
 ADAM_BETAS = (0.9, 0.999)
 ADAM_EPSILON = 1e-8
+
+CHUNK_LENGTH = 2048     # most output samples one inference forward labels
 
 
 @dataclass(frozen=True)
@@ -129,14 +137,13 @@ def _sequence_loss(state: TrainState, seq: SensorSequence, cfg: TrainConfig,
                    rng) -> tuple[ad.Tensor, LossBreakdown]:
     outs = md.mstcn_forward(seq.features, state.params, state.model_config)
     if cfg.contrast_weight > 0:
-        sets = []
-        for out in outs:
-            stage_preds = np.argmax(out.probs.values, axis=1)
-            samples, segments = build_example_set(
-                out.projected, stage_preds, seq.labels, rng,
-                k_per_class=cfg.k_per_class,
-                boundary_radius=cfg.boundary_radius)
-            sets.append((samples, segments if cfg.include_segments else []))
+        sets = [build_example_set(
+                    md.project(out.features, stage),
+                    np.argmax(out.probs.values, axis=1), seq.labels, rng,
+                    k_per_class=cfg.k_per_class,
+                    boundary_radius=cfg.boundary_radius,
+                    include_segments=cfg.include_segments)
+                for out, stage in zip(outs, state.params.stages)]
     else:
         sets = [([], [])] * len(outs)
     return total_objective(outs, seq.labels, sets, cfg.contrast_weight,
@@ -197,18 +204,60 @@ def _apply_accumulated(state: TrainState, cfg: TrainConfig, count: int):
     state.params.zero_grads()
 
 
-def final_stage_outputs(params: ModelParams, model_config: ModelConfig,
-                        sequences):
-    """Yield the final stage's (probs, projected) values per sequence.
+def inference_workers() -> int:
+    """Threads that label one recording's chunks: the CPUs this process
+    may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
 
-    The forward pass records no graph, so only the arrays it returns
-    outlive it.  Recording is off around the forward call alone, never
-    while the generator is suspended at a yield.
+
+def chunk_spans(length: int, chunk_length: int) -> list[tuple[int, int]]:
+    """[start, end) spans of near-equal chunks, none longer than
+    chunk_length, covering range(length); one empty span for length 0."""
+    count = max(1, -(-length // chunk_length))
+    bounds = [length * i // count for i in range(count + 1)]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def final_stage_outputs(params: ModelParams, model_config: ModelConfig,
+                        sequences, embed: bool = False):
+    """Yield the final stage's (probs, embeddings) values per sequence.
+
+    Embeddings are the final stage's unit-norm projections when `embed`
+    is set, else None; no other stage is projected.
+
+    A recording is cut into near-equal chunks of at most CHUNK_LENGTH
+    samples.  Each chunk runs with `md.receptive_radius` samples of
+    context on both sides and is trimmed back, so every kept output sees
+    exactly the inputs it sees in a whole-sequence forward, and memory
+    grows with the chunk, not the recording.  The chunks run on
+    `inference_workers()` threads (numpy's BLAS releases the GIL); their
+    boundaries depend on the length alone, so the result does not depend
+    on the worker count.  Each worker records no graph; nothing runs, and
+    recording is unchanged, while the generator is suspended at a yield.
     """
-    for seq in sequences:
+    radius = md.receptive_radius(model_config)
+
+    def label(features, start, end):
+        lo, hi = max(0, start - radius), min(len(features), end + radius)
+        keep = slice(start - lo, end - lo)
+        # entered here, on the worker: a thread starts with recording on
         with ad.no_grad():
-            out = md.mstcn_forward(seq.features, params, model_config)[-1]
-        yield out.probs.values, out.projected.values
+            out = md.mstcn_forward(features[lo:hi], params, model_config)[-1]
+            embeds = (md.project(out.features, params.stages[-1]).values[keep]
+                      if embed else None)
+        return out.probs.values[keep], embeds
+
+    for seq in sequences:
+        spans = chunk_spans(len(seq.features), CHUNK_LENGTH)
+        with ThreadPoolExecutor(min(inference_workers(), len(spans))) as pool:
+            parts = list(pool.map(lambda span: label(seq.features, *span),
+                                  spans))
+        probs, embeds = zip(*parts)
+        yield (np.concatenate(probs),
+               np.concatenate(embeds) if embed else None)
 
 
 def evaluate(params: ModelParams, model_config: ModelConfig,

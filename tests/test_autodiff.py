@@ -465,7 +465,7 @@ class TestNoGrad:
         with ad.no_grad():
             free = md.mstcn_forward(x, params, cfg)
         for rec, out in zip(recorded, free, strict=True):
-            for field in ("features", "logits", "probs", "projected"):
+            for field in ("features", "logits", "probs"):
                 np.testing.assert_array_equal(getattr(out, field).values,
                                               getattr(rec, field).values)
                 assert getattr(out, field)._parents == ()

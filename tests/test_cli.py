@@ -419,3 +419,16 @@ class TestMainPlumbing:
         assert main(["train", "--config", str(cfg),
                      "--out", str(tmp_path / 'o')]) == 1
         assert "nowhere" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_train_config_is_checked_before_data_or_output(
+            self, tmp_path, capsys, command):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"data_dir = {tmp_path / 'nowhere'}\n"
+                       "k_per_class = 3\n")
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "k_per_class" in err[0]
+        assert not out.exists()

@@ -1,0 +1,167 @@
+"""Chunked inference: a recording labelled in halo chunks on several
+threads equals one whole-sequence forward."""
+
+import threading
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from tempseg import autodiff as ad
+from tempseg import model as md
+from tempseg import train as tr
+from tempseg.data import SensorSequence
+
+
+def recording(length, dim, seed=0):
+    rng = np.random.default_rng(seed)
+    return SensorSequence(features=rng.normal(size=(length, dim)),
+                          labels=np.zeros(length, dtype=np.int64))
+
+
+def whole_sequence(params, cfg, features):
+    out = md.mstcn_forward(features, params, cfg)[-1]
+    return (out.probs.values,
+            md.project(out.features, params.stages[-1]).values)
+
+
+def chunked(params, cfg, seq, embed=True):
+    (result,) = tr.final_stage_outputs(params, cfg, [seq], embed)
+    return result
+
+
+def test_default_radius():
+    cfg = md.ModelConfig(input_dim=6, num_classes=5)
+    assert md.receptive_radius(cfg) == 2 * 1 * (2 ** 6 - 1) == 126
+
+
+@pytest.mark.parametrize("length, chunk, want", [
+    (0, 4, [(0, 0)]),
+    (1, 4, [(0, 1)]),
+    (8, 4, [(0, 4), (4, 8)]),
+    (9, 4, [(0, 3), (3, 6), (6, 9)]),
+    (10_000, 2048, [(0, 2000), (2000, 4000), (4000, 6000), (6000, 8000),
+                    (8000, 10_000)]),
+])
+def test_chunk_spans(length, chunk, want):
+    assert tr.chunk_spans(length, chunk) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(length=st.integers(1, 5000), chunk=st.integers(1, 600))
+def test_chunk_spans_cover_in_near_equal_pieces(length, chunk):
+    spans = tr.chunk_spans(length, chunk)
+    sizes = [end - start for start, end in spans]
+    assert spans[0][0] == 0 and spans[-1][1] == length
+    assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+    assert len(spans) == -(-length // chunk)
+    assert max(sizes) <= chunk and max(sizes) - min(sizes) <= 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(stages=st.integers(1, 3), kernel=st.sampled_from([1, 3, 5]),
+       layers=st.integers(1, 4), data=st.data())
+def test_chunked_equals_whole_sequence(stages, kernel, layers, data):
+    cfg = md.ModelConfig(input_dim=2, num_classes=3, num_stages=stages,
+                         layers_per_stage=layers, hidden_channels=4,
+                         projection_dim=3, kernel_size=kernel)
+    radius = md.receptive_radius(cfg)
+    # below, at and above the radius (a radius of 0 has no "below")
+    chunk = max(1, radius + data.draw(st.integers(-radius, radius + 8),
+                                      label="chunk - radius"))
+    length = data.draw(st.integers(1, 3 * chunk + 5), label="length")
+    params = md.init_params(cfg, seed=data.draw(st.integers(0, 99)))
+    seq = recording(length, cfg.input_dim, seed=length)
+    want_probs, want_embeds = whole_sequence(params, cfg, seq.features)
+    with mock.patch.object(tr, "CHUNK_LENGTH", chunk):
+        probs, embeds = chunked(params, cfg, seq)
+    assert probs.shape == want_probs.shape
+    assert embeds.shape == want_embeds.shape
+    np.testing.assert_allclose(probs, want_probs, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(embeds, want_embeds, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(np.argmax(probs, axis=1),
+                                  np.argmax(want_probs, axis=1))
+
+
+@pytest.mark.parametrize("cfg", [
+    md.ModelConfig(input_dim=3, num_classes=4),
+    md.ModelConfig(input_dim=3, num_classes=4, num_stages=3,
+                   layers_per_stage=2, hidden_channels=8, kernel_size=5),
+], ids=["defaults", "k5"])
+def test_radius_is_tight(cfg):
+    radius = md.receptive_radius(cfg)
+    params = md.init_params(cfg, seed=3)
+    # Only one path reaches t +- radius, through every stage's softmax;
+    # halved weights keep the softmaxes from saturating, so its effect
+    # stays far above rounding.
+    for tensor in params.tensors():
+        tensor.values *= 0.5
+    x = recording(2 * radius + 61, cfg.input_dim, seed=5).features
+    t = radius + 30
+    bumped = x.copy()
+    bumped[t] += 1.0
+    base = md.mstcn_forward(x, params, cfg)[-1].probs.values
+    moved = md.mstcn_forward(bumped, params, cfg)[-1].probs.values
+    changed = np.nonzero(np.any(base != moved, axis=1))[0]
+    assert changed.min() == t - radius and changed.max() == t + radius
+
+
+def test_every_worker_forward_is_graph_free(monkeypatch):
+    calls = []
+    original = md.mstcn_forward
+
+    def spy(*args, **kwargs):
+        result = original(*args, **kwargs)
+        calls.append((threading.current_thread(), result))
+        return result
+
+    monkeypatch.setattr(md, "mstcn_forward", spy)
+    monkeypatch.setattr(tr, "CHUNK_LENGTH", 50)
+    monkeypatch.setattr(tr, "inference_workers", lambda: 2)
+    cfg = md.ModelConfig(input_dim=3, num_classes=4, num_stages=2,
+                         layers_per_stage=3, hidden_channels=6)
+    params = md.init_params(cfg, seed=1)
+    chunked(params, cfg, recording(230, cfg.input_dim))
+    assert len(calls) == 5
+    for thread, outs in calls:
+        assert thread is not threading.main_thread()
+        for out in outs:
+            for tensor in (out.features, out.logits, out.probs):
+                assert tensor._parents == () and tensor._vjp is None
+    # the caller's thread records as before
+    assert ad.relu(ad.Tensor([[1.0]]))._vjp is not None
+
+
+def test_output_does_not_depend_on_worker_count(monkeypatch):
+    cfg = md.ModelConfig(input_dim=3, num_classes=4, num_stages=2,
+                         layers_per_stage=4, hidden_channels=8)
+    params = md.init_params(cfg, seed=2)
+    seq = recording(1000, cfg.input_dim, seed=8)
+    monkeypatch.setattr(tr, "CHUNK_LENGTH", 128)
+    results = []
+    for workers in (1, 3):
+        monkeypatch.setattr(tr, "inference_workers", lambda: workers)
+        results.append(chunked(params, cfg, seq))
+    (p1, e1), (p3, e3) = results
+    assert p1.tobytes() == p3.tobytes() and e1.tobytes() == e3.tobytes()
+
+
+@pytest.mark.parametrize("embed", [False, True])
+def test_only_the_final_stage_is_projected_and_only_on_request(
+        monkeypatch, embed):
+    calls = []
+    original = ad.l2_normalize
+    monkeypatch.setattr(ad, "l2_normalize",
+                        lambda x: calls.append(x.shape) or original(x))
+    monkeypatch.setattr(tr, "CHUNK_LENGTH", 100)
+    cfg = md.ModelConfig(input_dim=3, num_classes=4, num_stages=3,
+                         layers_per_stage=2, hidden_channels=6)
+    params = md.init_params(cfg, seed=4)
+    probs, embeds = chunked(params, cfg, recording(300, cfg.input_dim), embed)
+    assert probs.shape == (300, 4)
+    if embed:
+        assert embeds.shape == (300, cfg.projection_dim)
+        assert len(calls) == 3      # one per chunk, final stage only
+    else:
+        assert embeds is None and calls == []

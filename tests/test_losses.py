@@ -228,8 +228,8 @@ class TestMultilevelContrast:
 def forward_with_examples(cfg, params, x, labels, rng):
     outs = md.mstcn_forward(x, params, cfg)
     sets = []
-    for out in outs:
-        normed = out.projected
+    for out, stage in zip(outs, params.stages):
+        normed = md.project(out.features, stage)
         idx = np.array([i for i in range(0, len(labels), 3)
                         if np.linalg.norm(normed.values[i]) > 0.5])
         sets.append((ls.ContrastPool(ad.row(normed, idx), labels[idx]), []))
@@ -272,8 +272,7 @@ class TestTotalObjective:
         logits[np.arange(5), labels] = 300.0
         fake = [md.StageOutput(features=ad.Tensor(np.zeros((5, 2))),
                                logits=ad.Tensor(logits),
-                               probs=ad.softmax_rows(ad.Tensor(logits)),
-                               projected=ad.Tensor(np.zeros((5, 2))))]
+                               probs=ad.softmax_rows(ad.Tensor(logits)))]
         loss, _ = ls.total_objective(fake, labels, [([], [])], 1.0, 0.1)
         assert abs(loss.item()) < 1e-6
 

@@ -201,11 +201,12 @@ class TestMstcnForward:
         x = np.random.default_rng(5).normal(size=(100, 4))
         outs = md.mstcn_forward(x, params, cfg)
         assert len(outs) == 2
-        for out in outs:
+        for out, stage in zip(outs, params.stages):
             assert out.logits.shape == (100, 5)
             assert out.probs.shape == (100, 5)
             assert out.features.shape == (100, cfg.hidden_channels)
-            assert out.projected.shape == (100, cfg.projection_dim)
+            assert md.project(out.features, stage).shape == (
+                100, cfg.projection_dim)
             np.testing.assert_allclose(out.probs.values.sum(axis=1), 1.0,
                                        atol=1e-9)
 

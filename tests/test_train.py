@@ -359,6 +359,30 @@ class TestFit:
             assert {op: ops.count(op) for op in want} == {
                 op: 2 * count for op, count in want.items()}, f"k={k}"
 
+    @pytest.mark.parametrize("contrast_weight, include_segments, want", [
+        (0.0, True, {"l2_normalize": 0, "mean_rows": 0}),
+        (1.0, False, {"l2_normalize": 2, "mean_rows": 0}),
+        (1.0, True, {"l2_normalize": 4, "mean_rows": 2}),
+    ])
+    def test_step_runs_only_the_heads_and_pools_it_reads(
+            self, monkeypatch, contrast_weight, include_segments, want):
+        # forward calls, recorded or not: a projection head per stage only
+        # with contrast, a segment pool per stage only with segments
+        from tempseg import autodiff as ad
+        from tempseg import train as tr
+        calls = {op: 0 for op in want}
+        for op in want:
+            def counted(*args, _op=op, _original=getattr(ad, op)):
+                calls[_op] += 1
+                return _original(*args)
+            monkeypatch.setattr(ad, op, counted)
+        state = init_train_state(small_config(num_stages=2), seed=1)
+        cfg = TrainConfig(contrast_weight=contrast_weight, k_per_class=4,
+                          include_segments=include_segments)
+        tr._sequence_loss(state, make_dataset(1)[0], cfg,
+                          np.random.default_rng(0))
+        assert calls == want
+
     def test_validation_leaves_training_differentiable(self, monkeypatch):
         # validation runs graph-free; the epoch after it must still
         # produce gradients for every parameter the first epoch reached
