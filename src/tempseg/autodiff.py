@@ -19,10 +19,11 @@ leaf, so a forward pass keeps no intermediate array alive.  The switch is
 a context variable, so it holds for the current thread (or asyncio task)
 only; another thread keeps recording.
 
-Tensors are immutable once created except for their ``grad`` slot, so
-forward evaluation of a frozen parameter set is safe from multiple threads.
-A graph and its backward pass belong to a single training step and are not
-thread-safe.
+No op and no backward pass writes a tensor: ``backward`` returns the
+gradients in a dict of its own.  So threads may build and differentiate
+separate graphs over the same parameters at once, as long as nothing
+writes the parameter values meanwhile (an optimizer step, or the
+perturbations of ``grad_check``).
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ def no_grad():
 
 
 class Tensor:
-    """Dense float64 array with an optional gradient slot.
+    """Dense float64 array, the unit of the graph.
 
     A tensor is either a leaf (constructed directly from data, or by an op
     under ``no_grad``) or the output of a recorded operation, in which case
@@ -88,13 +89,12 @@ class Tensor:
     parents' gradient contributions.
     """
 
-    __slots__ = ("values", "grad", "_parents", "_vjp", "_op")
+    __slots__ = ("values", "_parents", "_vjp", "_op")
 
     def __init__(self, values, _parents=(), _vjp=None, _op="leaf"):
         if _parents and not _recording.get():
             _parents, _vjp = (), None
         self.values = np.asarray(values, dtype=np.float64)
-        self.grad: Optional[np.ndarray] = None
         self._parents: tuple = _parents
         self._vjp: Optional[Callable] = _vjp
         self._op: str = _op
@@ -109,20 +109,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.values)
-
-    def zero_grad(self) -> None:
-        """Reset the gradient slot to zeros of the value shape."""
-        self.grad = np.zeros_like(self.values)
-
-    def accumulate_grad(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.array(g, dtype=np.float64, copy=True)
-        else:
-            self.grad = self.grad + g
-
-    def backward(self) -> None:
-        """Convenience wrapper: trace the graph from here and run backward."""
-        backward(CompGraph.from_output(self), self)
 
     def __repr__(self) -> str:
         return f"Tensor(op={self._op!r}, shape={self.shape})"
@@ -163,25 +149,28 @@ class CompGraph:
         return cls(order)
 
 
-def backward(graph: CompGraph, loss: Tensor) -> None:
-    """Populate gradients of everything in ``graph`` reachable from ``loss``.
+def backward(graph: CompGraph, loss: Tensor) -> dict:
+    """Gradients of the scalar ``loss`` (shape ``()``) by reverse walk.
 
-    ``loss`` must be a scalar (shape ``()``). Gradients accumulate into any
-    pre-existing ``grad`` arrays, which is what gradient accumulation across
-    a mini-batch of sequences relies on; callers zero parameter gradients
-    between optimizer steps. Parameters that never entered the graph keep
-    whatever (zeroed) gradient they already had.
+    Returns a dict mapping every tensor of ``graph`` that ``loss`` reaches
+    to its gradient; a tensor the loss does not reach has no entry.
+    Contributions are summed out of place (``prev + g``), and the first
+    one is stored as the vjp returned it, so an entry may be a view of
+    another node's gradient (``add`` passes ``g`` to both parents,
+    ``stack_rows`` slices it).  No stored gradient is ever written to.
     """
     if loss.shape != ():
         raise ValueError(f"backward expects a scalar loss, got shape {loss.shape}")
-    loss.accumulate_grad(np.ones((), dtype=np.float64))
+    grads = {loss: np.ones((), dtype=np.float64)}
     for node in reversed(graph.nodes):
-        if node._vjp is None or node.grad is None:
+        g = grads.get(node)
+        if node._vjp is None or g is None:
             continue
-        parent_grads = node._vjp(node.grad)
-        for parent, g in zip(node._parents, parent_grads):
-            if g is not None:
-                parent.accumulate_grad(g)
+        for parent, pg in zip(node._parents, node._vjp(g)):
+            if pg is not None:
+                prev = grads.get(parent)
+                grads[parent] = pg if prev is None else prev + pg
+    return grads
 
 
 # ---------------------------------------------------------------------------
@@ -514,11 +503,8 @@ def grad_check(f, params: Sequence[Tensor], eps: float = 1e-3) -> float:
     out = f(params)
     if out.shape != ():
         raise ValueError(f"grad_check expects a scalar-valued f, got shape {out.shape}")
-    for p in params:
-        p.grad = None
-    out.backward()
-    analytic = [p.grad.copy() if p.grad is not None else np.zeros_like(p.values)
-                for p in params]
+    grads = backward(CompGraph.from_output(out), out)
+    analytic = [grads.get(p, np.zeros_like(p.values)) for p in params]
 
     worst = 0.0
     for p, an in zip(params, analytic):

@@ -134,6 +134,12 @@ class ExperimentConfig:
                            num_classes=num_classes)
 
     def train_config(self) -> tr.TrainConfig:
+        """The TrainConfig, built after the model keys are checked too, so
+        a command that builds it first rejects any bad key before it loads
+        data or writes output.  An `auto` dim is checked at its smallest
+        legal value; the data sets it later."""
+        self.model_config(1 if self.input_dim is None else self.input_dim,
+                          2 if self.num_classes is None else self.num_classes)
         return self._build(tr.TrainConfig)
 
 
@@ -399,7 +405,7 @@ def cmd_gradcheck(seed: int = 0, inject_fault: str | None = None) -> int:
 
 
 def cmd_ablate(cfg: ExperimentConfig, out_dir) -> int:
-    runs = []   # every variant's TrainConfig is checked before loading
+    runs = []   # every variant's config is checked before loading
     for variant in range(1, 6):
         for offset in range(cfg.ablate_seeds):
             run_cfg = dataclasses.replace(

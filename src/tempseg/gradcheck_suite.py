@@ -170,20 +170,21 @@ def _graph_kink_margins(loss: ad.Tensor) -> tuple[float, float]:
     the loss, so they are ignored.
     """
     graph = ad.CompGraph.from_output(loss)
-    ad.backward(graph, loss)
+    grads = ad.backward(graph, loss)
     relu_margin = np.inf
     norm_margin = np.inf
     for node in graph.nodes:
-        if node.grad is None or not node._parents:
+        g = grads.get(node)
+        if g is None or not node._parents:
             continue
         if node._op == "relu":
             pre = node._parents[0].values
-            relevant = np.abs(node.grad) > 1e-12
+            relevant = np.abs(g) > 1e-12
             if relevant.any():
                 relu_margin = min(relu_margin, np.abs(pre[relevant]).min())
         elif node._op == "l2_normalize":
             pre = node._parents[0].values
-            rows = np.abs(node.grad).max(axis=1) > 1e-12
+            rows = np.abs(g).max(axis=1) > 1e-12
             if rows.any():
                 norm_margin = min(norm_margin,
                                   np.linalg.norm(pre[rows], axis=1).min())

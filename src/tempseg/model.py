@@ -102,10 +102,6 @@ class ModelParams:
     def tensors(self) -> list[Tensor]:
         return [t for _, t in self.named_parameters()]
 
-    def zero_grads(self):
-        for t in self.tensors():
-            t.zero_grad()
-
 
 @dataclass
 class StageOutput:

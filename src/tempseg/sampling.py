@@ -51,12 +51,6 @@ def labels_to_segments(labels) -> list[SegmentRun]:
             for a, b in zip(edges[:-1], edges[1:])]
 
 
-def expand_segments(runs: list[SegmentRun]) -> np.ndarray:
-    """Inverse of labels_to_segments."""
-    return np.concatenate([np.full(r.end - r.start, r.class_label)
-                           for r in runs])
-
-
 def select_hard_examples(predictions, labels, k_per_class: int,
                          boundary_radius: int, rng) -> dict[int, np.ndarray]:
     """Pick up to k_per_class sample indices per class present in labels.

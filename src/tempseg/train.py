@@ -1,8 +1,11 @@
 """Optimization loop, evaluation, and checkpointing.
 
-Gradients accumulate across sequences and the optimizer consumes their
-mean every batch_size sequences (and at epoch end), so a batch is a group
-of whole sequences rather than windows.  All randomness flows through one
+Each sequence's loss is differentiated on its own graph by `ad.backward`,
+which returns that sequence's gradients.  `train_epoch` sums them per
+parameter, from zeros and in sequence order, and the optimizer consumes
+their mean every batch_size sequences (and at epoch end), so a batch is a
+group of whole sequences rather than windows; a parameter no graph
+reached gets a zero gradient.  All randomness flows through one
 caller-owned generator, which makes full runs bitwise reproducible.
 
 Inference (`final_stage_outputs`, behind `evaluate`) labels a recording
@@ -165,14 +168,20 @@ def train_epoch(state: TrainState, sequences: list[SensorSequence],
     n_segments = np.zeros(n_stages, dtype=int)
 
     order = rng.permutation(len(sequences))
-    state.params.zero_grads()
+    named = list(state.params.named_parameters())
     accumulated = 0
     for idx in order:
         loss, breakdown = _sequence_loss(state, sequences[int(idx)], cfg, rng)
         if not np.isfinite(breakdown.total):
             raise FloatingPointError(
                 f"non-finite loss on sequence {int(idx)}")
-        loss.backward()
+        grads = ad.backward(ad.CompGraph.from_output(loss), loss)
+        if not accumulated:
+            summed = {name: np.zeros_like(t.values) for name, t in named}
+        for name, t in named:
+            if t in grads:
+                summed[name] = summed[name] + grads[t]
+        del loss, grads     # this graph is done; free it before the next
         accumulated += 1
         ce_sums += breakdown.classification
         con_sums += breakdown.contrast
@@ -181,11 +190,11 @@ def train_epoch(state: TrainState, sequences: list[SensorSequence],
         n_samples += breakdown.sample_examples
         n_segments += breakdown.segment_examples
         if accumulated == cfg.batch_size:
-            _apply_accumulated(state, cfg, accumulated)
+            _apply_accumulated(state, cfg, summed, accumulated)
             accumulated = 0
             steps += 1
     if accumulated:
-        _apply_accumulated(state, cfg, accumulated)
+        _apply_accumulated(state, cfg, summed, accumulated)
         steps += 1
 
     n = len(sequences)
@@ -197,11 +206,10 @@ def train_epoch(state: TrainState, sequences: list[SensorSequence],
                       segment_examples=n_segments.tolist())
 
 
-def _apply_accumulated(state: TrainState, cfg: TrainConfig, count: int):
-    gradients = {name: t.grad / count
-                 for name, t in state.params.named_parameters()}
+def _apply_accumulated(state: TrainState, cfg: TrainConfig,
+                       summed: dict[str, np.ndarray], count: int):
+    gradients = {name: g / count for name, g in summed.items()}
     adam_step(state, gradients, cfg.learning_rate, ADAM_BETAS, ADAM_EPSILON)
-    state.params.zero_grads()
 
 
 def inference_workers() -> int:

@@ -420,15 +420,23 @@ class TestMainPlumbing:
                      "--out", str(tmp_path / 'o')]) == 1
         assert "nowhere" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["train", "ablate"])
+    @pytest.mark.parametrize("command,key,value", [
+        pytest.param("train", "k_per_class", 3, id="train"),
+        pytest.param("ablate", "k_per_class", 3, id="ablate"),
+        pytest.param("train", "kernel_size", 4, id="train-kernel_size"),
+        pytest.param("ablate", "kernel_size", 4, id="ablate-kernel_size"),
+    ])
     def test_train_config_is_checked_before_data_or_output(
-            self, tmp_path, capsys, command):
+            self, tmp_path, capsys, command, key, value):
+        # a train key and a model key: both are rejected before the missing
+        # data_dir is noticed, and before any output is written; model
+        # dims stay `auto`
         cfg = tmp_path / "c.cfg"
         cfg.write_text(f"data_dir = {tmp_path / 'nowhere'}\n"
-                       "k_per_class = 3\n")
+                       f"{key} = {value}\n")
         out = tmp_path / "o"
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
-        assert "k_per_class" in err[0]
+        assert key in err[0]
         assert not out.exists()

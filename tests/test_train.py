@@ -1,11 +1,16 @@
 import json
 import struct
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tempseg import autodiff as ad
+from tempseg import train as tr
 from tempseg.data import NormStats, SensorSequence
 from tempseg.model import ModelConfig, init_params
 from tempseg.train import (TrainConfig, adam_step, evaluate, fit,
@@ -211,6 +216,67 @@ class TestTrainEpoch:
         state = init_train_state(small_config(), seed=1)
         with pytest.raises(ValueError, match="one training sequence"):
             train_epoch(state, [], TrainConfig(), np.random.default_rng(0))
+
+    @pytest.mark.parametrize("contrast_weight", [0.0, 1.0])
+    def test_batch_step_gets_the_mean_sequence_gradient(
+            self, monkeypatch, contrast_weight):
+        state = init_train_state(small_config(num_stages=2), seed=5)
+        cfg = TrainConfig(batch_size=2, temperature=0.5, k_per_class=4,
+                          contrast_weight=contrast_weight)
+        data = make_dataset(2)
+        # the expected gradients replay train_epoch's draws on a twin rng
+        rng = np.random.default_rng(8)
+        per_sequence = []
+        for idx in rng.permutation(len(data)):
+            loss, _ = tr._sequence_loss(state, data[int(idx)], cfg, rng)
+            grads = ad.backward(ad.CompGraph.from_output(loss), loss)
+            per_sequence.append({name: grads.get(t, np.zeros_like(t.values))
+                                 for name, t in
+                                 state.params.named_parameters()})
+        received = []
+        monkeypatch.setattr(tr, "adam_step",
+                            lambda _state, g, *args: received.append(g))
+        stats = train_epoch(state, data, cfg, np.random.default_rng(8))
+        assert stats.optimizer_steps == 1 and len(received) == 1
+        first, second = per_sequence
+        assert received[0].keys() == first.keys()
+        for name, g in received[0].items():
+            np.testing.assert_array_equal(g, (first[name] + second[name]) / 2)
+            if ".proj_" in name:
+                assert np.any(g != 0.0) == (contrast_weight > 0)
+
+    def test_concurrent_backward_equals_serial(self):
+        # three training-step graphs over the same parameters, built and
+        # differentiated on three threads at once
+        state = init_train_state(small_config(num_stages=2), seed=7)
+        cfg = TrainConfig(temperature=0.5, k_per_class=4)
+        data = make_dataset(3, length=256)
+
+        def step_gradients(i, barrier=None):
+            loss, _ = tr._sequence_loss(state, data[i], cfg,
+                                        np.random.default_rng(i))
+            graph = ad.CompGraph.from_output(loss)
+            if barrier is not None:     # start every backward pass at once
+                barrier.wait(timeout=10)
+            grads = ad.backward(graph, loss)
+            return {name: grads[t]
+                    for name, t in state.params.named_parameters()}
+
+        serial = [step_gradients(i) for i in range(3)]
+        barrier = threading.Barrier(3)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)     # interleave the threads finely
+        try:
+            with ThreadPoolExecutor(3) as pool:
+                rounds = [list(pool.map(lambda i: step_gradients(i, barrier),
+                                        range(3))) for _ in range(5)]
+        finally:
+            sys.setswitchinterval(switch)
+        for concurrent in rounds:
+            for expected, got in zip(serial, concurrent):
+                assert expected.keys() == got.keys()
+                for name in expected:
+                    assert got[name].tobytes() == expected[name].tobytes()
 
 
 class TestEvaluate:
