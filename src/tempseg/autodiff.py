@@ -20,10 +20,12 @@ a context variable, so it holds for the current thread (or asyncio task)
 only; another thread keeps recording.
 
 No op and no backward pass writes a tensor: ``backward`` returns the
-gradients in a dict of its own.  So threads may build and differentiate
-separate graphs over the same parameters at once, as long as nothing
-writes the parameter values meanwhile (an optimizer step, or the
-perturbations of ``grad_check``).
+gradients of the tensors it is asked for in a dict of its own.  So
+threads may build and differentiate separate graphs over the same
+parameters at once, as long as nothing writes the parameter values
+meanwhile (an optimizer step, or the perturbations of ``grad_check``).
+Every other gradient is dropped once it has been passed on, so a
+backward pass holds little more than the graph itself.
 """
 
 from __future__ import annotations
@@ -149,11 +151,13 @@ class CompGraph:
         return cls(order)
 
 
-def backward(graph: CompGraph, loss: Tensor) -> dict:
+def backward(graph: CompGraph, loss: Tensor, wrt: Sequence[Tensor]) -> dict:
     """Gradients of the scalar ``loss`` (shape ``()``) by reverse walk.
 
-    Returns a dict mapping every tensor of ``graph`` that ``loss`` reaches
-    to its gradient; a tensor the loss does not reach has no entry.
+    Returns a dict mapping every tensor of ``wrt`` that ``loss`` reaches
+    to its gradient; a tensor the loss does not reach has no entry.  Any
+    other node's gradient is dropped as soon as its vjp has used it, so
+    the walk holds only the gradients still waiting for their node.
     Contributions are summed out of place (``prev + g``), and the first
     one is stored as the vjp returned it, so an entry may be a view of
     another node's gradient (``add`` passes ``g`` to both parents,
@@ -161,15 +165,21 @@ def backward(graph: CompGraph, loss: Tensor) -> dict:
     """
     if loss.shape != ():
         raise ValueError(f"backward expects a scalar loss, got shape {loss.shape}")
-    grads = {loss: np.ones((), dtype=np.float64)}
+    wanted = set(wrt)
+    pending = {loss: np.ones((), dtype=np.float64)}
+    grads = {}
     for node in reversed(graph.nodes):
-        g = grads.get(node)
-        if node._vjp is None or g is None:
+        g = pending.pop(node, None)
+        if g is None:
+            continue
+        if node in wanted:
+            grads[node] = g
+        if node._vjp is None:
             continue
         for parent, pg in zip(node._parents, node._vjp(g)):
             if pg is not None:
-                prev = grads.get(parent)
-                grads[parent] = pg if prev is None else prev + pg
+                prev = pending.get(parent)
+                pending[parent] = pg if prev is None else prev + pg
     return grads
 
 
@@ -503,7 +513,7 @@ def grad_check(f, params: Sequence[Tensor], eps: float = 1e-3) -> float:
     out = f(params)
     if out.shape != ():
         raise ValueError(f"grad_check expects a scalar-valued f, got shape {out.shape}")
-    grads = backward(CompGraph.from_output(out), out)
+    grads = backward(CompGraph.from_output(out), out, params)
     analytic = [grads.get(p, np.zeros_like(p.values)) for p in params]
 
     worst = 0.0

@@ -170,12 +170,14 @@ def _graph_kink_margins(loss: ad.Tensor) -> tuple[float, float]:
     the loss, so they are ignored.
     """
     graph = ad.CompGraph.from_output(loss)
-    grads = ad.backward(graph, loss)
+    kinks = [node for node in graph.nodes
+             if node._op in ("relu", "l2_normalize") and node._parents]
+    grads = ad.backward(graph, loss, kinks)
     relu_margin = np.inf
     norm_margin = np.inf
-    for node in graph.nodes:
+    for node in kinks:
         g = grads.get(node)
-        if g is None or not node._parents:
+        if g is None:
             continue
         if node._op == "relu":
             pre = node._parents[0].values

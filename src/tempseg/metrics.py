@@ -69,22 +69,19 @@ def _jaccard_from_confusion(confusion):
     return _safe_div(diag, union), union > 0
 
 
-def roc_auc(truth, probs, validate_rows: bool = True):
+def roc_auc(truth, probs):
     """One-vs-rest rank AUC per class and its macro mean.
 
     Ties contribute 1/2 via average ranks.  Classes with no positive or no
     negative samples have undefined AUC and are reported as nan and left
-    out of the macro.  Pass validate_rows=False to score arbitrary
-    monotone-transformed score matrices.
+    out of the macro.
     """
     truth = np.asarray(truth, dtype=np.int64)
     probs = np.asarray(probs, dtype=np.float64)
     if probs.ndim != 2 or probs.shape[0] != truth.shape[0]:
         raise ValueError("probs must be T x C aligned with truth")
-    if validate_rows:
-        sums = probs.sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > 1e-6):
-            raise ValueError("probability rows must sum to 1 within 1e-6")
+    if np.any(np.abs(probs.sum(axis=1) - 1.0) > 1e-6):
+        raise ValueError("probability rows must sum to 1 within 1e-6")
 
     num_classes = probs.shape[1]
     per_class = np.full(num_classes, np.nan)

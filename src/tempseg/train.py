@@ -1,16 +1,22 @@
 """Optimization loop, evaluation, and checkpointing.
 
-Each sequence's loss is differentiated on its own graph by `ad.backward`,
-which returns that sequence's gradients.  `train_epoch` sums them per
-parameter, from zeros and in sequence order, and the optimizer consumes
-their mean every batch_size sequences (and at epoch end), so a batch is a
-group of whole sequences rather than windows; a parameter no graph
+A training step differentiates one sequence's loss.  The sequence runs
+in chunks that overlap by the model's receptive radius, on several
+threads: each chunk's forward and backward run on a worker, and the
+loss, which needs the whole sequence (example selection and segment
+pooling), runs between them on leaf copies of the chunks' kept outputs
+(`_sequence_gradients`).  The gradients equal a whole-sequence graph's
+up to rounding and do not depend on the thread count.  `train_epoch`
+sums them per parameter in sequence order, and the optimizer consumes
+their mean every batch_size sequences (and at epoch end), so a batch is
+a group of whole sequences rather than windows; a parameter no graph
 reached gets a zero gradient.  All randomness flows through one
-caller-owned generator, which makes full runs bitwise reproducible.
+caller-owned generator, on the calling thread, which makes full runs
+bitwise reproducible.
 
 Inference (`final_stage_outputs`, behind `evaluate`) labels a recording
-in chunks that overlap by the model's receptive radius, on several
-threads, with the same result as one whole-recording forward.
+in the same kind of chunks, longer ones and without a graph, with the
+same result as one whole-recording forward.
 
 Checkpoints are a flat binary container: magic, format version, a JSON
 header (model config, normalization statistics, free-form metadata), then
@@ -22,6 +28,7 @@ which also carried Adam moments and the step count, still load.
 
 import copy
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -48,7 +55,8 @@ _VERSION = 2
 ADAM_BETAS = (0.9, 0.999)
 ADAM_EPSILON = 1e-8
 
-CHUNK_LENGTH = 2048     # most output samples one inference forward labels
+CHUNK_LENGTH = 2048         # most output samples one inference forward labels
+TRAIN_CHUNK_LENGTH = 1024   # most output samples one training chunk covers
 
 
 @dataclass(frozen=True)
@@ -136,21 +144,91 @@ class EpochStats:
     segment_examples: list[int]
 
 
-def _sequence_loss(state: TrainState, seq: SensorSequence, cfg: TrainConfig,
-                   rng) -> tuple[ad.Tensor, LossBreakdown]:
-    outs = md.mstcn_forward(seq.features, state.params, state.model_config)
-    if cfg.contrast_weight > 0:
-        sets = [build_example_set(
-                    md.project(out.features, stage),
-                    np.argmax(out.probs.values, axis=1), seq.labels, rng,
-                    k_per_class=cfg.k_per_class,
-                    boundary_radius=cfg.boundary_radius,
-                    include_segments=cfg.include_segments)
-                for out, stage in zip(outs, state.params.stages)]
-    else:
-        sets = [([], [])] * len(outs)
-    return total_objective(outs, seq.labels, sets, cfg.contrast_weight,
-                           cfg.temperature)
+def _sequence_gradients(state: TrainState, seq: SensorSequence,
+                        cfg: TrainConfig, rng
+                        ) -> tuple[dict[str, np.ndarray], LossBreakdown]:
+    """One recording's parameter gradients, by name, and its loss terms.
+
+    The recording runs in halo chunks of at most TRAIN_CHUNK_LENGTH
+    samples on `chunk_workers()` threads, in three phases:
+
+    - each worker runs its chunk's recorded forward, and the projection
+      heads when contrast is on;
+    - the kept rows of every stage's logits and projections become leaf
+      tensors that cover the whole recording, so example selection,
+      segment pooling and the objective see it whole, and the small loss
+      graph on those leaves is differentiated here;
+    - each worker backpropagates its chunk graph, seeded with its rows of
+      the leaf gradients and zeros on its halo, as the gradient of
+      sum(head * seed).
+
+    A chunk's kept outputs are the same functions of the parameters as in
+    a whole-sequence forward, so the gradients equal the whole-sequence
+    ones up to rounding.  They are summed in chunk order, and the chunks
+    depend on the length alone, so the result does not depend on the
+    worker count.  A parameter no graph reaches gets zeros.
+    """
+    params, config = state.params, state.model_config
+    n_stages = config.num_stages
+    chunks = halo_chunks(len(seq.features), TRAIN_CHUNK_LENGTH,
+                         md.receptive_radius(config))
+
+    def forward(chunk):
+        _, read, _ = chunk
+        outs = md.mstcn_forward(seq.features[read], params, config)
+        heads = [out.logits for out in outs]
+        if cfg.contrast_weight > 0:
+            heads += [md.project(out.features, stage)
+                      for out, stage in zip(outs, params.stages)]
+        return heads, [out.probs.values for out in outs]
+
+    def whole(per_chunk):
+        """The kept rows of one output of every chunk, in order."""
+        return np.concatenate([values[keep] for values, (_, _, keep)
+                               in zip(per_chunk, chunks)])
+
+    with ThreadPoolExecutor(min(chunk_workers(), len(chunks))) as pool:
+        heads, probs = zip(*pool.map(forward, chunks))
+        leaves = [ad.Tensor(whole([h.values for h in same]))
+                  for same in zip(*heads)]
+        probs = [whole(same) for same in zip(*probs)]
+        # the objective reads only each stage's logits
+        outs = [md.StageOutput(features=None, logits=logits,
+                               probs=ad.Tensor(p))
+                for logits, p in zip(leaves, probs)]
+        if cfg.contrast_weight > 0:
+            sets = [build_example_set(
+                        projected, np.argmax(p, axis=1), seq.labels, rng,
+                        k_per_class=cfg.k_per_class,
+                        boundary_radius=cfg.boundary_radius,
+                        include_segments=cfg.include_segments)
+                    for projected, p in zip(leaves[n_stages:], probs)]
+        else:
+            sets = [([], [])] * n_stages
+        loss, breakdown = total_objective(outs, seq.labels, sets,
+                                          cfg.contrast_weight,
+                                          cfg.temperature)
+        seeds = ad.backward(ad.CompGraph.from_output(loss), loss, leaves)
+
+        def backward(chunk_heads, chunk):
+            rows, _, keep = chunk
+            terms = []
+            for head, leaf in zip(chunk_heads, leaves):
+                if leaf in seeds:
+                    seed = np.zeros_like(head.values)
+                    seed[keep] = seeds[leaf][rows]
+                    terms.append(ad.tsum(ad.mul(head, ad.Tensor(seed))))
+            surrogate = functools.reduce(ad.add, terms)
+            return ad.backward(ad.CompGraph.from_output(surrogate),
+                               surrogate, params.tensors())
+
+        parts = list(pool.map(backward, heads, chunks))
+    grads = {}
+    for name, t in params.named_parameters():
+        reached = [part[t] for part in parts if t in part]
+        grads[name] = (functools.reduce(np.add, reached) if reached
+                       else np.zeros_like(t.values))
+    return grads, breakdown
 
 
 def train_epoch(state: TrainState, sequences: list[SensorSequence],
@@ -168,20 +246,15 @@ def train_epoch(state: TrainState, sequences: list[SensorSequence],
     n_segments = np.zeros(n_stages, dtype=int)
 
     order = rng.permutation(len(sequences))
-    named = list(state.params.named_parameters())
     accumulated = 0
     for idx in order:
-        loss, breakdown = _sequence_loss(state, sequences[int(idx)], cfg, rng)
+        grads, breakdown = _sequence_gradients(state, sequences[int(idx)],
+                                               cfg, rng)
         if not np.isfinite(breakdown.total):
             raise FloatingPointError(
                 f"non-finite loss on sequence {int(idx)}")
-        grads = ad.backward(ad.CompGraph.from_output(loss), loss)
-        if not accumulated:
-            summed = {name: np.zeros_like(t.values) for name, t in named}
-        for name, t in named:
-            if t in grads:
-                summed[name] = summed[name] + grads[t]
-        del loss, grads     # this graph is done; free it before the next
+        summed = grads if not accumulated else {
+            name: summed[name] + g for name, g in grads.items()}
         accumulated += 1
         ce_sums += breakdown.classification
         con_sums += breakdown.contrast
@@ -212,9 +285,9 @@ def _apply_accumulated(state: TrainState, cfg: TrainConfig,
     adam_step(state, gradients, cfg.learning_rate, ADAM_BETAS, ADAM_EPSILON)
 
 
-def inference_workers() -> int:
-    """Threads that label one recording's chunks: the CPUs this process
-    may run on."""
+def chunk_workers() -> int:
+    """Threads that run one recording's chunks: the CPUs this process may
+    run on."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity masks on this platform
@@ -229,6 +302,24 @@ def chunk_spans(length: int, chunk_length: int) -> list[tuple[int, int]]:
     return list(zip(bounds[:-1], bounds[1:]))
 
 
+def halo_chunks(length: int, chunk_length: int,
+                radius: int) -> list[tuple[slice, slice, slice]]:
+    """(rows, read, keep) per chunk of `chunk_spans(length, chunk_length)`.
+
+    `rows` are the recording rows the chunk labels, `read` those it reads
+    (`radius` more on each side, where the recording has them), and
+    `keep` the rows of its output that belong to `rows`.  With the
+    model's receptive radius, every kept output sees exactly the inputs
+    it sees in a whole-sequence forward.
+    """
+    chunks = []
+    for start, end in chunk_spans(length, chunk_length):
+        lo, hi = max(0, start - radius), min(length, end + radius)
+        chunks.append((slice(start, end), slice(lo, hi),
+                       slice(start - lo, end - lo)))
+    return chunks
+
+
 def final_stage_outputs(params: ModelParams, model_config: ModelConfig,
                         sequences, embed: bool = False):
     """Yield the final stage's (probs, embeddings) values per sequence.
@@ -236,33 +327,29 @@ def final_stage_outputs(params: ModelParams, model_config: ModelConfig,
     Embeddings are the final stage's unit-norm projections when `embed`
     is set, else None; no other stage is projected.
 
-    A recording is cut into near-equal chunks of at most CHUNK_LENGTH
-    samples.  Each chunk runs with `md.receptive_radius` samples of
-    context on both sides and is trimmed back, so every kept output sees
-    exactly the inputs it sees in a whole-sequence forward, and memory
-    grows with the chunk, not the recording.  The chunks run on
-    `inference_workers()` threads (numpy's BLAS releases the GIL); their
-    boundaries depend on the length alone, so the result does not depend
-    on the worker count.  Each worker records no graph; nothing runs, and
-    recording is unchanged, while the generator is suspended at a yield.
+    A recording runs in `halo_chunks` of at most CHUNK_LENGTH samples, so
+    every kept output is exact and memory grows with the chunk, not the
+    recording.  The chunks run on `chunk_workers()` threads (numpy's BLAS
+    releases the GIL); their boundaries depend on the length alone, so
+    the result does not depend on the worker count.  Each worker records
+    no graph; nothing runs, and recording is unchanged, while the
+    generator is suspended at a yield.
     """
     radius = md.receptive_radius(model_config)
 
-    def label(features, start, end):
-        lo, hi = max(0, start - radius), min(len(features), end + radius)
-        keep = slice(start - lo, end - lo)
+    def label(features, read, keep):
         # entered here, on the worker: a thread starts with recording on
         with ad.no_grad():
-            out = md.mstcn_forward(features[lo:hi], params, model_config)[-1]
+            out = md.mstcn_forward(features[read], params, model_config)[-1]
             embeds = (md.project(out.features, params.stages[-1]).values[keep]
                       if embed else None)
         return out.probs.values[keep], embeds
 
     for seq in sequences:
-        spans = chunk_spans(len(seq.features), CHUNK_LENGTH)
-        with ThreadPoolExecutor(min(inference_workers(), len(spans))) as pool:
-            parts = list(pool.map(lambda span: label(seq.features, *span),
-                                  spans))
+        chunks = halo_chunks(len(seq.features), CHUNK_LENGTH, radius)
+        with ThreadPoolExecutor(min(chunk_workers(), len(chunks))) as pool:
+            parts = list(pool.map(
+                lambda chunk: label(seq.features, *chunk[1:]), chunks))
         probs, embeds = zip(*parts)
         yield (np.concatenate(probs),
                np.concatenate(embeds) if embed else None)

@@ -6,6 +6,7 @@ every differentiable op has to survive a central-difference gradient check.
 
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -64,9 +65,9 @@ def rng():
     return np.random.default_rng(1234)
 
 
-def gradients(loss):
-    """Every gradient of a scalar loss, keyed by tensor."""
-    return ad.backward(ad.CompGraph.from_output(loss), loss)
+def gradients(loss, *wrt):
+    """The gradients of a scalar loss for the tensors wrt, keyed by tensor."""
+    return ad.backward(ad.CompGraph.from_output(loss), loss, wrt)
 
 
 class TestConv1dDilated:
@@ -177,7 +178,7 @@ class TestElementwiseOps:
         x = ad.Tensor([[0.0, 0.0]])
         out = ad.l2_normalize(x)
         np.testing.assert_array_equal(out.values, [[0.0, 0.0]])
-        grads = gradients(ad.tsum(ad.mul(out, ad.Tensor([[1.0, 2.0]]))))
+        grads = gradients(ad.tsum(ad.mul(out, ad.Tensor([[1.0, 2.0]]))), x)
         np.testing.assert_array_equal(grads[x], [[0.0, 0.0]])
 
     def test_l2_normalize_matrix_rows(self, rng):
@@ -232,7 +233,7 @@ def values_and_grads(build, inputs, g):
     """Run op(inputs), backpropagate sum(out * g), return values and grads."""
     tensors = [ad.Tensor(v) for v in inputs]
     out = build(tensors)
-    grads = gradients(ad.tsum(ad.mul(out, ad.Tensor(g))))
+    grads = gradients(ad.tsum(ad.mul(out, ad.Tensor(g))), *tensors)
     return out.values, [grads.get(t) for t in tensors]
 
 
@@ -341,23 +342,23 @@ class TestBackward:
         x = rng.normal(size=5)
         w = ad.Tensor(rng.normal(size=5))
         loss = ad.tsum(ad.mul(w, ad.Tensor(x)))
-        np.testing.assert_allclose(gradients(loss)[w], x)
+        np.testing.assert_allclose(gradients(loss, w)[w], x)
 
     def test_dead_relu(self):
         w = ad.Tensor([-1.0, -2.0, -0.5])
         loss = ad.tsum(ad.relu(w))
-        np.testing.assert_array_equal(gradients(loss)[w], np.zeros(3))
+        np.testing.assert_array_equal(gradients(loss, w)[w], np.zeros(3))
 
     def test_non_scalar_loss_rejected(self, rng):
         t = ad.relu(ad.Tensor(rng.normal(size=4)))
         with pytest.raises(ValueError, match="scalar"):
-            ad.backward(ad.CompGraph.from_output(t), t)
+            ad.backward(ad.CompGraph.from_output(t), t, [t])
 
     def test_unreachable_parameter_keeps_zero_grad(self, rng):
         # an unreached tensor has no entry, which callers read as zero
         used = ad.Tensor(rng.normal(size=3))
         unused = ad.Tensor(rng.normal(size=3))
-        grads = gradients(ad.tsum(ad.mul(used, used)))
+        grads = gradients(ad.tsum(ad.mul(used, used)), used, unused)
         assert unused not in grads
         np.testing.assert_array_equal(grads[used], 2 * used.values)
 
@@ -367,7 +368,7 @@ class TestBackward:
 
         def grads_of(build):
             w = ad.Tensor(w_vals.copy())
-            return gradients(build(w))[w]
+            return gradients(build(w), w)[w]
 
         loss_a = lambda w: ad.tsum(ad.relu(ad.matmul(x, w)))
         loss_b = lambda w: ad.tsum(ad.mul(ad.matmul(x, w), ad.matmul(x, w)))
@@ -375,16 +376,39 @@ class TestBackward:
         np.testing.assert_allclose(combined, grads_of(loss_a) + grads_of(loss_b),
                                    atol=1e-12)
 
-    def test_every_reached_node_has_a_gradient(self, rng):
+    def test_returns_exactly_the_reached_tensors_of_wrt(self, rng):
         x = ad.Tensor(rng.normal(size=(4, 3)))
         hidden = ad.relu(x)
-        loss = ad.tsum(ad.scale(hidden, 3.0))
+        scaled = ad.scale(hidden, 3.0)
+        loss = ad.tsum(scaled)
+        unreached = ad.relu(ad.Tensor(rng.normal(size=2)))
         graph = ad.CompGraph.from_output(loss)
-        grads = ad.backward(graph, loss)
-        assert set(map(id, grads)) == set(map(id, graph.nodes))
+        grads = ad.backward(graph, loss, [loss, hidden, x, unreached])
+        assert set(map(id, grads)) == {id(loss), id(hidden), id(x)}
         assert grads[loss] == 1.0
         np.testing.assert_array_equal(grads[hidden], np.full((4, 3), 3.0))
         np.testing.assert_array_equal(grads[x], 3.0 * (x.values > 0))
+        # every node of the graph is reached, and none is asked for here
+        assert ad.backward(graph, loss, []) == {}
+
+    def test_no_interior_gradient_outlives_its_use(self):
+        # a deep chain of one array per node: the walk may hold a few
+        # gradients at once, not one per node
+        depth, x = 40, ad.Tensor(np.ones((200, 500)))
+        h = x
+        for _ in range(depth):
+            h = ad.relu(h)
+        loss = ad.tsum(h)
+        graph = ad.CompGraph.from_output(loss)
+        tracemalloc.start()
+        try:
+            grads = ad.backward(graph, loss, [x])
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(grads[x], 1.0)
+        assert held < 2 * x.values.nbytes
+        assert peak < 5 * x.values.nbytes
 
     def test_shared_gradient_is_never_written(self):
         # add hands one array to both parents; here both parents are x, so
@@ -392,7 +416,7 @@ class TestBackward:
         # stored for y
         x = ad.Tensor(np.ones((2, 2)))
         y = ad.add(x, x)
-        grads = gradients(ad.tsum(y))
+        grads = gradients(ad.tsum(y), x, y)
         np.testing.assert_array_equal(grads[y], np.ones((2, 2)))
         np.testing.assert_array_equal(grads[x], np.full((2, 2), 2.0))
 
@@ -400,7 +424,7 @@ class TestBackward:
         w = ad.Tensor(rng.normal(size=(3, 2)))
         loss = ad.tsum(ad.mul(ad.relu(w), w))
         graph = ad.CompGraph.from_output(loss)
-        first, second = ad.backward(graph, loss), ad.backward(graph, loss)
+        first, second = (ad.backward(graph, loss, [w]) for _ in range(2))
         assert first[w] is not second[w]
         np.testing.assert_array_equal(first[w], second[w])
 

@@ -172,6 +172,13 @@ class TestLoadCsvDataset:
                                match=r":2: blank or non-finite cell$"):
                 dt.load_csv_dataset(p)
 
+    def test_first_of_two_non_finite_lines_is_named(self, tmp_path):
+        p = self.write(tmp_path, "ch_0,ch_1,label\n1.0,2.0,0\n3.0,inf,1\n"
+                                 "5.0,6.0,1\nnan,7.0,0\n")
+        with pytest.raises(ValueError,
+                           match=r":3: blank or non-finite cell$"):
+            dt.load_csv_dataset(p)
+
     def test_wrong_cell_count_names_line(self, tmp_path):
         p = self.write(tmp_path, "ch_0,label\n1.0,0\n1.0\n")
         with pytest.raises(ValueError, match=r":3:"):

@@ -118,7 +118,7 @@ def test_every_worker_forward_is_graph_free(monkeypatch):
 
     monkeypatch.setattr(md, "mstcn_forward", spy)
     monkeypatch.setattr(tr, "CHUNK_LENGTH", 50)
-    monkeypatch.setattr(tr, "inference_workers", lambda: 2)
+    monkeypatch.setattr(tr, "chunk_workers", lambda: 2)
     cfg = md.ModelConfig(input_dim=3, num_classes=4, num_stages=2,
                          layers_per_stage=3, hidden_channels=6)
     params = md.init_params(cfg, seed=1)
@@ -141,7 +141,7 @@ def test_output_does_not_depend_on_worker_count(monkeypatch):
     monkeypatch.setattr(tr, "CHUNK_LENGTH", 128)
     results = []
     for workers in (1, 3):
-        monkeypatch.setattr(tr, "inference_workers", lambda: workers)
+        monkeypatch.setattr(tr, "chunk_workers", lambda: workers)
         results.append(chunked(params, cfg, seq))
     (p1, e1), (p3, e3) = results
     assert p1.tobytes() == p3.tobytes() and e1.tobytes() == e3.tobytes()

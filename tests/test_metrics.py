@@ -227,11 +227,15 @@ class TestRocAuc:
         assert macro == 0.5
 
     def test_monotone_transform_invariance(self):
+        # p -> p^3 / (p^3 + (1-p)^3) is increasing and maps 1-p to one
+        # minus its image, so warped rows still sum to 1 and each
+        # column keeps its order
         rng = np.random.default_rng(6)
         truth = rng.integers(0, 2, size=30)
-        scores = rng.uniform(size=(30, 2))
-        base, _ = mt.roc_auc(truth, scores, validate_rows=False)
-        warped, _ = mt.roc_auc(truth, np.exp(3 * scores), validate_rows=False)
+        p = rng.uniform(size=30)
+        warp = p ** 3 / (p ** 3 + (1 - p) ** 3)
+        base, _ = mt.roc_auc(truth, np.column_stack([1 - p, p]))
+        warped, _ = mt.roc_auc(truth, np.column_stack([1 - warp, warp]))
         np.testing.assert_allclose(base, warped, atol=1e-12)
 
     def test_row_sum_validation(self):

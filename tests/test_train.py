@@ -4,15 +4,19 @@ import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tempseg import autodiff as ad
+from tempseg import model as md
 from tempseg import train as tr
 from tempseg.data import NormStats, SensorSequence
+from tempseg.losses import total_objective
 from tempseg.model import ModelConfig, init_params
+from tempseg.sampling import build_example_set
 from tempseg.train import (TrainConfig, adam_step, evaluate, fit,
                            init_train_state, load_checkpoint,
                            read_checkpoint_header, save_checkpoint,
@@ -220,47 +224,43 @@ class TestTrainEpoch:
     @pytest.mark.parametrize("contrast_weight", [0.0, 1.0])
     def test_batch_step_gets_the_mean_sequence_gradient(
             self, monkeypatch, contrast_weight):
+        monkeypatch.setattr(tr, "TRAIN_CHUNK_LENGTH", 40)   # 3 chunks each
         state = init_train_state(small_config(num_stages=2), seed=5)
         cfg = TrainConfig(batch_size=2, temperature=0.5, k_per_class=4,
                           contrast_weight=contrast_weight)
         data = make_dataset(2)
         # the expected gradients replay train_epoch's draws on a twin rng
         rng = np.random.default_rng(8)
-        per_sequence = []
-        for idx in rng.permutation(len(data)):
-            loss, _ = tr._sequence_loss(state, data[int(idx)], cfg, rng)
-            grads = ad.backward(ad.CompGraph.from_output(loss), loss)
-            per_sequence.append({name: grads.get(t, np.zeros_like(t.values))
-                                 for name, t in
-                                 state.params.named_parameters()})
+        per_sequence = [tr._sequence_gradients(state, data[int(idx)], cfg,
+                                               rng)[0]
+                        for idx in rng.permutation(len(data))]
         received = []
         monkeypatch.setattr(tr, "adam_step",
                             lambda _state, g, *args: received.append(g))
         stats = train_epoch(state, data, cfg, np.random.default_rng(8))
         assert stats.optimizer_steps == 1 and len(received) == 1
         first, second = per_sequence
-        assert received[0].keys() == first.keys()
+        assert received[0].keys() == first.keys() == {
+            name for name, _ in state.params.named_parameters()}
         for name, g in received[0].items():
             np.testing.assert_array_equal(g, (first[name] + second[name]) / 2)
             if ".proj_" in name:
                 assert np.any(g != 0.0) == (contrast_weight > 0)
 
-    def test_concurrent_backward_equals_serial(self):
-        # three training-step graphs over the same parameters, built and
-        # differentiated on three threads at once
+    def test_concurrent_backward_equals_serial(self, monkeypatch):
+        # three training steps over the same parameters on three threads
+        # at once, each running its chunks on its own workers
+        monkeypatch.setattr(tr, "TRAIN_CHUNK_LENGTH", 64)   # 4 chunks each
+        monkeypatch.setattr(tr, "chunk_workers", lambda: 3)
         state = init_train_state(small_config(num_stages=2), seed=7)
         cfg = TrainConfig(temperature=0.5, k_per_class=4)
         data = make_dataset(3, length=256)
 
         def step_gradients(i, barrier=None):
-            loss, _ = tr._sequence_loss(state, data[i], cfg,
-                                        np.random.default_rng(i))
-            graph = ad.CompGraph.from_output(loss)
-            if barrier is not None:     # start every backward pass at once
+            if barrier is not None:     # start every step at once
                 barrier.wait(timeout=10)
-            grads = ad.backward(graph, loss)
-            return {name: grads[t]
-                    for name, t in state.params.named_parameters()}
+            return tr._sequence_gradients(state, data[i], cfg,
+                                          np.random.default_rng(i))[0]
 
         serial = [step_gradients(i) for i in range(3)]
         barrier = threading.Barrier(3)
@@ -277,6 +277,71 @@ class TestTrainEpoch:
                 assert expected.keys() == got.keys()
                 for name in expected:
                     assert got[name].tobytes() == expected[name].tobytes()
+
+    def test_result_does_not_depend_on_worker_count(self, monkeypatch):
+        monkeypatch.setattr(tr, "TRAIN_CHUNK_LENGTH", 20)   # 5 chunks each
+        results = []
+        for workers in (1, 3):
+            monkeypatch.setattr(tr, "chunk_workers", lambda: workers)
+            state = init_train_state(small_config(num_stages=2), seed=5)
+            cfg = TrainConfig(batch_size=2, temperature=0.5, k_per_class=4)
+            rng = np.random.default_rng(9)
+            stats = [train_epoch(state, make_dataset(3), cfg, rng)
+                     for _ in range(2)]
+            results.append((stats, {n: t.values.tobytes() for n, t
+                                    in state.params.named_parameters()}))
+        assert results[0] == results[1]
+
+
+def whole_sequence_gradients(state, seq, cfg, rng):
+    """Oracle: one recorded graph over the whole sequence, from forward
+    through example selection and the objective to backward."""
+    outs = md.mstcn_forward(seq.features, state.params, state.model_config)
+    if cfg.contrast_weight > 0:
+        sets = [build_example_set(
+                    md.project(out.features, stage),
+                    np.argmax(out.probs.values, axis=1), seq.labels, rng,
+                    k_per_class=cfg.k_per_class,
+                    boundary_radius=cfg.boundary_radius,
+                    include_segments=cfg.include_segments)
+                for out, stage in zip(outs, state.params.stages)]
+    else:
+        sets = [([], [])] * len(outs)
+    loss, breakdown = total_objective(outs, seq.labels, sets,
+                                      cfg.contrast_weight, cfg.temperature)
+    grads = ad.backward(ad.CompGraph.from_output(loss), loss,
+                        state.params.tensors())
+    return {name: grads.get(t, np.zeros_like(t.values))
+            for name, t in state.params.named_parameters()}, breakdown
+
+
+@settings(max_examples=40, deadline=None)
+@given(stages=st.integers(1, 3), kernel=st.sampled_from([1, 3, 5]),
+       contrast=st.sampled_from([(0.0, True), (1.0, False), (1.0, True)]),
+       chunk=st.integers(1, 40), data=st.data())
+def test_chunked_step_equals_whole_sequence(stages, kernel, contrast, chunk,
+                                            data):
+    cfg = small_config(num_classes=3, num_stages=stages, kernel_size=kernel)
+    length = data.draw(st.integers(1, 4 * chunk + 5), label="length")
+    run = data.draw(st.integers(1, 30), label="run")
+    rng = np.random.default_rng(length)
+    seq = SensorSequence(features=rng.normal(size=(length, cfg.input_dim)),
+                         labels=np.arange(length) // run % cfg.num_classes)
+    state = init_train_state(cfg, seed=data.draw(st.integers(0, 99)))
+    train_cfg = TrainConfig(contrast_weight=contrast[0], temperature=0.5,
+                            k_per_class=4, include_segments=contrast[1])
+    want, want_terms = whole_sequence_gradients(state, seq, train_cfg,
+                                                np.random.default_rng(0))
+    with mock.patch.object(tr, "TRAIN_CHUNK_LENGTH", chunk):
+        got, got_terms = tr._sequence_gradients(state, seq, train_cfg,
+                                                np.random.default_rng(0))
+    assert got.keys() == want.keys()
+    for name in want:
+        scale = np.max(np.abs(want[name]))
+        assert np.max(np.abs(got[name] - want[name])) <= 1e-10 * scale, name
+    assert got_terms.sample_examples == want_terms.sample_examples
+    assert got_terms.segment_examples == want_terms.segment_examples
+    assert got_terms.total == pytest.approx(want_terms.total, rel=1e-12)
 
 
 class TestEvaluate:
@@ -406,11 +471,15 @@ class TestFit:
         assert record["segment_examples"] == [0]
 
     @pytest.mark.parametrize("include_segments", [True, False])
-    def test_contrast_graph_size_does_not_grow_with_k(self, include_segments):
+    def test_contrast_graph_size_does_not_grow_with_k(self, monkeypatch,
+                                                      include_segments):
         # per stage: one gathered sample pool, one pooled segment matrix
-        # (only with segments), one stack and one row permutation
-        from tempseg import autodiff as ad
-        from tempseg import train as tr
+        # (only with segments), one stack and one row permutation, counted
+        # over every graph a step differentiates
+        graphs = []
+        original = ad.backward
+        monkeypatch.setattr(ad, "backward", lambda graph, *args: (
+            graphs.append(graph) or original(graph, *args)))
         seq = make_dataset(1)[0]
         want = {"row": 2, "stack_rows": 1,
                 "mean_rows": int(include_segments),
@@ -419,9 +488,9 @@ class TestFit:
             state = init_train_state(small_config(num_stages=2), seed=1)
             cfg = TrainConfig(k_per_class=k,
                               include_segments=include_segments)
-            loss, _ = tr._sequence_loss(state, seq, cfg,
-                                        np.random.default_rng(0))
-            ops = [n._op for n in ad.CompGraph.from_output(loss).nodes]
+            graphs.clear()
+            tr._sequence_gradients(state, seq, cfg, np.random.default_rng(0))
+            ops = [n._op for graph in graphs for n in graph.nodes]
             assert {op: ops.count(op) for op in want} == {
                 op: 2 * count for op, count in want.items()}, f"k={k}"
 
@@ -445,8 +514,8 @@ class TestFit:
         state = init_train_state(small_config(num_stages=2), seed=1)
         cfg = TrainConfig(contrast_weight=contrast_weight, k_per_class=4,
                           include_segments=include_segments)
-        tr._sequence_loss(state, make_dataset(1)[0], cfg,
-                          np.random.default_rng(0))
+        tr._sequence_gradients(state, make_dataset(1)[0], cfg,
+                               np.random.default_rng(0))
         assert calls == want
 
     def test_validation_leaves_training_differentiable(self, monkeypatch):
