@@ -9,6 +9,7 @@ straddle a boundary genuinely mix two activities.
 """
 
 import csv
+import math
 from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -181,6 +182,11 @@ def _parse_csv_file(path: Path) -> list[SensorSequence]:
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: non-numeric feature "
                                  "cell") from None
+            # a finite sum is the cheap common case; an overflowing one
+            # falls through to the exact per-cell test
+            if (not math.isfinite(sum(values))
+                    and not all(map(math.isfinite, values))):
+                raise ValueError(f"{path}:{lineno}: blank or non-finite cell")
             try:
                 label = int(cells[d])
             except ValueError:
@@ -201,9 +207,6 @@ def _parse_csv_file(path: Path) -> list[SensorSequence]:
     if not rows:
         raise ValueError(f"{path}: no usable rows")
     features = np.array(rows)
-    bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
-    if bad.size:    # data rows start on line 2
-        raise ValueError(f"{path}:{bad[0] + 2}: blank or non-finite cell")
     labels = np.array(labels, dtype=np.int64)
     if not has_subject:
         return [SensorSequence(features, labels)]

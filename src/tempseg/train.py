@@ -1,18 +1,20 @@
 """Optimization loop, evaluation, and checkpointing.
 
-A training step differentiates one sequence's loss.  The sequence runs
-in chunks that overlap by the model's receptive radius, on several
-threads: each chunk's forward and backward run on a worker, and the
-loss, which needs the whole sequence (example selection and segment
+A training step differentiates one sequence's loss.  Where the process
+has several CPUs and numpy's BLAS runs one thread (`chunk_workers`), the
+sequence runs in chunks that overlap by the model's receptive radius, on
+several threads: each chunk's forward and backward run on a worker, and
+the loss, which needs the whole sequence (example selection and segment
 pooling), runs between them on leaf copies of the chunks' kept outputs
 (`_sequence_gradients`).  The gradients equal a whole-sequence graph's
-up to rounding and do not depend on the thread count.  `train_epoch`
-sums them per parameter in sequence order, and the optimizer consumes
-their mean every batch_size sequences (and at epoch end), so a batch is
-a group of whole sequences rather than windows; a parameter no graph
-reached gets a zero gradient.  All randomness flows through one
-caller-owned generator, on the calling thread, which makes full runs
-bitwise reproducible.
+up to rounding and do not depend on the thread count.  Elsewhere BLAS's
+own threads already use the CPUs, and a sequence is one chunk.
+`train_epoch` sums the gradients per parameter in sequence order, and
+the optimizer consumes their mean every batch_size sequences (and at
+epoch end), so a batch is a group of whole sequences rather than
+windows; a parameter no graph reached gets a zero gradient.  All
+randomness flows through one caller-owned generator, on the calling
+thread, which makes full runs bitwise reproducible.
 
 Inference (`final_stage_outputs`, behind `evaluate`) labels a recording
 in the same kind of chunks, longer ones and without a graph, with the
@@ -26,7 +28,9 @@ loaded state starts with zero Adam moments at step 0.  Format 1 files,
 which also carried Adam moments and the step count, still load.
 """
 
+import contextlib
 import copy
+import ctypes
 import dataclasses
 import functools
 import io
@@ -145,12 +149,14 @@ class EpochStats:
 
 
 def _sequence_gradients(state: TrainState, seq: SensorSequence,
-                        cfg: TrainConfig, rng
+                        cfg: TrainConfig, rng, chunk_length: int | None = None,
+                        run=map
                         ) -> tuple[dict[str, np.ndarray], LossBreakdown]:
     """One recording's parameter gradients, by name, and its loss terms.
 
-    The recording runs in halo chunks of at most TRAIN_CHUNK_LENGTH
-    samples on `chunk_workers()` threads, in three phases:
+    The recording runs in halo chunks of at most `chunk_length` samples
+    (one chunk when None), mapped over by `run`, such as a thread pool's
+    map, in three phases:
 
     - each worker runs its chunk's recorded forward, and the projection
       heads when contrast is on;
@@ -165,13 +171,17 @@ def _sequence_gradients(state: TrainState, seq: SensorSequence,
     A chunk's kept outputs are the same functions of the parameters as in
     a whole-sequence forward, so the gradients equal the whole-sequence
     ones up to rounding.  They are summed in chunk order, and the chunks
-    depend on the length alone, so the result does not depend on the
-    worker count.  A parameter no graph reaches gets zeros.
+    depend on the length and `chunk_length` alone, so the result does not
+    depend on `run`.  A single chunk runs on the calling thread.  A
+    parameter no graph reaches gets zeros.
     """
     params, config = state.params, state.model_config
     n_stages = config.num_stages
-    chunks = halo_chunks(len(seq.features), TRAIN_CHUNK_LENGTH,
+    length = len(seq.features)
+    chunks = halo_chunks(length, chunk_length or max(1, length),
                          md.receptive_radius(config))
+    if len(chunks) == 1:
+        run = map
 
     def forward(chunk):
         _, read, _ = chunk
@@ -187,42 +197,39 @@ def _sequence_gradients(state: TrainState, seq: SensorSequence,
         return np.concatenate([values[keep] for values, (_, _, keep)
                                in zip(per_chunk, chunks)])
 
-    with ThreadPoolExecutor(min(chunk_workers(), len(chunks))) as pool:
-        heads, probs = zip(*pool.map(forward, chunks))
-        leaves = [ad.Tensor(whole([h.values for h in same]))
-                  for same in zip(*heads)]
-        probs = [whole(same) for same in zip(*probs)]
-        # the objective reads only each stage's logits
-        outs = [md.StageOutput(features=None, logits=logits,
-                               probs=ad.Tensor(p))
-                for logits, p in zip(leaves, probs)]
-        if cfg.contrast_weight > 0:
-            sets = [build_example_set(
-                        projected, np.argmax(p, axis=1), seq.labels, rng,
-                        k_per_class=cfg.k_per_class,
-                        boundary_radius=cfg.boundary_radius,
-                        include_segments=cfg.include_segments)
-                    for projected, p in zip(leaves[n_stages:], probs)]
-        else:
-            sets = [([], [])] * n_stages
-        loss, breakdown = total_objective(outs, seq.labels, sets,
-                                          cfg.contrast_weight,
-                                          cfg.temperature)
-        seeds = ad.backward(ad.CompGraph.from_output(loss), loss, leaves)
+    heads, probs = zip(*run(forward, chunks))
+    leaves = [ad.Tensor(whole([h.values for h in same]))
+              for same in zip(*heads)]
+    probs = [whole(same) for same in zip(*probs)]
+    # the objective reads only each stage's logits
+    outs = [md.StageOutput(features=None, logits=logits, probs=ad.Tensor(p))
+            for logits, p in zip(leaves, probs)]
+    if cfg.contrast_weight > 0:
+        sets = [build_example_set(
+                    projected, np.argmax(p, axis=1), seq.labels, rng,
+                    k_per_class=cfg.k_per_class,
+                    boundary_radius=cfg.boundary_radius,
+                    include_segments=cfg.include_segments)
+                for projected, p in zip(leaves[n_stages:], probs)]
+    else:
+        sets = [([], [])] * n_stages
+    loss, breakdown = total_objective(outs, seq.labels, sets,
+                                      cfg.contrast_weight, cfg.temperature)
+    seeds = ad.backward(ad.CompGraph.from_output(loss), loss, leaves)
 
-        def backward(chunk_heads, chunk):
-            rows, _, keep = chunk
-            terms = []
-            for head, leaf in zip(chunk_heads, leaves):
-                if leaf in seeds:
-                    seed = np.zeros_like(head.values)
-                    seed[keep] = seeds[leaf][rows]
-                    terms.append(ad.tsum(ad.mul(head, ad.Tensor(seed))))
-            surrogate = functools.reduce(ad.add, terms)
-            return ad.backward(ad.CompGraph.from_output(surrogate),
-                               surrogate, params.tensors())
+    def backward(chunk_heads, chunk):
+        rows, _, keep = chunk
+        terms = []
+        for head, leaf in zip(chunk_heads, leaves):
+            if leaf in seeds:
+                seed = np.zeros_like(head.values)
+                seed[keep] = seeds[leaf][rows]
+                terms.append(ad.tsum(ad.mul(head, ad.Tensor(seed))))
+        surrogate = functools.reduce(ad.add, terms)
+        return ad.backward(ad.CompGraph.from_output(surrogate), surrogate,
+                           params.tensors())
 
-        parts = list(pool.map(backward, heads, chunks))
+    parts = list(run(backward, heads, chunks))
     grads = {}
     for name, t in params.named_parameters():
         reached = [part[t] for part in parts if t in part]
@@ -247,25 +254,27 @@ def train_epoch(state: TrainState, sequences: list[SensorSequence],
 
     order = rng.permutation(len(sequences))
     accumulated = 0
-    for idx in order:
-        grads, breakdown = _sequence_gradients(state, sequences[int(idx)],
-                                               cfg, rng)
-        if not np.isfinite(breakdown.total):
-            raise FloatingPointError(
-                f"non-finite loss on sequence {int(idx)}")
-        summed = grads if not accumulated else {
-            name: summed[name] + g for name, g in grads.items()}
-        accumulated += 1
-        ce_sums += breakdown.classification
-        con_sums += breakdown.contrast
-        total_sum += breakdown.total
-        skipped += breakdown.skipped_anchors
-        n_samples += breakdown.sample_examples
-        n_segments += breakdown.segment_examples
-        if accumulated == cfg.batch_size:
-            _apply_accumulated(state, cfg, summed, accumulated)
-            accumulated = 0
-            steps += 1
+    chunk_length = train_chunk_length()
+    with chunk_runner() as run:
+        for idx in order:
+            grads, breakdown = _sequence_gradients(
+                state, sequences[int(idx)], cfg, rng, chunk_length, run)
+            if not np.isfinite(breakdown.total):
+                raise FloatingPointError(
+                    f"non-finite loss on sequence {int(idx)}")
+            summed = grads if not accumulated else {
+                name: summed[name] + g for name, g in grads.items()}
+            accumulated += 1
+            ce_sums += breakdown.classification
+            con_sums += breakdown.contrast
+            total_sum += breakdown.total
+            skipped += breakdown.skipped_anchors
+            n_samples += breakdown.sample_examples
+            n_segments += breakdown.segment_examples
+            if accumulated == cfg.batch_size:
+                _apply_accumulated(state, cfg, summed, accumulated)
+                accumulated = 0
+                steps += 1
     if accumulated:
         _apply_accumulated(state, cfg, summed, accumulated)
         steps += 1
@@ -285,13 +294,66 @@ def _apply_accumulated(state: TrainState, cfg: TrainConfig,
     adam_step(state, gradients, cfg.learning_rate, ADAM_BETAS, ADAM_EPSILON)
 
 
+@functools.cache
+def _openblas_thread_count():
+    """The thread-count getter of the OpenBLAS in numpy's wheel, or None."""
+    for path in sorted((Path(np.__file__).parent.parent
+                        / "numpy.libs").glob("*openblas*")):
+        try:    # already loaded by numpy; do not load a second copy
+            lib = ctypes.CDLL(str(path), mode=getattr(os, "RTLD_NOLOAD", 0))
+        except OSError:
+            continue
+        for name in ("scipy_openblas_get_num_threads64_",    # numpy >= 2
+                     "openblas_get_num_threads64_",
+                     "openblas_get_num_threads"):
+            getter = getattr(lib, name, None)
+            if getter is not None:
+                return getter
+    return None
+
+
+def blas_threads() -> int | None:
+    """Threads numpy's BLAS may run one product on; None where it cannot
+    be asked (a BLAS other than the OpenBLAS numpy's wheel ships)."""
+    getter = _openblas_thread_count()
+    return None if getter is None else getter()
+
+
 def chunk_workers() -> int:
-    """Threads that run one recording's chunks: the CPUs this process may
-    run on."""
+    """Threads that run one recording's chunks.
+
+    The CPUs this process may run on when numpy's BLAS runs one thread,
+    else one: BLAS's own threads already spread each product over the
+    CPUs, and chunk threads on top of them slow a step down.
+    """
+    if blas_threads() != 1:
+        return 1
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity masks on this platform
         return os.cpu_count() or 1
+
+
+def train_chunk_length() -> int | None:
+    """Most samples one training chunk covers; None for whole recordings.
+
+    Chunks pay for their halo and their extra graphs only when they run
+    in parallel, so a recording is split only where there is more than
+    one chunk worker.
+    """
+    return TRAIN_CHUNK_LENGTH if chunk_workers() > 1 else None
+
+
+@contextlib.contextmanager
+def chunk_runner():
+    """A map over chunks: a pool of `chunk_workers()` threads' map, or the
+    builtin map, on the calling thread, when there is one worker."""
+    workers = chunk_workers()
+    if workers == 1:
+        yield map
+        return
+    with ThreadPoolExecutor(workers) as pool:
+        yield pool.map
 
 
 def chunk_spans(length: int, chunk_length: int) -> list[tuple[int, int]]:
@@ -329,11 +391,11 @@ def final_stage_outputs(params: ModelParams, model_config: ModelConfig,
 
     A recording runs in `halo_chunks` of at most CHUNK_LENGTH samples, so
     every kept output is exact and memory grows with the chunk, not the
-    recording.  The chunks run on `chunk_workers()` threads (numpy's BLAS
-    releases the GIL); their boundaries depend on the length alone, so
-    the result does not depend on the worker count.  Each worker records
-    no graph; nothing runs, and recording is unchanged, while the
-    generator is suspended at a yield.
+    recording.  The chunks run on `chunk_runner()` (numpy's BLAS releases
+    the GIL), a single chunk on the calling thread; their boundaries
+    depend on the length alone, so the result does not depend on the
+    worker count.  Each forward records no graph; nothing runs, and
+    recording is unchanged, while the generator is suspended at a yield.
     """
     radius = md.receptive_radius(model_config)
 
@@ -345,14 +407,14 @@ def final_stage_outputs(params: ModelParams, model_config: ModelConfig,
                       if embed else None)
         return out.probs.values[keep], embeds
 
-    for seq in sequences:
-        chunks = halo_chunks(len(seq.features), CHUNK_LENGTH, radius)
-        with ThreadPoolExecutor(min(chunk_workers(), len(chunks))) as pool:
-            parts = list(pool.map(
+    with chunk_runner() as run:
+        for seq in sequences:
+            chunks = halo_chunks(len(seq.features), CHUNK_LENGTH, radius)
+            parts = list((run if len(chunks) > 1 else map)(
                 lambda chunk: label(seq.features, *chunk[1:]), chunks))
-        probs, embeds = zip(*parts)
-        yield (np.concatenate(probs),
-               np.concatenate(embeds) if embed else None)
+            probs, embeds = zip(*parts)
+            yield (np.concatenate(probs),
+                   np.concatenate(embeds) if embed else None)
 
 
 def evaluate(params: ModelParams, model_config: ModelConfig,

@@ -179,6 +179,19 @@ class TestLoadCsvDataset:
                            match=r":3: blank or non-finite cell$"):
             dt.load_csv_dataset(p)
 
+    def test_non_finite_cell_is_named_before_a_later_bad_label(
+            self, tmp_path):
+        p = self.write(tmp_path, "ch_0,ch_1,label\n1.0,2.0,0\n3.0,inf,1\n"
+                                 "5.0,6.0,1\n7.0,8.0,-1\n")
+        with pytest.raises(ValueError,
+                           match=r":3: blank or non-finite cell$"):
+            dt.load_csv_dataset(p)
+
+    def test_finite_cells_whose_sum_overflows_load(self, tmp_path):
+        p = self.write(tmp_path, "ch_0,ch_1,label\n1e308,1e308,0\n")
+        seqs = dt.load_csv_dataset(p)
+        np.testing.assert_array_equal(seqs[0].features, [[1e308, 1e308]])
+
     def test_wrong_cell_count_names_line(self, tmp_path):
         p = self.write(tmp_path, "ch_0,label\n1.0,0\n1.0\n")
         with pytest.raises(ValueError, match=r":3:"):

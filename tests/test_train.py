@@ -1,10 +1,11 @@
 import json
+import os
 import struct
+import subprocess
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -224,7 +225,8 @@ class TestTrainEpoch:
     @pytest.mark.parametrize("contrast_weight", [0.0, 1.0])
     def test_batch_step_gets_the_mean_sequence_gradient(
             self, monkeypatch, contrast_weight):
-        monkeypatch.setattr(tr, "TRAIN_CHUNK_LENGTH", 40)   # 3 chunks each
+        monkeypatch.setattr(tr, "train_chunk_length", lambda: 40)
+        monkeypatch.setattr(tr, "chunk_workers", lambda: 2)
         state = init_train_state(small_config(num_stages=2), seed=5)
         cfg = TrainConfig(batch_size=2, temperature=0.5, k_per_class=4,
                           contrast_weight=contrast_weight)
@@ -232,7 +234,7 @@ class TestTrainEpoch:
         # the expected gradients replay train_epoch's draws on a twin rng
         rng = np.random.default_rng(8)
         per_sequence = [tr._sequence_gradients(state, data[int(idx)], cfg,
-                                               rng)[0]
+                                               rng, 40)[0]   # 3 chunks each
                         for idx in rng.permutation(len(data))]
         received = []
         monkeypatch.setattr(tr, "adam_step",
@@ -250,17 +252,18 @@ class TestTrainEpoch:
     def test_concurrent_backward_equals_serial(self, monkeypatch):
         # three training steps over the same parameters on three threads
         # at once, each running its chunks on its own workers
-        monkeypatch.setattr(tr, "TRAIN_CHUNK_LENGTH", 64)   # 4 chunks each
         monkeypatch.setattr(tr, "chunk_workers", lambda: 3)
         state = init_train_state(small_config(num_stages=2), seed=7)
         cfg = TrainConfig(temperature=0.5, k_per_class=4)
         data = make_dataset(3, length=256)
 
         def step_gradients(i, barrier=None):
-            if barrier is not None:     # start every step at once
-                barrier.wait(timeout=10)
-            return tr._sequence_gradients(state, data[i], cfg,
-                                          np.random.default_rng(i))[0]
+            with tr.chunk_runner() as run:
+                if barrier is not None:     # start every step at once
+                    barrier.wait(timeout=10)
+                return tr._sequence_gradients(     # 4 chunks each
+                    state, data[i], cfg, np.random.default_rng(i), 64,
+                    run)[0]
 
         serial = [step_gradients(i) for i in range(3)]
         barrier = threading.Barrier(3)
@@ -279,7 +282,7 @@ class TestTrainEpoch:
                     assert got[name].tobytes() == expected[name].tobytes()
 
     def test_result_does_not_depend_on_worker_count(self, monkeypatch):
-        monkeypatch.setattr(tr, "TRAIN_CHUNK_LENGTH", 20)   # 5 chunks each
+        monkeypatch.setattr(tr, "train_chunk_length", lambda: 20)  # 5 each
         results = []
         for workers in (1, 3):
             monkeypatch.setattr(tr, "chunk_workers", lambda: workers)
@@ -291,6 +294,50 @@ class TestTrainEpoch:
             results.append((stats, {n: t.values.tobytes() for n, t
                                     in state.params.named_parameters()}))
         assert results[0] == results[1]
+
+    @pytest.mark.parametrize("workers, length, on_caller", [
+        (1, 60, True),      # one worker: chunks run on the calling thread
+        (2, 60, False),
+        (2, 20, True),      # a single chunk runs on the calling thread
+    ])
+    def test_one_pool_per_epoch_and_none_without_parallel_chunks(
+            self, monkeypatch, workers, length, on_caller):
+        monkeypatch.setattr(tr, "chunk_workers", lambda: workers)
+        monkeypatch.setattr(tr, "train_chunk_length", lambda: 20)
+        pools, threads = [], set()
+        pool, forward = tr.ThreadPoolExecutor, md.mstcn_forward
+        monkeypatch.setattr(tr, "ThreadPoolExecutor",
+                            lambda n: pools.append(n) or pool(n))
+        monkeypatch.setattr(md, "mstcn_forward", lambda *args: (
+            threads.add(threading.current_thread()) or forward(*args)))
+        state = init_train_state(small_config(), seed=5)
+        train_epoch(state, make_dataset(3, length=length),
+                    TrainConfig(temperature=0.5, k_per_class=4),
+                    np.random.default_rng(0))
+        assert pools == ([] if workers == 1 else [workers])
+        assert (threads == {threading.current_thread()}) == on_caller
+
+
+class TestChunkPlan:
+    @pytest.mark.parametrize("blas, workers", [(1, 5), (2, 1), (None, 1)])
+    def test_chunk_threads_only_beside_a_single_threaded_blas(
+            self, monkeypatch, blas, workers):
+        monkeypatch.setattr(tr, "blas_threads", lambda: blas)
+        monkeypatch.setattr(tr.os, "sched_getaffinity", lambda pid: range(5),
+                            raising=False)
+        assert tr.chunk_workers() == workers
+        assert tr.train_chunk_length() == (
+            tr.TRAIN_CHUNK_LENGTH if workers > 1 else None)
+
+    def test_blas_threads_reads_the_library_setting(self):
+        if tr.blas_threads() is None:
+            pytest.skip("numpy's BLAS cannot be asked for its threads")
+        script = ("import sys; sys.path[:0] = {!r}; from tempseg import "
+                  "train; print(train.blas_threads())".format(sys.path))
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "1"
 
 
 def whole_sequence_gradients(state, seq, cfg, rng):
@@ -332,9 +379,9 @@ def test_chunked_step_equals_whole_sequence(stages, kernel, contrast, chunk,
                             k_per_class=4, include_segments=contrast[1])
     want, want_terms = whole_sequence_gradients(state, seq, train_cfg,
                                                 np.random.default_rng(0))
-    with mock.patch.object(tr, "TRAIN_CHUNK_LENGTH", chunk):
-        got, got_terms = tr._sequence_gradients(state, seq, train_cfg,
-                                                np.random.default_rng(0))
+    with ThreadPoolExecutor(2) as pool:
+        got, got_terms = tr._sequence_gradients(
+            state, seq, train_cfg, np.random.default_rng(0), chunk, pool.map)
     assert got.keys() == want.keys()
     for name in want:
         scale = np.max(np.abs(want[name]))
