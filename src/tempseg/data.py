@@ -2,10 +2,13 @@
 
 The canonical on-disk form is one CSV per recording: header
 ``ch_0,...,ch_{D-1},label[,subject]``, one sample per row at a fixed
-implicit rate.  The synthetic generator produces class-conditional
-multichannel sinusoids with noisy transitions: labels switch instantly at
-segment boundaries while features cross-fade linearly, so windows that
-straddle a boundary genuinely mix two activities.
+implicit rate.  `write_table` writes every CSV the package produces,
+datasets and the CLI's exports alike, with LF line endings; the loader
+also reads CRLF files.  The synthetic generator produces
+class-conditional multichannel sinusoids with noisy transitions: labels
+switch instantly at segment boundaries while features cross-fade
+linearly, so windows that straddle a boundary genuinely mix two
+activities.
 """
 
 import csv
@@ -133,21 +136,32 @@ def synthesize_sequence(config: SynthConfig) -> SensorSequence:
     return SensorSequence(features=features, labels=labels)
 
 
+def write_table(path, header, columns):
+    """A CSV file: one header line, then one LF-terminated line per row.
+
+    Each column is a vector, or a matrix that fills several cells per row.
+    Float columns print with %.17g, which round-trips float64; any other
+    column prints with %d.  The cells go through an object array, so an
+    integer prints exactly at any size.
+    """
+    blocks = [np.asarray(c) for c in columns]
+    blocks = [b[:, None] if b.ndim == 1 else b for b in blocks]
+    fmt = ["%.17g" if b.dtype.kind == "f" else "%d"
+           for b in blocks for _ in range(b.shape[1])]
+    table = np.hstack([b.astype(object) for b in blocks])
+    np.savetxt(path, table, fmt=fmt, delimiter=",",
+               header=",".join(header), comments="")
+
+
 def write_csv_sequence(path, sequence: SensorSequence):
     """Full-precision export in the canonical column schema."""
-    path = Path(path)
     d = sequence.features.shape[1]
     header = [f"ch_{i}" for i in range(d)] + ["label"]
+    columns = [sequence.features, sequence.labels]
     if sequence.subject_id is not None:
         header.append("subject")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row, label in zip(sequence.features, sequence.labels):
-            cells = [format(v, ".17g") for v in row] + [str(int(label))]
-            if sequence.subject_id is not None:
-                cells.append(str(sequence.subject_id))
-            writer.writerow(cells)
+        columns.append(np.full(len(sequence), sequence.subject_id))
+    write_table(path, header, columns)
 
 
 def _parse_csv_file(path: Path) -> list[SensorSequence]:

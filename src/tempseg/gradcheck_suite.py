@@ -201,7 +201,8 @@ def _build_objective_loss(cfg, params, x, labels, plans):
         projected = md.project(out.features, stage)
         sets.append((sp.sample_pool(projected, plan),
                      sp.segment_pool(projected, labels)))
-    loss, breakdown = ls.total_objective(outs, labels, sets,
+    loss, breakdown = ls.total_objective([out.logits for out in outs],
+                                         labels, sets,
                                          contrast_weight=0.5, temperature=0.5)
     return loss, breakdown
 

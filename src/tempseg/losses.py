@@ -138,26 +138,28 @@ def multilevel_contrast(samples: ContrastPool, segments: ContrastPool,
     return supervised_contrast((samples, segments), temperature, diagnostics)
 
 
-def total_objective(stage_outputs, labels, example_sets, contrast_weight: float,
+def total_objective(stage_logits: Sequence[Tensor], labels, example_sets,
+                    contrast_weight: float,
                     temperature: float) -> tuple[Tensor, LossBreakdown]:
     """Sum per-stage cross entropy plus weighted contrast.
 
-    `example_sets` supplies one (samples, segments) pair of pools per
-    stage; an empty list stands for an empty pool.  With contrast_weight 0
-    the contrast graphs are never built, so the returned loss is exactly
-    the plain cross-entropy sum.
+    `stage_logits` holds each stage's T x C logits.  `example_sets`
+    supplies one (samples, segments) pair of pools per stage; an empty
+    list stands for an empty pool.  With contrast_weight 0 the contrast
+    graphs are never built, so the returned loss is exactly the plain
+    cross-entropy sum.
     """
-    if len(example_sets) != len(stage_outputs):
+    if len(example_sets) != len(stage_logits):
         raise ValueError("need one example set per stage")
     labels = np.asarray(labels, dtype=int)
 
     ce_values, con_values, n_samples, n_segments = [], [], [], []
     skipped = 0
     total = None
-    for out, (samples, segments) in zip(stage_outputs, example_sets):
+    for logits, (samples, segments) in zip(stage_logits, example_sets):
         n_samples.append(len(samples))
         n_segments.append(len(segments))
-        ce, _ = ad.softmax_cross_entropy(out.logits, labels)
+        ce, _ = ad.softmax_cross_entropy(logits, labels)
         ce_values.append(ce.item())
         stage_term = ce
         if contrast_weight > 0:

@@ -148,27 +148,6 @@ class MetricsReport:
         }
         return json.dumps(doc, indent=2, sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text: str) -> "MetricsReport":
-        doc = json.loads(text)
-
-        def arr(values):
-            return np.array([np.nan if v is None else v for v in values],
-                            dtype=np.float64)
-
-        pc = doc["per_class"]
-        return cls(
-            confusion=np.array(doc["confusion"], dtype=np.int64),
-            precision=arr(pc["precision"]), recall=arr(pc["recall"]),
-            f1=arr(pc["f1"]), jaccard_per_class=arr(pc["jaccard"]),
-            auc_per_class=arr(pc["auc"]),
-            macro_precision=doc["macro_precision"],
-            macro_recall=doc["macro_recall"], macro_f1=doc["macro_f1"],
-            jaccard=doc["jaccard"],
-            auc_macro=(np.nan if doc["auc_macro"] is None
-                       else doc["auc_macro"]),
-        )
-
 
 def evaluate_predictions(truth, pred, probs, num_classes: int) -> MetricsReport:
     confusion = confusion_matrix(truth, pred, num_classes)

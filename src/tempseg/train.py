@@ -76,6 +76,10 @@ class TrainConfig:
     include_segments: bool = True  # drop to sample-level contrast only
 
     def __post_init__(self):
+        for name in ("learning_rate", "temperature", "contrast_weight"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got "
+                                 f"{getattr(self, name)}")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if self.epochs < 0:
@@ -201,9 +205,6 @@ def _sequence_gradients(state: TrainState, seq: SensorSequence,
     leaves = [ad.Tensor(whole([h.values for h in same]))
               for same in zip(*heads)]
     probs = [whole(same) for same in zip(*probs)]
-    # the objective reads only each stage's logits
-    outs = [md.StageOutput(features=None, logits=logits, probs=ad.Tensor(p))
-            for logits, p in zip(leaves, probs)]
     if cfg.contrast_weight > 0:
         sets = [build_example_set(
                     projected, np.argmax(p, axis=1), seq.labels, rng,
@@ -213,7 +214,7 @@ def _sequence_gradients(state: TrainState, seq: SensorSequence,
                 for projected, p in zip(leaves[n_stages:], probs)]
     else:
         sets = [([], [])] * n_stages
-    loss, breakdown = total_objective(outs, seq.labels, sets,
+    loss, breakdown = total_objective(leaves[:n_stages], seq.labels, sets,
                                       cfg.contrast_weight, cfg.temperature)
     seeds = ad.backward(ad.CompGraph.from_output(loss), loss, leaves)
 
@@ -525,11 +526,6 @@ def _read_header(path) -> tuple[int, dict, io.BytesIO]:
     if not isinstance(header, dict):
         raise ValueError("checkpoint header is not a JSON object")
     return version, header, fh
-
-
-def read_checkpoint_header(path) -> dict:
-    """Parse only the JSON header, not the tensors."""
-    return _read_header(path)[1]
 
 
 def _header_model_config(header: dict, version: int) -> ModelConfig:

@@ -74,7 +74,8 @@ def test_criterion_2_loss_identities(capsys):
     x = rng.normal(size=(40, 3))
     labels = rng.integers(0, 4, size=40)
     outs = mstcn_forward(x, params, cfg)
-    total, _ = total_objective(outs, labels, [([], [])] * 3,
+    total, _ = total_objective([o.logits for o in outs], labels,
+                               [([], [])] * 3,
                                contrast_weight=0.0, temperature=0.1)
     ce_sum = sum(ad.softmax_cross_entropy(ad.Tensor(o.logits.values),
                                           labels)[0].values for o in outs)

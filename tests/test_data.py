@@ -142,6 +142,53 @@ class TestCsvRoundTrip:
         loaded = dt.load_csv_dataset(tmp_path / "s.csv")
         assert loaded[0].subject_id == 7
 
+    def test_subject_id_beyond_float_precision_is_exact(self, tmp_path):
+        sid = 2**60 + 1    # float64 would print it as ...976
+        seq = dt.SensorSequence(np.ones((3, 2)), np.zeros(3, dtype=int),
+                                subject_id=sid)
+        dt.write_csv_sequence(tmp_path / "s.csv", seq)
+        lines = (tmp_path / "s.csv").read_text().splitlines()
+        assert lines[1] == f"1,1,0,{sid}"
+        assert dt.load_csv_dataset(tmp_path / "s.csv")[0].subject_id == sid
+
+    def test_crlf_file_loads_the_same_arrays(self, tmp_path):
+        cfg = dt.default_synth_config(num_classes=3, dim=2, total_length=50,
+                                      seed=4)
+        seq = dt.synthesize_sequence(cfg)
+        seq.subject_id = 3
+        dt.write_csv_sequence(tmp_path / "lf.csv", seq)
+        text = (tmp_path / "lf.csv").read_bytes()
+        assert b"\r" not in text
+        (tmp_path / "crlf.csv").write_bytes(text.replace(b"\n", b"\r\n"))
+        lf, crlf = (dt.load_csv_dataset(tmp_path / name)[0]
+                    for name in ("lf.csv", "crlf.csv"))
+        np.testing.assert_array_equal(crlf.features, lf.features)
+        np.testing.assert_array_equal(crlf.labels, lf.labels)
+        np.testing.assert_array_equal(crlf.features, seq.features)
+        assert crlf.subject_id == lf.subject_id == 3
+
+
+class TestWriteTable:
+    def test_golden_text(self, tmp_path):
+        path = tmp_path / "t.csv"
+        dt.write_table(path, ["i", "x", "m_0", "m_1"],
+                       [np.array([0, -7, 2**60 + 1]),
+                        np.array([-0.0, 1e300, 1 / 3]),
+                        np.array([[1 / 3, 2.0], [0.5, -1e-300],
+                                  [-0.0, 0.1]])])
+        assert path.read_bytes() == (
+            b"i,x,m_0,m_1\n"
+            b"0,-0,0.33333333333333331,2\n"
+            b"-7,1.0000000000000001e+300,0.5,-1e-300\n"
+            b"1152921504606846977,0.33333333333333331,-0,"
+            b"0.10000000000000001\n")
+
+    def test_zero_rows_write_only_the_header(self, tmp_path):
+        path = tmp_path / "t.csv"
+        dt.write_table(path, ["index", "e_0", "e_1"],
+                       [np.arange(0), np.zeros((0, 2))])
+        assert path.read_bytes() == b"index,e_0,e_1\n"
+
 
 class TestLoadCsvDataset:
     def write(self, tmp_path, text, name="d.csv"):

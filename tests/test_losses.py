@@ -249,7 +249,8 @@ class TestTotalObjective:
     def test_zero_weight_equals_plain_cross_entropy_sum(self):
         outs, sets = forward_with_examples(self.cfg, self.params, self.x,
                                            self.labels, None)
-        loss, breakdown = ls.total_objective(outs, self.labels, sets,
+        loss, breakdown = ls.total_objective([o.logits for o in outs],
+                                             self.labels, sets,
                                              contrast_weight=0.0,
                                              temperature=0.1)
         assert loss.item() == sum(breakdown.classification)
@@ -258,7 +259,8 @@ class TestTotalObjective:
     def test_breakdown_total_invariant(self):
         outs, sets = forward_with_examples(self.cfg, self.params, self.x,
                                            self.labels, None)
-        loss, breakdown = ls.total_objective(outs, self.labels, sets,
+        loss, breakdown = ls.total_objective([o.logits for o in outs],
+                                             self.labels, sets,
                                              contrast_weight=0.7,
                                              temperature=0.1)
         want = sum(c + 0.7 * k for c, k in zip(breakdown.classification,
@@ -270,17 +272,16 @@ class TestTotalObjective:
         labels = np.array([0, 1, 2, 1, 0])
         logits = np.full((5, 3), -300.0)
         logits[np.arange(5), labels] = 300.0
-        fake = [md.StageOutput(features=ad.Tensor(np.zeros((5, 2))),
-                               logits=ad.Tensor(logits),
-                               probs=ad.softmax_rows(ad.Tensor(logits)))]
-        loss, _ = ls.total_objective(fake, labels, [([], [])], 1.0, 0.1)
+        loss, _ = ls.total_objective([ad.Tensor(logits)], labels,
+                                     [([], [])], 1.0, 0.1)
         assert abs(loss.item()) < 1e-6
 
     def test_stage_count_mismatch(self):
         outs, sets = forward_with_examples(self.cfg, self.params, self.x,
                                            self.labels, None)
         with pytest.raises(ValueError, match="per stage"):
-            ls.total_objective(outs, self.labels, sets[:1], 1.0, 0.1)
+            ls.total_objective([o.logits for o in outs], self.labels,
+                               sets[:1], 1.0, 0.1)
 
     def test_gradient_passes_finite_difference_check(self):
         from tempseg.gradcheck_suite import check_full_objective

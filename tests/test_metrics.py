@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 
 import numpy as np
@@ -279,13 +280,15 @@ class TestEvaluatePredictions:
         pred = rng.integers(0, 3, size=90)
         probs = rng.dirichlet(np.ones(3), size=90)
         rep = mt.evaluate_predictions(truth, pred, probs, 3)
-        back = mt.MetricsReport.from_json(rep.to_json())
-        np.testing.assert_array_equal(back.confusion, rep.confusion)
-        np.testing.assert_array_equal(back.precision, rep.precision)
-        np.testing.assert_array_equal(back.auc_per_class, rep.auc_per_class)
-        assert back.macro_f1 == rep.macro_f1
-        assert back.jaccard == rep.jaccard
-        assert back.auc_macro == rep.auc_macro
+        back = json.loads(rep.to_json())
+        np.testing.assert_array_equal(back["confusion"], rep.confusion)
+        np.testing.assert_array_equal(back["per_class"]["precision"],
+                                      rep.precision)
+        np.testing.assert_array_equal(back["per_class"]["auc"],
+                                      rep.auc_per_class)
+        assert back["macro_f1"] == rep.macro_f1
+        assert back["jaccard"] == rep.jaccard
+        assert back["auc_macro"] == rep.auc_macro
 
     def test_scalar_range_validation(self):
         with pytest.raises(ValueError, match="outside"):

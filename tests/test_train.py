@@ -20,8 +20,7 @@ from tempseg.model import ModelConfig, init_params
 from tempseg.sampling import build_example_set
 from tempseg.train import (TrainConfig, adam_step, evaluate, fit,
                            init_train_state, load_checkpoint,
-                           read_checkpoint_header, save_checkpoint,
-                           train_epoch)
+                           save_checkpoint, train_epoch)
 
 
 def reference_adam(w0, grads, lr, b1, b2, eps):
@@ -139,7 +138,13 @@ class TestTrainConfig:
                                         dict(k_per_class=3),
                                         dict(k_per_class=0),
                                         dict(k_per_class=-2),
-                                        dict(boundary_radius=-1)])
+                                        dict(boundary_radius=-1),
+                                        dict(learning_rate=float("nan")),
+                                        dict(learning_rate=float("inf")),
+                                        dict(temperature=float("nan")),
+                                        dict(temperature=float("inf")),
+                                        dict(contrast_weight=float("nan")),
+                                        dict(contrast_weight=float("inf"))])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             TrainConfig(**kwargs)
@@ -354,8 +359,9 @@ def whole_sequence_gradients(state, seq, cfg, rng):
                 for out, stage in zip(outs, state.params.stages)]
     else:
         sets = [([], [])] * len(outs)
-    loss, breakdown = total_objective(outs, seq.labels, sets,
-                                      cfg.contrast_weight, cfg.temperature)
+    loss, breakdown = total_objective([out.logits for out in outs],
+                                      seq.labels, sets, cfg.contrast_weight,
+                                      cfg.temperature)
     grads = ad.backward(ad.CompGraph.from_output(loss), loss,
                         state.params.tensors())
     return {name: grads.get(t, np.zeros_like(t.values))
@@ -492,9 +498,9 @@ class TestFit:
         per_sequence = []
         original = tr.total_objective
 
-        def spy(outputs, labels, example_sets, *args, **kwargs):
+        def spy(logits, labels, example_sets, *args, **kwargs):
             per_sequence.append([(len(s), len(g)) for s, g in example_sets])
-            return original(outputs, labels, example_sets, *args, **kwargs)
+            return original(logits, labels, example_sets, *args, **kwargs)
 
         monkeypatch.setattr(tr, "total_objective", spy)
         state = init_train_state(small_config(num_stages=2), seed=6)
@@ -644,7 +650,7 @@ class TestCheckpoint:
         state = self.trained_state(tmp_path)
         path = tmp_path / "model.ckpt"
         save_checkpoint(state, path, metadata={"seed": 7, "note": "abc"})
-        header = read_checkpoint_header(path)
+        header = tr._read_header(path)[1]
         assert header["metadata"] == {"seed": 7, "note": "abc"}
         assert set(header) == {"model_config", "norm_mean", "norm_std",
                                "metadata"}
@@ -739,7 +745,7 @@ def test_v1_checkpoint_still_loads(tmp_path):
     np.testing.assert_array_equal(loaded.norm_stats.mean, [0.25, -1.5, 3.0])
     np.testing.assert_array_equal(loaded.norm_stats.std, [1.0, 0.5, 2.0])
 
-    metadata = read_checkpoint_header(V1_FIXTURE)["metadata"]
+    metadata = tr._read_header(V1_FIXTURE)[1]["metadata"]
     first, second = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
     save_checkpoint(loaded, first, metadata=metadata)
     save_checkpoint(load_checkpoint(first), second, metadata=metadata)
