@@ -198,6 +198,10 @@ def variant_settings(variant: int) -> dict:
 # ---------------------------------------------------------------- commands
 
 def cmd_generate(cfg: ExperimentConfig, out_dir) -> int:
+    counts = {"train": cfg.num_train, "val": cfg.num_val, "test": cfg.num_test}
+    for split, n in counts.items():
+        if n < 0:
+            raise ValueError(f"num_{split} must be >= 0, got {n}")
     out = Path(out_dir)
     base = cfg.synth_config()
     manifest = {
@@ -206,7 +210,6 @@ def cmd_generate(cfg: ExperimentConfig, out_dir) -> int:
                   for f in dataclasses.fields(base) if f.name != "seed"},
         "splits": {},
     }
-    counts = {"train": cfg.num_train, "val": cfg.num_val, "test": cfg.num_test}
     offset = 0
     rates = []
     for split, n in counts.items():

@@ -3,8 +3,13 @@
 The canonical on-disk form is one CSV per recording: header
 ``ch_0,...,ch_{D-1},label[,subject]``, one sample per row at a fixed
 implicit rate.  `write_table` writes every CSV the package produces,
-datasets and the CLI's exports alike, with LF line endings; the loader
-also reads CRLF files.  The synthetic generator produces
+datasets and the CLI's exports alike, with LF line endings, formatting
+blocks of rows at once.  The loader also reads CRLF files.  It parses
+all rows of a file with one `numpy.loadtxt` call into a structured
+array and checks the arrays; only a file that fails goes through the
+per-line error path, which names the first bad line and why.  Cells
+follow loadtxt's number grammar, not Python's: no underscores, ASCII
+digits only.  The synthetic generator produces
 class-conditional multichannel sinusoids with noisy transitions: labels
 switch instantly at segment boundaries while features cross-fade
 linearly, so windows that straddle a boundary genuinely mix two
@@ -67,6 +72,10 @@ class SynthConfig:
             raise ValueError("need 1 <= dwell_min <= dwell_max")
         if np.any(self.frequencies <= 0):
             raise ValueError("frequencies must be positive")
+        # nan passes every comparison below, and inf zeroes the time grid
+        if not (math.isfinite(self.noise_std)
+                and math.isfinite(self.sample_rate_hz)):
+            raise ValueError("noise_std and sample_rate_hz must be finite")
         if self.noise_std < 0 or self.transition_blur < 0:
             raise ValueError("noise_std and transition_blur must be >= 0")
         if self.sample_rate_hz <= 0:
@@ -136,21 +145,30 @@ def synthesize_sequence(config: SynthConfig) -> SensorSequence:
     return SensorSequence(features=features, labels=labels)
 
 
+# Rows per `%` in write_table: a block's text is held at once, the file's never.
+WRITE_BLOCK_ROWS = 4096
+
+
 def write_table(path, header, columns):
     """A CSV file: one header line, then one LF-terminated line per row.
 
     Each column is a vector, or a matrix that fills several cells per row.
     Float columns print with %.17g, which round-trips float64; any other
     column prints with %d.  The cells go through an object array, so an
-    integer prints exactly at any size.
+    integer prints exactly at any size.  Each block of WRITE_BLOCK_ROWS
+    rows is formatted by one `%` over its flattened cells.
     """
     blocks = [np.asarray(c) for c in columns]
     blocks = [b[:, None] if b.ndim == 1 else b for b in blocks]
-    fmt = ["%.17g" if b.dtype.kind == "f" else "%d"
-           for b in blocks for _ in range(b.shape[1])]
-    table = np.hstack([b.astype(object) for b in blocks])
-    np.savetxt(path, table, fmt=fmt, delimiter=",",
-               header=",".join(header), comments="")
+    row = ",".join("%.17g" if b.dtype.kind == "f" else "%d"
+                   for b in blocks for _ in range(b.shape[1])) + "\n"
+    rows = len(blocks[0])
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, rows, WRITE_BLOCK_ROWS):
+            cells = np.hstack([b[start:start + WRITE_BLOCK_ROWS].astype(object)
+                               for b in blocks])
+            fh.write(row * len(cells) % tuple(cells.ravel()))
 
 
 def write_csv_sequence(path, sequence: SensorSequence):
@@ -164,69 +182,113 @@ def write_csv_sequence(path, sequence: SensorSequence):
     write_table(path, header, columns)
 
 
-def _parse_csv_file(path: Path) -> list[SensorSequence]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
+def _parse_rows(lines: list[str], dtype: np.dtype):
+    """The rows as one structured array, or None if any row is unusable.
 
-        feature_cols = [h for h in header if h.startswith("ch_")]
-        expected = [f"ch_{i}" for i in range(len(feature_cols))]
-        rest = [h for h in header if not h.startswith("ch_")]
-        if (feature_cols != expected or not feature_cols
-                or rest not in (["label"], ["label", "subject"])):
-            raise ValueError(f"{path}: header must be ch_0..ch_(D-1),"
-                             f"label[,subject], got {header}")
-        d = len(feature_cols)
-        has_subject = rest == ["label", "subject"]
+    A usable file has one row per line (loadtxt skips blank lines, and a
+    quote left open joins two lines into one row), finite features and
+    non-negative labels.
+    """
+    if not any(lines):      # loadtxt warns on a file without rows
+        return None
+    try:
+        table = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None,
+                           quotechar='"', ndmin=1)
+    except ValueError:
+        return None
+    if (len(table) != len(lines) or not np.isfinite(table["features"]).all()
+            or (table["label"] < 0).any()):
+        return None
+    return table
 
-        rows, labels, subjects = [], [], []
+
+def _number_text(cell: str) -> str:
+    """A cell's stripped text, if loadtxt's number grammar can accept it.
+
+    Python's `float` and `int` also take underscores and non-ASCII digits;
+    loadtxt takes neither.
+    """
+    text = cell.strip()
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not a number: {cell!r}")
+    return text
+
+
+def _raise_first_bad_line(path: Path, lines: list[str], d: int,
+                          has_subject: bool):
+    """Name the first line that `_parse_rows` cannot use, and why."""
+    width = d + 2 if has_subject else d + 1
+    reader = csv.reader(lines)
+    try:
         for lineno, cells in enumerate(reader, start=2):
-            if len(cells) != len(header):
-                raise ValueError(f"{path}:{lineno}: expected {len(header)} "
+            if reader.line_num != lineno - 1:
+                raise ValueError(f"{path}:{lineno}: quoted cell runs past "
+                                 "the end of the line")
+            if len(cells) != width:
+                raise ValueError(f"{path}:{lineno}: expected {width} "
                                  f"cells, got {len(cells)}")
             # Dropping the row would splice its neighbours into one stream
             # and could fake an activity boundary, so the file is rejected.
             if any(cell.strip() == "" for cell in cells):
                 raise ValueError(f"{path}:{lineno}: blank or non-finite cell")
             try:
-                values = [float(cell) for cell in cells[:d]]
+                values = [float(_number_text(cell)) for cell in cells[:d]]
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: non-numeric feature "
                                  "cell") from None
-            # a finite sum is the cheap common case; an overflowing one
-            # falls through to the exact per-cell test
-            if (not math.isfinite(sum(values))
-                    and not all(map(math.isfinite, values))):
+            if not all(map(math.isfinite, values)):
                 raise ValueError(f"{path}:{lineno}: blank or non-finite cell")
-            try:
-                label = int(cells[d])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: label {cells[d]!r} is "
-                                 "not an integer") from None
-            if label < 0:
-                raise ValueError(f"{path}:{lineno}: negative label")
-            if has_subject:
+            for name, cell in zip(("label", "subject"), cells[d:]):
                 try:
-                    subjects.append(int(cells[d + 1]))
+                    value = int(_number_text(cell))
                 except ValueError:
-                    raise ValueError(f"{path}:{lineno}: subject "
-                                     f"{cells[d + 1]!r} is not an "
-                                     "integer") from None
-            rows.append(values)
-            labels.append(label)
+                    raise ValueError(f"{path}:{lineno}: {name} {cell!r} is "
+                                     "not an integer") from None
+                if not -2**63 <= value < 2**63:
+                    raise ValueError(f"{path}:{lineno}: {name} {cell!r} does "
+                                     "not fit in 64 bits")
+                if name == "label" and value < 0:
+                    raise ValueError(f"{path}:{lineno}: negative label")
+    except csv.Error as exc:
+        raise ValueError(f"{path}:{reader.line_num + 1}: {exc}") from None
+    # only a file without data lines gets here: the checks above reject
+    # every row that loadtxt or the array checks reject
+    raise ValueError(f"{path}: no usable rows")
 
-    if not rows:
-        raise ValueError(f"{path}: no usable rows")
-    features = np.array(rows)
-    labels = np.array(labels, dtype=np.int64)
-    if not has_subject:
+
+def _parse_csv_file(path: Path) -> list[SensorSequence]:
+    # universal newlines: CRLF and CR files split like LF ones
+    with open(path) as fh:
+        lines = fh.read().split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    if not lines:
+        raise ValueError(f"{path}: empty file")
+    try:
+        header = next(csv.reader(lines[:1]), [])
+    except csv.Error as exc:
+        raise ValueError(f"{path}:1: {exc}") from None
+    feature_cols = [h for h in header if h.startswith("ch_")]
+    expected = [f"ch_{i}" for i in range(len(feature_cols))]
+    rest = [h for h in header if not h.startswith("ch_")]
+    if (feature_cols != expected or not feature_cols
+            or rest not in (["label"], ["label", "subject"])):
+        raise ValueError(f"{path}: header must be ch_0..ch_(D-1),"
+                         f"label[,subject], got {header}")
+    d = len(feature_cols)
+    fields = [("features", np.float64, (d,))] + [(name, np.int64)
+                                                 for name in rest]
+    table = _parse_rows(lines[1:], np.dtype(fields))
+    if table is None:
+        _raise_first_bad_line(path, lines[1:], d, len(rest) == 2)
+
+    features = np.ascontiguousarray(table["features"])
+    labels = np.ascontiguousarray(table["label"])
+    if len(rest) == 1:
         return [SensorSequence(features, labels)]
-    subjects = np.array(subjects)
+    subjects = table["subject"]
     out = []
-    for sid in sorted(set(subjects.tolist())):
+    for sid in np.unique(subjects).tolist():
         mask = subjects == sid
         out.append(SensorSequence(features[mask], labels[mask],
                                   subject_id=sid))
@@ -288,6 +350,14 @@ class Window:
     is_multiclass: bool
 
 
+def _window_starts(t_total: int, size: int, stride: int) -> range:
+    if size < 1 or size > t_total:
+        raise ValueError(f"window size {size} outside [1, {t_total}]")
+    if stride < 1:
+        raise ValueError("stride must be >= 1")
+    return range(0, t_total - size + 1, stride)
+
+
 def sliding_windows(sequence: SensorSequence, size: int,
                     stride: int) -> list[Window]:
     """Fixed-size windows with majority labels.
@@ -295,13 +365,8 @@ def sliding_windows(sequence: SensorSequence, size: int,
     Majority ties go to the tied label seen latest in the window, which is
     the last sample's label whenever that label is part of the tie.
     """
-    t_total = len(sequence)
-    if size < 1 or size > t_total:
-        raise ValueError(f"window size {size} outside [1, {t_total}]")
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
     out = []
-    for start in range(0, t_total - size + 1, stride):
+    for start in _window_starts(len(sequence), size, stride):
         window_labels = sequence.labels[start:start + size]
         counts = Counter(window_labels.tolist())
         top = max(counts.values())
@@ -314,8 +379,16 @@ def sliding_windows(sequence: SensorSequence, size: int,
 
 def multiclass_window_rate(sequence: SensorSequence, size: int,
                            stride: int) -> float:
-    windows = sliding_windows(sequence, size, stride)
-    return sum(w.is_multiclass for w in windows) / len(windows)
+    """Share of `sliding_windows(sequence, size, stride)` that are multiclass.
+
+    A window holds two labels iff a label change falls inside it, that is
+    iff the running count of changes differs at its first and last sample.
+    """
+    starts = np.asarray(_window_starts(len(sequence), size, stride))
+    labels = sequence.labels
+    changes = np.concatenate([[0], np.cumsum(labels[1:] != labels[:-1])])
+    multiclass = changes[starts + size - 1] != changes[starts]
+    return int(np.count_nonzero(multiclass)) / len(starts)
 
 
 def split_sequences(sequences: list[SensorSequence], policy: str,

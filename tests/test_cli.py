@@ -143,6 +143,23 @@ class TestGenerate:
                 != (data / "train/seq_000.csv").read_bytes())
 
 
+    @pytest.mark.parametrize("key,value", [
+        ("noise_std", "nan"), ("sample_rate_hz", "inf"),
+        ("num_train", "-1"), ("num_val", "-1"), ("num_test", "-2"),
+    ])
+    def test_bad_synth_value_exits_1_without_output(self, tmp_path, capsys,
+                                                    key, value):
+        config = tmp_path / "c.cfg"
+        config.write_text(f"total_length = 50\n{key} = {value}\n")
+        out = tmp_path / "data"
+        assert main(["generate", "--config", str(config),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert key in err[0]
+        assert not out.exists()
+
+
 class TestTrain:
     def test_writes_checkpoint_and_full_log(self, trained):
         config, data, out = trained
@@ -310,6 +327,30 @@ class TestPredict:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert "rec.csv:6: blank or non-finite cell" in err
+
+
+    @pytest.mark.parametrize("column,cell", [
+        ("label", "9223372036854775808"),
+        ("subject", "99999999999999999999999"),
+    ])
+    def test_integer_beyond_int64_is_a_one_line_error(
+            self, trained, tmp_path, capsys, column, cell):
+        config, data, run = trained
+        src = sorted((data / "test").glob("*.csv"))[0]
+        lines = [line + ",4" for line in src.read_text().splitlines()]
+        lines[0] = lines[0].replace(",4", ",subject")
+        cells = lines[5].split(",")
+        cells[{"label": -2, "subject": -1}[column]] = cell
+        lines[5] = ",".join(cells)
+        recordings = tmp_path / "recordings"
+        recordings.mkdir()
+        (recordings / "rec.csv").write_text("\n".join(lines) + "\n")
+        code = main(["predict", str(run / "model.ckpt"), str(recordings),
+                     "--out", str(tmp_path / "pred")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"rec.csv:6: {column} '{cell}' does not fit in 64 bits" in err
 
 
 class TestGradcheck:

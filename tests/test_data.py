@@ -1,4 +1,8 @@
 
+import re
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -168,6 +172,31 @@ class TestCsvRoundTrip:
         assert crlf.subject_id == lf.subject_id == 3
 
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 4), rows=st.integers(1, 12),
+           subject=st.none() | st.integers(-2**62, 2**62))
+    def test_round_trip_is_bitwise_over_extreme_values(self, data, dim, rows,
+                                                       subject):
+        value = (st.floats(allow_nan=False, allow_infinity=False)
+                 | st.sampled_from([-0.0, 5e-324, -2.5e-310, 1e308, -1e308]))
+        features = np.array(data.draw(st.lists(
+            st.lists(value, min_size=dim, max_size=dim),
+            min_size=rows, max_size=rows)))
+        labels = np.array(data.draw(st.lists(
+            st.integers(0, 2**63 - 1), min_size=rows, max_size=rows)))
+        seq = dt.SensorSequence(features, labels, subject_id=subject)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "r.csv"
+            dt.write_csv_sequence(path, seq)
+            [loaded] = dt.load_csv_dataset(path)
+        assert loaded.features.shape == features.shape
+        np.testing.assert_array_equal(loaded.features.view(np.int64),
+                                      features.view(np.int64))
+        np.testing.assert_array_equal(loaded.labels, labels)
+        assert loaded.labels.dtype == np.int64
+        assert loaded.subject_id == subject
+
+
 class TestWriteTable:
     def test_golden_text(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -278,6 +307,117 @@ class TestLoadCsvDataset:
             dt.load_csv_dataset(p, expected_dim=3)
 
 
+    def test_blank_line_is_rejected_not_skipped(self, tmp_path):
+        p = self.write(tmp_path, "ch_0,label\n1.0,0\n\n2.0,1\n")
+        with pytest.raises(ValueError, match=r":3: expected 2 cells, got 0$"):
+            dt.load_csv_dataset(p)
+
+    def test_comment_line_is_rejected(self, tmp_path):
+        p = self.write(tmp_path, "ch_0,label\n1.0,0\n#2.0,1\n")
+        with pytest.raises(ValueError, match=r":3: non-numeric feature cell$"):
+            dt.load_csv_dataset(p)
+
+    def test_quoted_and_padded_cells_load(self, tmp_path):
+        p = self.write(tmp_path, 'ch_0,ch_1,label,subject\n'
+                                 '"1.5", 2.5 ,"0", 7\n 1.5 ,-2,+1 ,"7"\n')
+        [seq] = dt.load_csv_dataset(p)
+        np.testing.assert_array_equal(seq.features, [[1.5, 2.5], [1.5, -2]])
+        np.testing.assert_array_equal(seq.labels, [0, 1])
+        assert seq.subject_id == 7
+
+    def test_float_label_is_not_an_integer(self, tmp_path):
+        p = self.write(tmp_path, "ch_0,label\n1.0,0\n2.0,1.0\n")
+        with pytest.raises(ValueError,
+                           match=r":3: label '1.0' is not an integer$"):
+            dt.load_csv_dataset(p)
+
+    def test_file_without_final_newline_loads(self, tmp_path):
+        p = self.write(tmp_path, "ch_0,label\n1.0,0\n2.0,1")
+        [seq] = dt.load_csv_dataset(p)
+        np.testing.assert_array_equal(seq.features[:, 0], [1.0, 2.0])
+
+    def test_header_only_file_has_no_usable_rows(self, tmp_path):
+        p = self.write(tmp_path, "ch_0,label\n")
+        with pytest.raises(ValueError, match=r"d\.csv: no usable rows$"):
+            dt.load_csv_dataset(p)
+
+    @pytest.mark.parametrize("column,cell", [
+        ("label", "9223372036854775808"),
+        ("label", "-9223372036854775809"),
+        ("subject", "99999999999999999999999"),
+    ])
+    def test_integer_beyond_int64_names_line(self, tmp_path, column, cell):
+        row = {"label": f"1.0,{cell},3", "subject": f"1.0,0,{cell}"}[column]
+        p = self.write(tmp_path, f"ch_0,label,subject\n1.0,0,3\n{row}\n")
+        with pytest.raises(ValueError, match=rf":3: {column} '{cell}' does "
+                                             "not fit in 64 bits$"):
+            dt.load_csv_dataset(p)
+
+    def test_int64_extremes_load(self, tmp_path):
+        p = self.write(tmp_path, "ch_0,label,subject\n"
+                       f"1.0,{2**63 - 1},{-2**63}\n")
+        [seq] = dt.load_csv_dataset(p)
+        assert seq.labels[0] == 2**63 - 1 and seq.subject_id == -2**63
+
+    # Python's float and int accept these; the array parser does not, and
+    # the error names the same cells it rejects.
+    @pytest.mark.parametrize("row,message", [
+        ("1_000,0", "non-numeric feature cell"),
+        ("\u0661,0", "non-numeric feature cell"),
+        ("1.0,1_0", "label '1_0' is not an integer"),
+        ("1.0,\u0661", "label '\u0661' is not an integer"),
+    ])
+    def test_cells_outside_the_array_grammar_are_rejected(self, tmp_path,
+                                                          row, message):
+        p = self.write(tmp_path, f"ch_0,label\n1.0,0\n{row}\n")
+        with pytest.raises(ValueError, match=f":3: {message}$"):
+            dt.load_csv_dataset(p)
+
+    def test_quote_open_across_lines_is_rejected(self, tmp_path):
+        p = self.write(tmp_path, 'ch_0,label\n1.0,0\n"2.0\n",1\n')
+        with pytest.raises(ValueError, match=":3: quoted cell runs past"):
+            dt.load_csv_dataset(p)
+
+    @pytest.mark.parametrize("text,lineno", [
+        (f"ch_0,label\n1.0,0\n{'x' * 200000},1\n", 3),
+        (f"ch_0,label{'x' * 200000}\n1.0,0\n", 1),
+    ])
+    def test_cell_too_long_for_the_row_reader_names_line(self, tmp_path,
+                                                          text, lineno):
+        p = self.write(tmp_path, text)
+        with pytest.raises(ValueError, match=rf":{lineno}: field larger"):
+            dt.load_csv_dataset(p)
+
+    # Lines built from number characters, separators, quotes and spaces.
+    LINE = st.text(alphabet='019.-+e_,"\t x\u0661', max_size=12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(lines=st.lists(LINE, min_size=1, max_size=4))
+    def test_every_rejection_names_a_line(self, lines):
+        with tempfile.TemporaryDirectory() as tmp:
+            p = Path(tmp) / "d.csv"
+            p.write_text("ch_0,ch_1,label\n" + "\n".join(lines) + "\n")
+            try:
+                [seq] = dt.load_csv_dataset(p)
+            except ValueError as exc:
+                match = re.match(rf"{re.escape(str(p))}:(\d+): ", str(exc))
+                assert match, str(exc)
+                bad = int(match.group(1)) - 2
+            else:
+                assert len(seq) == len(lines)
+                return
+            if any('"' in line for line in lines):
+                return      # an open quote joins lines: no per-line oracle
+            # the named line is the first that fails on its own
+            for i, line in enumerate(lines[:bad + 1]):
+                p.write_text("ch_0,ch_1,label\n" + line + "\n")
+                try:
+                    dt.load_csv_dataset(p)
+                    assert i < bad
+                except ValueError:
+                    assert i == bad
+
+
 class TestNormalizeFeatures:
     def test_z_score_definition(self):
         feats = np.array([[3.0], [5.0], [7.0]])
@@ -380,6 +520,24 @@ class TestMulticlassWindowRate:
                  for s in range(1, len(labels) + 1)]
         for a, b in zip(rates[:-1], rates[1:]):
             assert b >= a - 1e-15
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(labels=st.lists(st.integers(0, 3), min_size=1, max_size=40),
+           size=st.integers(1, 40), stride=st.integers(1, 9))
+    def test_equals_the_share_of_multiclass_sliding_windows(
+            self, labels, size, stride):
+        seq = tiny_sequence(labels)
+        size = min(size, len(labels))
+        windows = dt.sliding_windows(seq, size, stride)
+        assert (dt.multiclass_window_rate(seq, size, stride)
+                == sum(w.is_multiclass for w in windows) / len(windows))
+
+    @pytest.mark.parametrize("size,stride", [(0, 1), (3, 1), (1, 0)])
+    def test_bad_window_rejected_like_sliding_windows(self, size, stride):
+        seq = tiny_sequence([0, 1])
+        with pytest.raises(ValueError, match="size|stride"):
+            dt.multiclass_window_rate(seq, size, stride)
 
 
 class TestSplitSequences:
