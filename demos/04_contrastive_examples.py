@@ -12,9 +12,9 @@ of unit-norm embedding rows plus one class label per row.
 import numpy as np
 
 from tempseg import (ModelConfig, build_example_set, default_synth_config,
-                     find_boundaries, init_params, multilevel_contrast,
-                     mstcn_forward, project, select_hard_examples,
-                     supervised_contrast, synthesize_sequence)
+                     find_boundaries, init_params, mstcn_forward, project,
+                     select_hard_examples, supervised_contrast,
+                     synthesize_sequence)
 
 config = default_synth_config(num_classes=3, dim=4, total_length=400,
                               dwell_min=40, dwell_max=90)
@@ -55,7 +55,7 @@ print(f"\nexample set: {len(samples)} sample-level rows "
       f"{segments.embeddings.shape}")
 
 sample_only = supervised_contrast([samples], temperature=0.1)
-both = multilevel_contrast(samples, segments, temperature=0.1)
+both = supervised_contrast([samples, segments], temperature=0.1)
 print(f"contrastive loss, samples only:       {sample_only.values:.4f}")
 print(f"contrastive loss, samples + segments: {both.values:.4f}")
 print("\nsegment embeddings act as extra positives: same-class samples"

@@ -13,8 +13,7 @@ from .data import (NormStats, SensorSequence, SynthConfig,
                    sliding_windows, split_sequences, synthesize_sequence,
                    write_csv_sequence)
 from .losses import (ContrastPool, LossBreakdown, info_nce,
-                     multilevel_contrast, supervised_contrast,
-                     total_objective)
+                     supervised_contrast, total_objective)
 from .metrics import MetricsReport, evaluate_predictions
 from .model import (ModelConfig, ModelParams, StageOutput, init_params,
                     mstcn_forward, predict_labels, project)
@@ -33,8 +32,8 @@ __all__ = [
     "load_csv_dataset", "multiclass_window_rate", "normalize_features",
     "sliding_windows", "split_sequences", "synthesize_sequence",
     "write_csv_sequence",
-    "ContrastPool", "LossBreakdown", "info_nce", "multilevel_contrast",
-    "supervised_contrast", "total_objective",
+    "ContrastPool", "LossBreakdown", "info_nce", "supervised_contrast",
+    "total_objective",
     "MetricsReport", "evaluate_predictions",
     "ModelConfig", "ModelParams", "StageOutput", "init_params",
     "mstcn_forward", "predict_labels", "project",

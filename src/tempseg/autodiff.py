@@ -4,15 +4,15 @@ The op set is deliberately small: exactly what a multi-stage temporal
 convolutional model with a contrastive head needs. Every operation records
 its inputs and a vector-Jacobian closure on the output tensor, so a backward
 pass is a single reverse walk over a topologically ordered graph. There is
-no broadcasting engine beyond the few structured cases the model uses
-(scalars against arrays, biases inside conv1d_dilated).
+no broadcasting: ``add`` and ``mul`` take operands of one shape, and the
+only other structured case is the bias inside conv1d_dilated.
 
-Contracts are matrix-only: apart from the scalar operand of the
-elementwise ops and the scalar result of ``tsum`` and
-``softmax_cross_entropy``, every op takes and returns 2-D arrays, with no
-vector forms.  Row sets are handled whole: ``row`` gathers an index
-array of rows, ``mean_rows`` pools R row ranges into R rows, and
-``stack_rows`` joins matrices, one graph node each.
+Contracts are matrix-only: every op takes and returns 2-D arrays, with no
+vector forms, except that ``tsum`` and ``softmax_cross_entropy`` return
+scalars, which ``scale`` and ``add`` combine into a loss.  Row sets are
+handled whole: ``row`` gathers an index array of rows, ``mean_rows``
+pools R row ranges into R rows, and ``stack_rows`` joins matrices, one
+graph node each.
 
 Inside ``with no_grad():`` the same ops record nothing: each output is a
 leaf, so a forward pass keeps no intermediate array alive.  The switch is
@@ -121,9 +121,9 @@ def _as_tensor(x) -> Tensor:
 
 
 class CompGraph:
-    """Topologically ordered record of the operations behind one output.
+    """Topologically ordered record of the operations behind some outputs.
 
-    ``nodes`` lists every tensor reachable backwards from the output, with
+    ``nodes`` lists every tensor reachable backwards from the outputs, with
     each node's parents appearing before it. A backward traversal therefore
     visits every node exactly once.
     """
@@ -132,10 +132,10 @@ class CompGraph:
         self.nodes = nodes
 
     @classmethod
-    def from_output(cls, output: Tensor) -> "CompGraph":
+    def from_output(cls, *outputs: Tensor) -> "CompGraph":
         order: list = []
         seen = set()
-        stack = [(output, False)]
+        stack = [(output, False) for output in outputs]
         while stack:
             node, expanded = stack.pop()
             if expanded:
@@ -151,24 +151,29 @@ class CompGraph:
         return cls(order)
 
 
-def backward(graph: CompGraph, loss: Tensor, wrt: Sequence[Tensor]) -> dict:
-    """Gradients of the scalar ``loss`` (shape ``()``) by reverse walk.
+def backward(cotangents: dict, wrt: Sequence[Tensor]) -> dict:
+    """Gradients for ``wrt`` of outputs seeded with their cotangents.
 
-    Returns a dict mapping every tensor of ``wrt`` that ``loss`` reaches
-    to its gradient; a tensor the loss does not reach has no entry.  Any
-    other node's gradient is dropped as soon as its vjp has used it, so
-    the walk holds only the gradients still waiting for their node.
-    Contributions are summed out of place (``prev + g``), and the first
-    one is stored as the vjp returned it, so an entry may be a view of
-    another node's gradient (``add`` passes ``g`` to both parents,
-    ``stack_rows`` slices it).  No stored gradient is ever written to.
+    ``cotangents`` maps each output to the gradient fed in at it, an array
+    of the output's shape; ``{loss: 1.0}`` differentiates a scalar loss.
+    One reverse walk over the graph of all the outputs returns a dict
+    mapping every tensor of ``wrt`` they reach to its gradient; a tensor
+    they do not reach has no entry.  Any other node's gradient is dropped
+    as soon as its vjp has used it.  Contributions are summed out of place
+    (``prev + g``), and the first one is stored as given, so an entry may
+    be a cotangent or a view of another node's gradient (``add`` passes
+    ``g`` to both parents, ``stack_rows`` slices it).  No stored gradient
+    and no cotangent is ever written to.
     """
-    if loss.shape != ():
-        raise ValueError(f"backward expects a scalar loss, got shape {loss.shape}")
+    pending = {out: np.asarray(c, dtype=np.float64)
+               for out, c in cotangents.items()}
+    for out, c in pending.items():
+        if c.shape != out.shape:
+            raise ValueError(f"cotangent of shape {c.shape} for an output "
+                             f"of shape {out.shape}")
     wanted = set(wrt)
-    pending = {loss: np.ones((), dtype=np.float64)}
     grads = {}
-    for node in reversed(graph.nodes):
+    for node in reversed(CompGraph.from_output(*cotangents).nodes):
         g = pending.pop(node, None)
         if g is None:
             continue
@@ -262,33 +267,29 @@ def relu(x: Tensor) -> Tensor:
     return Tensor(out, (x,), vjp, "relu")
 
 
-def _binary_shapes(a: Tensor, b: Tensor, op: str) -> None:
-    # Same shape, or either side a scalar; nothing fancier is supported.
-    if a.shape != b.shape and a.shape != () and b.shape != ():
+def _same_shapes(a: Tensor, b: Tensor, op: str) -> None:
+    if a.shape != b.shape:
         raise ValueError(f"{op}: shapes {a.shape} and {b.shape} do not conform")
 
 
-def _reduce_to(g: np.ndarray, shape: tuple) -> np.ndarray:
-    return g.sum() if shape == () and np.ndim(g) > 0 else g
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise sum of two tensors of one shape."""
     a, b = _as_tensor(a), _as_tensor(b)
-    _binary_shapes(a, b, "add")
+    _same_shapes(a, b, "add")
 
     def vjp(g):
-        return _reduce_to(g, a.shape), _reduce_to(g, b.shape)
+        return g, g
 
     return Tensor(a.values + b.values, (a, b), vjp, "add")
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product (same shapes, or one scalar operand)."""
+    """Elementwise product of two tensors of one shape."""
     a, b = _as_tensor(a), _as_tensor(b)
-    _binary_shapes(a, b, "mul")
+    _same_shapes(a, b, "mul")
 
     def vjp(g):
-        return _reduce_to(g * b.values, a.shape), _reduce_to(g * a.values, b.shape)
+        return g * b.values, g * a.values
 
     return Tensor(a.values * b.values, (a, b), vjp, "mul")
 
@@ -464,13 +465,12 @@ def softmax_rows(x: Tensor) -> Tensor:
     return Tensor(out, (x,), vjp, "softmax_rows")
 
 
-def softmax_cross_entropy(logits: Tensor, labels) -> tuple:
+def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     """Mean per-sample cross-entropy of T x C logits against integer labels.
 
-    Returns ``(loss, probs)`` where ``loss`` is a scalar tensor on the graph
-    and ``probs`` is the plain T x C softmax array (rows sum to 1). The mean
-    over T keeps the loss scale independent of sequence length. Computed via
-    the max-subtracted log-sum-exp, so huge logits stay finite.
+    Returns the loss as a scalar tensor on the graph. The mean over T keeps
+    the loss scale independent of sequence length. Computed via the
+    max-subtracted log-sum-exp, so huge logits stay finite.
     """
     logits = _as_tensor(logits)
     if logits.ndim != 2:
@@ -495,7 +495,7 @@ def softmax_cross_entropy(logits: Tensor, labels) -> tuple:
         gl[np.arange(t_len), labels] -= 1.0
         return (gl * (g / t_len),)
 
-    return Tensor(loss_val, (logits,), vjp, "softmax_cross_entropy"), probs
+    return Tensor(loss_val, (logits,), vjp, "softmax_cross_entropy")
 
 
 def grad_check(f, params: Sequence[Tensor], eps: float = 1e-3) -> float:
@@ -513,7 +513,7 @@ def grad_check(f, params: Sequence[Tensor], eps: float = 1e-3) -> float:
     out = f(params)
     if out.shape != ():
         raise ValueError(f"grad_check expects a scalar-valued f, got shape {out.shape}")
-    grads = backward(CompGraph.from_output(out), out, params)
+    grads = backward({out: 1.0}, params)
     analytic = [grads.get(p, np.zeros_like(p.values)) for p in params]
 
     worst = 0.0

@@ -74,36 +74,38 @@ class ExperimentConfig:
 
     Each field is one config key with its default, parser and help text.
     This table is the documentation of record for the config file format.
+    A key named after a ModelConfig, TrainConfig or SynthConfig field
+    takes that field's default.
     """
     # model
     input_dim: int | None = _key(None, _parse_auto_int, "feature channels; auto = infer from data")
     num_classes: int | None = _key(None, _parse_auto_int, "label count; auto = infer from data")
-    num_stages: int = _key(2, int, "refinement stages")
-    layers_per_stage: int = _key(6, int, "dilated blocks per stage")
-    hidden_channels: int = _key(32, int, "feature width inside a stage")
-    projection_dim: int = _key(16, int, "contrastive embedding width")
-    kernel_size: int = _key(3, int, "dilated conv kernel width (odd)")
+    num_stages: int = _key(md.ModelConfig.num_stages, int, "refinement stages")
+    layers_per_stage: int = _key(md.ModelConfig.layers_per_stage, int, "dilated blocks per stage")
+    hidden_channels: int = _key(md.ModelConfig.hidden_channels, int, "feature width inside a stage")
+    projection_dim: int = _key(md.ModelConfig.projection_dim, int, "contrastive embedding width")
+    kernel_size: int = _key(md.ModelConfig.kernel_size, int, "dilated conv kernel width (odd)")
     # objective
-    temperature: float = _key(0.1, float, "contrastive similarity temperature")
-    contrast_weight: float = _key(1.0, float, "contrastive term weight (0 disables)")
+    temperature: float = _key(tr.TrainConfig.temperature, float, "contrastive similarity temperature")
+    contrast_weight: float = _key(tr.TrainConfig.contrast_weight, float, "contrastive term weight (0 disables)")
     # optimization
-    epochs: int = _key(30, int, "training epochs")
-    learning_rate: float = _key(0.001, float, "optimizer step size")
-    batch_size: int = _key(32, int, "sequences per optimizer step")
-    k_per_class: int = _key(16, int, "hard examples kept per class")
-    boundary_radius: int = _key(2, int, "half-width of the boundary zone")
-    include_segments: bool = _key(True, _parse_bool, "add segment-level contrast examples")
-    seed: int = _key(0, int, "master seed (init, shuffling, synthesis)")
+    epochs: int = _key(tr.TrainConfig.epochs, int, "training epochs")
+    learning_rate: float = _key(tr.TrainConfig.learning_rate, float, "optimizer step size")
+    batch_size: int = _key(tr.TrainConfig.batch_size, int, "sequences per optimizer step")
+    k_per_class: int = _key(tr.TrainConfig.k_per_class, int, "hard examples kept per class")
+    boundary_radius: int = _key(tr.TrainConfig.boundary_radius, int, "half-width of the boundary zone")
+    include_segments: bool = _key(tr.TrainConfig.include_segments, _parse_bool, "add segment-level contrast examples")
+    seed: int = _key(tr.TrainConfig.seed, int, "master seed (init, shuffling, synthesis)")
     # synthetic data
     synth_classes: int = _key(5, int, "classes in generated data")
     synth_dim: int = _key(6, int, "channels in generated data")
     signal_seed: int = _key(7, int, "seed for the per-class signal banks")
-    noise_std: float = _key(0.3, float, "additive noise level")
-    dwell_min: int = _key(100, int, "shortest run length")
-    dwell_max: int = _key(300, int, "longest run length")
-    transition_blur: int = _key(5, int, "cross-fade half-width at boundaries")
-    total_length: int = _key(2000, int, "samples per generated sequence")
-    sample_rate_hz: float = _key(50.0, float, "sampling rate of the time grid")
+    noise_std: float = _key(dt.SynthConfig.noise_std, float, "additive noise level")
+    dwell_min: int = _key(dt.SynthConfig.dwell_min, int, "shortest run length")
+    dwell_max: int = _key(dt.SynthConfig.dwell_max, int, "longest run length")
+    transition_blur: int = _key(dt.SynthConfig.transition_blur, int, "cross-fade half-width at boundaries")
+    total_length: int = _key(dt.SynthConfig.total_length, int, "samples per generated sequence")
+    sample_rate_hz: float = _key(dt.SynthConfig.sample_rate_hz, float, "sampling rate of the time grid")
     num_train: int = _key(10, int, "generated training sequences")
     num_val: int = _key(2, int, "generated validation sequences")
     num_test: int = _key(2, int, "generated test sequences")

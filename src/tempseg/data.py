@@ -219,6 +219,9 @@ def _raise_first_bad_line(path: Path, lines: list[str], d: int,
     """Name the first line that `_parse_rows` cannot use, and why."""
     width = d + 2 if has_subject else d + 1
     reader = csv.reader(lines)
+    # loadtxt has no field limit: lift the reader's (131072 by default) to
+    # the length of the whole text while it reads
+    caller_limit = csv.field_size_limit(sum(map(len, lines)) + len(lines))
     try:
         for lineno, cells in enumerate(reader, start=2):
             if reader.line_num != lineno - 1:
@@ -251,6 +254,8 @@ def _raise_first_bad_line(path: Path, lines: list[str], d: int,
                     raise ValueError(f"{path}:{lineno}: negative label")
     except csv.Error as exc:
         raise ValueError(f"{path}:{reader.line_num + 1}: {exc}") from None
+    finally:
+        csv.field_size_limit(caller_limit)
     # only a file without data lines gets here: the checks above reject
     # every row that loadtxt or the array checks reject
     raise ValueError(f"{path}: no usable rows")

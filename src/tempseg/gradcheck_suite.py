@@ -42,17 +42,17 @@ def check_relu(rng) -> float:
 def check_add(rng) -> float:
     x = ad.Tensor(rng.normal(size=(4, 3)))
     y = ad.Tensor(rng.normal(size=(4, 3)))
-    s = ad.Tensor(rng.normal())
+    z = ad.Tensor(rng.normal(size=(4, 3)))
     return ad.grad_check(
-        lambda p: ad.tsum(ad.add(ad.add(p[0], p[1]), p[2])), [x, y, s], eps=EPS)
+        lambda p: ad.tsum(ad.add(ad.add(p[0], p[1]), p[2])), [x, y, z], eps=EPS)
 
 
 def check_mul(rng) -> float:
     x = ad.Tensor(rng.normal(size=(4, 3)))
     y = ad.Tensor(rng.normal(size=(4, 3)))
-    s = ad.Tensor(rng.normal())
+    z = ad.Tensor(rng.normal(size=(4, 3)))
     return ad.grad_check(
-        lambda p: ad.tsum(ad.mul(ad.mul(p[0], p[1]), p[2])), [x, y, s], eps=EPS)
+        lambda p: ad.tsum(ad.mul(ad.mul(p[0], p[1]), p[2])), [x, y, z], eps=EPS)
 
 
 def check_matmul(rng) -> float:
@@ -157,7 +157,7 @@ def check_softmax_cross_entropy(rng) -> float:
     labels = rng.integers(0, 3, size=10)
     logits = ad.Tensor(rng.normal(size=(10, 3)))
     return ad.grad_check(
-        lambda p: ad.softmax_cross_entropy(p[0], labels)[0], [logits], eps=EPS)
+        lambda p: ad.softmax_cross_entropy(p[0], labels), [logits], eps=EPS)
 
 
 def _graph_kink_margins(loss: ad.Tensor) -> tuple[float, float]:
@@ -169,10 +169,9 @@ def _graph_kink_margins(loss: ad.Tensor) -> tuple[float, float]:
     pre-normalization norm.  Entries with zero output-gradient cannot move
     the loss, so they are ignored.
     """
-    graph = ad.CompGraph.from_output(loss)
-    kinks = [node for node in graph.nodes
+    kinks = [node for node in ad.CompGraph.from_output(loss).nodes
              if node._op in ("relu", "l2_normalize") and node._parents]
-    grads = ad.backward(graph, loss, kinks)
+    grads = ad.backward({loss: 1.0}, kinks)
     relu_margin = np.inf
     norm_margin = np.inf
     for node in kinks:

@@ -131,13 +131,6 @@ def supervised_contrast(pools: Sequence[ContrastPool], temperature: float,
     return ad.tsum(ad.mul(pair_losses, Tensor(weights)))
 
 
-def multilevel_contrast(samples: ContrastPool, segments: ContrastPool,
-                        temperature: float,
-                        diagnostics: dict | None = None) -> Tensor:
-    """Contrast over the union of the sample and segment pools."""
-    return supervised_contrast((samples, segments), temperature, diagnostics)
-
-
 def total_objective(stage_logits: Sequence[Tensor], labels, example_sets,
                     contrast_weight: float,
                     temperature: float) -> tuple[Tensor, LossBreakdown]:
@@ -159,12 +152,13 @@ def total_objective(stage_logits: Sequence[Tensor], labels, example_sets,
     for logits, (samples, segments) in zip(stage_logits, example_sets):
         n_samples.append(len(samples))
         n_segments.append(len(segments))
-        ce, _ = ad.softmax_cross_entropy(logits, labels)
+        ce = ad.softmax_cross_entropy(logits, labels)
         ce_values.append(ce.item())
         stage_term = ce
         if contrast_weight > 0:
             diag: dict = {}
-            con = multilevel_contrast(samples, segments, temperature, diag)
+            con = supervised_contrast((samples, segments), temperature,
+                                      diag)
             skipped += diag.get("skipped_anchors", 0)
             con_values.append(con.item())
             stage_term = ad.add(stage_term, ad.scale(con, contrast_weight))

@@ -123,9 +123,10 @@ def init_train_state(model_config: ModelConfig, seed: int) -> TrainState:
 
 
 def adam_step(state: TrainState, gradients: dict[str, np.ndarray],
-              lr: float, betas: tuple[float, float], eps: float) -> TrainState:
-    """Bias-corrected adaptive-moment update, in place on state.params."""
-    b1, b2 = betas
+              lr: float) -> TrainState:
+    """Bias-corrected adaptive-moment update, in place on state.params,
+    with ADAM_BETAS and ADAM_EPSILON."""
+    b1, b2 = ADAM_BETAS
     state.step += 1
     t = state.step
     for name, tensor in state.params.named_parameters():
@@ -136,7 +137,7 @@ def adam_step(state: TrainState, gradients: dict[str, np.ndarray],
         state.v[name] = b2 * state.v[name] + (1 - b2) * g * g
         m_hat = state.m[name] / (1 - b1 ** t)
         v_hat = state.v[name] / (1 - b2 ** t)
-        tensor.values -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        tensor.values -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
     return state
 
 
@@ -168,24 +169,21 @@ def _sequence_gradients(state: TrainState, seq: SensorSequence,
       tensors that cover the whole recording, so example selection,
       segment pooling and the objective see it whole, and the small loss
       graph on those leaves is differentiated here;
-    - each worker backpropagates its chunk graph, seeded with its rows of
-      the leaf gradients and zeros on its halo, as the gradient of
-      sum(head * seed).
+    - each worker backpropagates its chunk graph from all its heads at
+      once, each head's cotangent holding its rows of the leaf gradient
+      and zeros on its halo.
 
     A chunk's kept outputs are the same functions of the parameters as in
     a whole-sequence forward, so the gradients equal the whole-sequence
     ones up to rounding.  They are summed in chunk order, and the chunks
     depend on the length and `chunk_length` alone, so the result does not
-    depend on `run`.  A single chunk runs on the calling thread.  A
-    parameter no graph reaches gets zeros.
+    depend on `run`.  A parameter no graph reaches gets zeros.
     """
     params, config = state.params, state.model_config
     n_stages = config.num_stages
     length = len(seq.features)
     chunks = halo_chunks(length, chunk_length or max(1, length),
                          md.receptive_radius(config))
-    if len(chunks) == 1:
-        run = map
 
     def forward(chunk):
         _, read, _ = chunk
@@ -216,19 +214,17 @@ def _sequence_gradients(state: TrainState, seq: SensorSequence,
         sets = [([], [])] * n_stages
     loss, breakdown = total_objective(leaves[:n_stages], seq.labels, sets,
                                       cfg.contrast_weight, cfg.temperature)
-    seeds = ad.backward(ad.CompGraph.from_output(loss), loss, leaves)
+    leaf_grads = ad.backward({loss: 1.0}, leaves)
 
     def backward(chunk_heads, chunk):
         rows, _, keep = chunk
-        terms = []
+        cotangents = {}
         for head, leaf in zip(chunk_heads, leaves):
-            if leaf in seeds:
-                seed = np.zeros_like(head.values)
-                seed[keep] = seeds[leaf][rows]
-                terms.append(ad.tsum(ad.mul(head, ad.Tensor(seed))))
-        surrogate = functools.reduce(ad.add, terms)
-        return ad.backward(ad.CompGraph.from_output(surrogate), surrogate,
-                           params.tensors())
+            if leaf in leaf_grads:
+                cotangent = np.zeros_like(head.values)
+                cotangent[keep] = leaf_grads[leaf][rows]
+                cotangents[head] = cotangent
+        return ad.backward(cotangents, params.tensors())
 
     parts = list(run(backward, heads, chunks))
     grads = {}
@@ -292,7 +288,7 @@ def train_epoch(state: TrainState, sequences: list[SensorSequence],
 def _apply_accumulated(state: TrainState, cfg: TrainConfig,
                        summed: dict[str, np.ndarray], count: int):
     gradients = {name: g / count for name, g in summed.items()}
-    adam_step(state, gradients, cfg.learning_rate, ADAM_BETAS, ADAM_EPSILON)
+    adam_step(state, gradients, cfg.learning_rate)
 
 
 @functools.cache
@@ -347,14 +343,16 @@ def train_chunk_length() -> int | None:
 
 @contextlib.contextmanager
 def chunk_runner():
-    """A map over chunks: a pool of `chunk_workers()` threads' map, or the
-    builtin map, on the calling thread, when there is one worker."""
+    """A map over sequences of chunks: on a pool of `chunk_workers()`
+    threads, but on the calling thread for a lone chunk or where there
+    is one worker (then no pool is made)."""
     workers = chunk_workers()
     if workers == 1:
         yield map
         return
     with ThreadPoolExecutor(workers) as pool:
-        yield pool.map
+        yield lambda fn, *chunks: (pool.map if len(chunks[0]) > 1
+                                   else map)(fn, *chunks)
 
 
 def chunk_spans(length: int, chunk_length: int) -> list[tuple[int, int]]:
@@ -393,10 +391,10 @@ def final_stage_outputs(params: ModelParams, model_config: ModelConfig,
     A recording runs in `halo_chunks` of at most CHUNK_LENGTH samples, so
     every kept output is exact and memory grows with the chunk, not the
     recording.  The chunks run on `chunk_runner()` (numpy's BLAS releases
-    the GIL), a single chunk on the calling thread; their boundaries
-    depend on the length alone, so the result does not depend on the
-    worker count.  Each forward records no graph; nothing runs, and
-    recording is unchanged, while the generator is suspended at a yield.
+    the GIL); their boundaries depend on the length alone, so the result
+    does not depend on the worker count.  Each forward records no graph;
+    nothing runs, and recording is unchanged, while the generator is
+    suspended at a yield.
     """
     radius = md.receptive_radius(model_config)
 
@@ -411,8 +409,8 @@ def final_stage_outputs(params: ModelParams, model_config: ModelConfig,
     with chunk_runner() as run:
         for seq in sequences:
             chunks = halo_chunks(len(seq.features), CHUNK_LENGTH, radius)
-            parts = list((run if len(chunks) > 1 else map)(
-                lambda chunk: label(seq.features, *chunk[1:]), chunks))
+            parts = list(run(lambda chunk: label(seq.features, *chunk[1:]),
+                             chunks))
             probs, embeds = zip(*parts)
             yield (np.concatenate(probs),
                    np.concatenate(embeds) if embed else None)

@@ -4,6 +4,7 @@ The convolution tests check against a naive direct-summation oracle, and
 every differentiable op has to survive a central-difference gradient check.
 """
 
+import functools
 import math
 import threading
 import tracemalloc
@@ -18,6 +19,12 @@ from tempseg.gradcheck_suite import OP_CHECKS
 
 # names in autodiff.__all__ that are not differentiable ops
 NOT_OPS = {"Tensor", "CompGraph", "backward", "grad_check", "no_grad"}
+
+
+# (op, arity) for ops that map n x n matrices to an n x n matrix
+SHAPE_KEEPING_OPS = [(ad.relu, 1), (ad.transpose, 1), (ad.softmax_rows, 1),
+                     (ad.l2_normalize, 1), (lambda x: ad.scale(x, -1.5), 1),
+                     (ad.add, 2), (ad.mul, 2), (ad.matmul, 2)]
 
 
 def naive_conv1d(x, w, b, dilation):
@@ -67,7 +74,7 @@ def rng():
 
 def gradients(loss, *wrt):
     """The gradients of a scalar loss for the tensors wrt, keyed by tensor."""
-    return ad.backward(ad.CompGraph.from_output(loss), loss, wrt)
+    return ad.backward({loss: 1.0}, wrt)
 
 
 class TestConv1dDilated:
@@ -160,12 +167,18 @@ class TestElementwiseOps:
 
     def test_add_identity(self, rng):
         x = ad.Tensor(rng.normal(size=(4, 3)))
-        out = ad.add(x, ad.Tensor(0.0))
+        out = ad.add(x, ad.Tensor(np.zeros((4, 3))))
         np.testing.assert_array_equal(out.values, x.values)
 
     def test_add_shape_mismatch(self):
         with pytest.raises(ValueError, match="conform"):
             ad.add(ad.Tensor(np.zeros(3)), ad.Tensor(np.zeros(4)))
+
+    @pytest.mark.parametrize("op", [ad.add, ad.mul])
+    def test_scalar_against_matrix_rejected(self, op):
+        # no broadcasting: a scalar operand is a shape mismatch too
+        with pytest.raises(ValueError, match="conform"):
+            op(ad.Tensor(2.0), ad.Tensor(np.ones((2, 3))))
 
     def test_l2_normalize_vector(self):
         # a vector is a one-row matrix; a 1-D array is not accepted
@@ -310,25 +323,28 @@ class TestRowOps:
 class TestSoftmaxCrossEntropy:
     def test_uniform_logits(self):
         logits = ad.Tensor(np.zeros((5, 4)))
-        loss, probs = ad.softmax_cross_entropy(logits, np.zeros(5, dtype=int))
+        loss = ad.softmax_cross_entropy(logits, np.zeros(5, dtype=int))
         assert abs(loss.item() - math.log(4)) < 1e-12
-        np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
 
     def test_huge_margin_drives_loss_to_zero(self):
         logits = np.full((3, 4), -500.0)
         labels = np.array([0, 2, 3])
         logits[np.arange(3), labels] = 500.0
-        loss, _ = ad.softmax_cross_entropy(ad.Tensor(logits), labels)
+        loss = ad.softmax_cross_entropy(ad.Tensor(logits), labels)
         assert loss.item() < 1e-12
 
     def test_two_class_hand_value(self):
-        loss, _ = ad.softmax_cross_entropy(ad.Tensor([[1.0, 0.0]]), np.array([0]))
+        loss = ad.softmax_cross_entropy(ad.Tensor([[1.0, 0.0]]), np.array([0]))
         assert abs(loss.item() - math.log(1 + math.exp(-1))) < 1e-12
 
     def test_probability_rows(self, ):
+        # the gradient for the logits is (probs - onehot(labels)) / T
         rng = np.random.default_rng(7)
         logits = ad.Tensor(rng.normal(scale=5.0, size=(40, 6)))
-        _, probs = ad.softmax_cross_entropy(logits, rng.integers(0, 6, size=40))
+        labels = rng.integers(0, 6, size=40)
+        loss = ad.softmax_cross_entropy(logits, labels)
+        probs = 40 * gradients(loss, logits)[logits]
+        probs[np.arange(40), labels] += 1.0
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
         assert np.all(probs > 0) and np.all(probs < 1)
 
@@ -350,9 +366,19 @@ class TestBackward:
         np.testing.assert_array_equal(gradients(loss, w)[w], np.zeros(3))
 
     def test_non_scalar_loss_rejected(self, rng):
+        # a scalar cotangent seeds only a scalar output
         t = ad.relu(ad.Tensor(rng.normal(size=4)))
-        with pytest.raises(ValueError, match="scalar"):
-            ad.backward(ad.CompGraph.from_output(t), t, [t])
+        with pytest.raises(ValueError, match=r"shape \(\) .* shape \(4,\)"):
+            ad.backward({t: 1.0}, [t])
+
+    def test_cotangent_of_the_wrong_shape_rejected(self, rng):
+        t = ad.relu(ad.Tensor(rng.normal(size=(3, 2))))
+        with pytest.raises(ValueError, match="cotangent"):
+            ad.backward({t: np.ones((2, 3))}, [t])
+
+    def test_no_outputs_give_no_gradients(self):
+        assert ad.backward({}, []) == {}
+        assert ad.backward({}, [ad.Tensor(np.ones(2))]) == {}
 
     def test_unreachable_parameter_keeps_zero_grad(self, rng):
         # an unreached tensor has no entry, which callers read as zero
@@ -382,14 +408,13 @@ class TestBackward:
         scaled = ad.scale(hidden, 3.0)
         loss = ad.tsum(scaled)
         unreached = ad.relu(ad.Tensor(rng.normal(size=2)))
-        graph = ad.CompGraph.from_output(loss)
-        grads = ad.backward(graph, loss, [loss, hidden, x, unreached])
+        grads = ad.backward({loss: 1.0}, [loss, hidden, x, unreached])
         assert set(map(id, grads)) == {id(loss), id(hidden), id(x)}
         assert grads[loss] == 1.0
         np.testing.assert_array_equal(grads[hidden], np.full((4, 3), 3.0))
         np.testing.assert_array_equal(grads[x], 3.0 * (x.values > 0))
         # every node of the graph is reached, and none is asked for here
-        assert ad.backward(graph, loss, []) == {}
+        assert ad.backward({loss: 1.0}, []) == {}
 
     def test_no_interior_gradient_outlives_its_use(self):
         # a deep chain of one array per node: the walk may hold a few
@@ -399,10 +424,9 @@ class TestBackward:
         for _ in range(depth):
             h = ad.relu(h)
         loss = ad.tsum(h)
-        graph = ad.CompGraph.from_output(loss)
         tracemalloc.start()
         try:
-            grads = ad.backward(graph, loss, [x])
+            grads = ad.backward({loss: 1.0}, [x])
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -423,10 +447,38 @@ class TestBackward:
     def test_repeated_backward_leaves_the_graph_unchanged(self, rng):
         w = ad.Tensor(rng.normal(size=(3, 2)))
         loss = ad.tsum(ad.mul(ad.relu(w), w))
-        graph = ad.CompGraph.from_output(loss)
-        first, second = (ad.backward(graph, loss, [w]) for _ in range(2))
+        first, second = (ad.backward({loss: 1.0}, [w]) for _ in range(2))
         assert first[w] is not second[w]
         np.testing.assert_array_equal(first[w], second[w])
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_cotangents_equal_the_surrogate_loss_bitwise(self, data):
+        # random graphs over n x n matrices; the outputs always include
+        # the last node and one of its parents, so one output is an
+        # ancestor of another, and outputs share the three leaves
+        n = data.draw(st.integers(1, 3))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+        nodes = [ad.Tensor(rng.normal(size=(n, n))) for _ in range(3)]
+        for _ in range(data.draw(st.integers(1, 8))):
+            op, arity = data.draw(st.sampled_from(SHAPE_KEEPING_OPS))
+            args = [nodes[data.draw(st.integers(0, len(nodes) - 1))]
+                    for _ in range(arity)]
+            nodes.append(op(*args))
+        picked = data.draw(st.sets(st.integers(0, len(nodes) - 1),
+                                   max_size=3))
+        picked |= {len(nodes) - 1, nodes.index(nodes[-1]._parents[0])}
+        # in the order they were made, as a training chunk's heads are
+        cotangents = {nodes[i]: rng.normal(size=(n, n))
+                      for i in sorted(picked)}
+        got = ad.backward(cotangents, nodes)
+        surrogate = functools.reduce(ad.add, [
+            ad.tsum(ad.mul(out, ad.Tensor(c)))
+            for out, c in cotangents.items()])
+        want = ad.backward({surrogate: 1.0}, nodes)
+        assert got.keys() == want.keys()
+        for node, g in want.items():
+            assert got[node].tobytes() == g.tobytes()
 
     def test_graph_topologically_ordered(self, rng):
         x = ad.Tensor(rng.normal(size=(5, 2)))
@@ -455,8 +507,7 @@ class TestBackward:
             h = ad.relu(ad.conv1d_dilated(x, p_w1, p_b1, 1))
             h = ad.relu(ad.conv1d_dilated(h, p_w2, p_b2, 2))
             logits = ad.conv1d_dilated(h, p_w3, p_b3, 1)
-            loss, _ = ad.softmax_cross_entropy(logits, labels)
-            return loss
+            return ad.softmax_cross_entropy(logits, labels)
 
         err = ad.grad_check(f, [w1, b1, w2, b2, w3, b3], eps=1e-3)
         assert err < 1e-4
@@ -483,7 +534,7 @@ class TestGradCheck:
         labels = rng.integers(0, 3, size=12)
         logits = ad.Tensor(rng.normal(size=(12, 3)))
         err = ad.grad_check(
-            lambda p: ad.softmax_cross_entropy(p[0], labels)[0], [logits], eps=1e-3)
+            lambda p: ad.softmax_cross_entropy(p[0], labels), [logits], eps=1e-3)
         assert err < 1e-6
 
     def test_op_checks_cover_exactly_the_ops(self):

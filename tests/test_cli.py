@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import logging
 
@@ -8,7 +9,8 @@ from tempseg import cli
 from tempseg import train as tr
 from tempseg.cli import (_load_splits, load_experiment_config, main,
                          parse_config_file, variant_settings)
-from tempseg.data import SensorSequence, load_csv_dataset, write_csv_sequence
+from tempseg.data import (SensorSequence, SynthConfig, load_csv_dataset,
+                          write_csv_sequence)
 from tempseg.gradcheck_suite import OP_CHECKS
 from tempseg.model import ModelConfig, init_params
 from tempseg.train import load_checkpoint
@@ -91,6 +93,17 @@ class TestConfigFile:
         path = tmp_path / "c.cfg"
         path.write_text("\n# note\nepochs = 1  # trailing\n\n")
         assert parse_config_file(path) == {"epochs": 1}
+
+    def test_shared_keys_take_their_owners_defaults(self):
+        keys = {f.name: f.default
+                for f in dataclasses.fields(cli.ExperimentConfig)}
+        shared = 0
+        for owner in (ModelConfig, tr.TrainConfig, SynthConfig):
+            for f in dataclasses.fields(owner):
+                if f.name in keys and f.default is not dataclasses.MISSING:
+                    assert keys[f.name] == f.default, f"{owner.__name__}.{f.name}"
+                    shared += 1
+        assert shared == 21
 
     def test_auto_dims_parse(self, tmp_path):
         path = tmp_path / "c.cfg"

@@ -1,4 +1,5 @@
 
+import csv
 import re
 import tempfile
 from pathlib import Path
@@ -384,9 +385,24 @@ class TestLoadCsvDataset:
     ])
     def test_cell_too_long_for_the_row_reader_names_line(self, tmp_path,
                                                           text, lineno):
+        # the header goes through the csv reader's field limit; a data
+        # line has none, as in loadtxt, so its long cell is just not a
+        # number
         p = self.write(tmp_path, text)
-        with pytest.raises(ValueError, match=rf":{lineno}: field larger"):
+        reason = "field larger" if lineno == 1 else "non-numeric feature"
+        with pytest.raises(ValueError, match=rf":{lineno}: {reason}"):
             dt.load_csv_dataset(p)
+
+    def test_long_valid_cell_does_not_hide_a_later_bad_line(self, tmp_path):
+        cell = "0." + "0" * 199999 + "1"    # 200002 characters, ~1e-200000
+        limit = csv.field_size_limit()
+        p = self.write(tmp_path, f"ch_0,label\n{cell},0\nx,0\n")
+        with pytest.raises(ValueError, match=r":3: non-numeric feature"):
+            dt.load_csv_dataset(p)
+        assert csv.field_size_limit() == limit
+        p = self.write(tmp_path, f"ch_0,label\n{cell},0\n")
+        [seq] = dt.load_csv_dataset(p)
+        np.testing.assert_array_equal(seq.features, [[0.0]])
 
     # Lines built from number characters, separators, quotes and spaces.
     LINE = st.text(alphabet='019.-+e_,"\t x\u0661', max_size=12)

@@ -177,32 +177,34 @@ class TestSupervisedContrast:
 
 
 class TestMultilevelContrast:
+    """supervised_contrast over a sample pool and a segment pool."""
+
     def test_empty_segments_bitwise_equal(self):
         rng = np.random.default_rng(6)
         samples = pool(unit_rows(rng, 6, 4), [0, 1, 0, 1, 2, 2])
         b = ls.supervised_contrast([samples], 0.3).item()
-        assert ls.multilevel_contrast(samples, [], 0.3).item() == b
+        assert ls.supervised_contrast((samples, []), 0.3).item() == b
         empty = pool(np.zeros((0, 4)), [])
-        assert ls.multilevel_contrast(samples, empty, 0.3).item() == b
+        assert ls.supervised_contrast((samples, empty), 0.3).item() == b
 
     def test_row_order_invariant_bitwise_across_levels(self):
         rng = np.random.default_rng(10)
         emb = unit_rows(rng, 9, 4)
         labels = np.array([0, 1, 0, 2, 1, 2, 0, 1, 2])
-        base = ls.multilevel_contrast(pool(emb[:6], labels[:6]),
-                                      pool(emb[6:], labels[6:]), 0.2).item()
+        base = ls.supervised_contrast((pool(emb[:6], labels[:6]),
+                                       pool(emb[6:], labels[6:])), 0.2).item()
         for _ in range(5):
             a, b = rng.permutation(6), 6 + rng.permutation(3)
-            got = ls.multilevel_contrast(pool(emb[a], labels[a]),
-                                         pool(emb[b], labels[b]), 0.2)
+            got = ls.supervised_contrast((pool(emb[a], labels[a]),
+                                          pool(emb[b], labels[b])), 0.2)
             assert got.item() == base
 
     def test_segment_equal_to_duplicated_sample(self):
         rng = np.random.default_rng(7)
         emb = unit_rows(rng, 4, 4)
         labels = [0, 0, 1, 1]
-        as_segment = ls.multilevel_contrast(
-            pool(emb, labels), pool(emb[:1], [0]), 0.5)
+        as_segment = ls.supervised_contrast(
+            (pool(emb, labels), pool(emb[:1], [0])), 0.5)
         as_sample = ls.supervised_contrast(
             [pool(np.vstack([emb, emb[:1]]), labels + [0])], 0.5)
         assert abs(as_segment.item() - as_sample.item()) < 1e-12
@@ -210,8 +212,8 @@ class TestMultilevelContrast:
     def test_four_example_hand_case(self):
         u = np.array([1.0, 0.0])
         v = np.array([0.0, 1.0])
-        loss = ls.multilevel_contrast(pool([u, v], [0, 1]), pool([u, v], [0, 1]),
-                                      temperature=1.0)
+        loss = ls.supervised_contrast(
+            (pool([u, v], [0, 1]), pool([u, v], [0, 1])), temperature=1.0)
         # every anchor: one positive at sim 1, two negatives at sim 0
         want = -math.log(math.e / (math.e + 2.0))
         assert abs(loss.item() - want) < 1e-12
@@ -219,8 +221,8 @@ class TestMultilevelContrast:
     def test_cross_level_pairs_counted(self):
         rng = np.random.default_rng(8)
         emb = unit_rows(rng, 3, 4)
-        got = ls.multilevel_contrast(pool(emb[:2], [0, 1]), pool(emb[2:], [0]),
-                                     0.3).item()
+        got = ls.supervised_contrast((pool(emb[:2], [0, 1]),
+                                      pool(emb[2:], [0])), 0.3).item()
         want = naive_supervised_contrast(emb, [0, 1, 0], 0.3)
         assert abs(got - want) < 1e-10
 

@@ -158,7 +158,7 @@ class TestSegmentFeatures:
         assert got.labels.tolist() == [1]
         # the dropped run leaves no row in the graph
         loss = ad.tsum(got.embeddings)
-        grads = ad.backward(ad.CompGraph.from_output(loss), loss, [projected])
+        grads = ad.backward({loss: 1.0}, [projected])
         np.testing.assert_array_equal(grads[projected][:2], 0.0)
         assert graph_ops(got.embeddings).count("mean_rows") == 1
 

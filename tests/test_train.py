@@ -14,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 from tempseg import autodiff as ad
 from tempseg import model as md
 from tempseg import train as tr
-from tempseg.data import NormStats, SensorSequence
+from tempseg.data import (NormStats, SensorSequence, default_synth_config,
+                          synthesize_sequence)
 from tempseg.losses import total_objective
 from tempseg.model import ModelConfig, init_params
 from tempseg.sampling import build_example_set
@@ -57,6 +58,16 @@ def blocky_sequence(rng, length=96, num_classes=2, dim=3, run=16):
     return SensorSequence(features=features, labels=labels.astype(np.int64))
 
 
+def capture_graphs(monkeypatch):
+    """The list of every graph built from here on, `backward`'s included."""
+    graphs = []
+    original = ad.CompGraph.from_output
+    monkeypatch.setattr(ad.CompGraph, "from_output", classmethod(
+        lambda _cls, *outputs: graphs.append(original(*outputs))
+        or graphs[-1]))
+    return graphs
+
+
 def make_dataset(n_sequences=4, seed=0, **seq_kwargs):
     rng = np.random.default_rng(seed)
     return [blocky_sequence(rng, **seq_kwargs) for _ in range(n_sequences)]
@@ -67,8 +78,7 @@ class TestAdamStep:
         state = init_train_state(small_config(), seed=0)
         before = {n: t.values.copy()
                   for n, t in state.params.named_parameters()}
-        adam_step(state, constant_gradients(state, 2.0), lr=0.001,
-                  betas=(0.9, 0.999), eps=1e-8)
+        adam_step(state, constant_gradients(state, 2.0), lr=0.001)
         for name, tensor in state.params.named_parameters():
             np.testing.assert_allclose(before[name] - tensor.values,
                                        0.001, atol=1e-9)
@@ -83,7 +93,7 @@ class TestAdamStep:
             grads = {n: rng.normal(size=t.values.shape)
                      for n, t in state.params.named_parameters()}
             grad_history.append(grads[name0].flat[0])
-            adam_step(state, grads, lr=0.01, betas=(0.9, 0.999), eps=1e-8)
+            adam_step(state, grads, lr=0.01)
         expected = reference_adam(w0, grad_history, 0.01, 0.9, 0.999, 1e-8)
         assert tensor0.values.flat[0] == pytest.approx(expected, abs=1e-14)
 
@@ -91,8 +101,7 @@ class TestAdamStep:
         state = init_train_state(small_config(), seed=0)
         before = {n: t.values.copy()
                   for n, t in state.params.named_parameters()}
-        adam_step(state, constant_gradients(state, 0.0), lr=0.1,
-                  betas=(0.9, 0.999), eps=1e-8)
+        adam_step(state, constant_gradients(state, 0.0), lr=0.1)
         for name, tensor in state.params.named_parameters():
             np.testing.assert_array_equal(tensor.values, before[name])
 
@@ -100,9 +109,9 @@ class TestAdamStep:
         state = init_train_state(small_config(), seed=0)
         grads = constant_gradients(state, -0.7)
         snap = {n: t.values.copy() for n, t in state.params.named_parameters()}
-        adam_step(state, grads, lr=0.001, betas=(0.9, 0.999), eps=1e-8)
+        adam_step(state, grads, lr=0.001)
         mid = {n: t.values.copy() for n, t in state.params.named_parameters()}
-        adam_step(state, grads, lr=0.001, betas=(0.9, 0.999), eps=1e-8)
+        adam_step(state, grads, lr=0.001)
         for name, tensor in state.params.named_parameters():
             first = np.abs(mid[name] - snap[name])
             second = np.abs(tensor.values - mid[name])
@@ -114,13 +123,12 @@ class TestAdamStep:
         bad = sorted(grads)[2]
         grads[bad][...] = np.nan
         with pytest.raises(FloatingPointError, match=bad.replace(".", r"\.")):
-            adam_step(state, grads, lr=0.001, betas=(0.9, 0.999), eps=1e-8)
+            adam_step(state, grads, lr=0.001)
 
     def test_step_counter_advances(self):
         state = init_train_state(small_config(), seed=0)
         assert state.step == 0
-        adam_step(state, constant_gradients(state, 1.0), lr=0.001,
-                  betas=(0.9, 0.999), eps=1e-8)
+        adam_step(state, constant_gradients(state, 1.0), lr=0.001)
         assert state.step == 1
 
 
@@ -362,8 +370,7 @@ def whole_sequence_gradients(state, seq, cfg, rng):
     loss, breakdown = total_objective([out.logits for out in outs],
                                       seq.labels, sets, cfg.contrast_weight,
                                       cfg.temperature)
-    grads = ad.backward(ad.CompGraph.from_output(loss), loss,
-                        state.params.tensors())
+    grads = ad.backward({loss: 1.0}, state.params.tensors())
     return {name: grads.get(t, np.zeros_like(t.values))
             for name, t in state.params.named_parameters()}, breakdown
 
@@ -529,10 +536,7 @@ class TestFit:
         # per stage: one gathered sample pool, one pooled segment matrix
         # (only with segments), one stack and one row permutation, counted
         # over every graph a step differentiates
-        graphs = []
-        original = ad.backward
-        monkeypatch.setattr(ad, "backward", lambda graph, *args: (
-            graphs.append(graph) or original(graph, *args)))
+        graphs = capture_graphs(monkeypatch)
         seq = make_dataset(1)[0]
         want = {"row": 2, "stack_rows": 1,
                 "mean_rows": int(include_segments),
@@ -546,6 +550,22 @@ class TestFit:
             ops = [n._op for graph in graphs for n in graph.nodes]
             assert {op: ops.count(op) for op in want} == {
                 op: 2 * count for op, count in want.items()}, f"k={k}"
+
+    def test_chunk_graphs_hold_the_forward_and_nothing_else(self,
+                                                           monkeypatch):
+        # default config, T=2000: two chunks of 1000 samples; per stage 3
+        # adapter, 6 x 8 block, 3 classifier and 8 projection nodes, plus
+        # the input and the softmax that feeds stage 2: no seeding ops
+        graphs = capture_graphs(monkeypatch)
+        seq = synthesize_sequence(default_synth_config())
+        state = init_train_state(ModelConfig(input_dim=6, num_classes=5), 0)
+        tr._sequence_gradients(state, seq, TrainConfig(),
+                               np.random.default_rng(0),
+                               tr.TRAIN_CHUNK_LENGTH)
+        chunk_graphs = graphs[1:]   # the first is the loss graph's
+        assert [len(g.nodes) for g in chunk_graphs] == [126, 126]
+        assert not {"mul", "tsum"} & {n._op for g in chunk_graphs
+                                      for n in g.nodes}
 
     @pytest.mark.parametrize("contrast_weight, include_segments, want", [
         (0.0, True, {"l2_normalize": 0, "mean_rows": 0}),
