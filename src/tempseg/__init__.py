@@ -10,8 +10,7 @@ from .autodiff import CompGraph, Tensor, grad_check
 from .data import (NormStats, SensorSequence, SynthConfig,
                    default_synth_config, load_csv_dataset,
                    multiclass_window_rate, normalize_features,
-                   sliding_windows, split_sequences, synthesize_sequence,
-                   write_csv_sequence)
+                   split_sequences, synthesize_sequence, write_csv_sequence)
 from .losses import (ContrastPool, LossBreakdown, info_nce,
                      supervised_contrast, total_objective)
 from .metrics import MetricsReport, evaluate_predictions
@@ -30,8 +29,7 @@ __all__ = [
     "CompGraph", "Tensor", "grad_check",
     "NormStats", "SensorSequence", "SynthConfig", "default_synth_config",
     "load_csv_dataset", "multiclass_window_rate", "normalize_features",
-    "sliding_windows", "split_sequences", "synthesize_sequence",
-    "write_csv_sequence",
+    "split_sequences", "synthesize_sequence", "write_csv_sequence",
     "ContrastPool", "LossBreakdown", "info_nce", "supervised_contrast",
     "total_objective",
     "MetricsReport", "evaluate_predictions",

@@ -18,7 +18,6 @@ activities.
 
 import csv
 import math
-from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -348,48 +347,19 @@ def normalize_features(train: list[SensorSequence],
     return transform(train), transform(others), stats
 
 
-@dataclass(frozen=True)
-class Window:
-    features: np.ndarray
-    label: int
-    is_multiclass: bool
-
-
-def _window_starts(t_total: int, size: int, stride: int) -> range:
-    if size < 1 or size > t_total:
-        raise ValueError(f"window size {size} outside [1, {t_total}]")
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
-    return range(0, t_total - size + 1, stride)
-
-
-def sliding_windows(sequence: SensorSequence, size: int,
-                    stride: int) -> list[Window]:
-    """Fixed-size windows with majority labels.
-
-    Majority ties go to the tied label seen latest in the window, which is
-    the last sample's label whenever that label is part of the tie.
-    """
-    out = []
-    for start in _window_starts(len(sequence), size, stride):
-        window_labels = sequence.labels[start:start + size]
-        counts = Counter(window_labels.tolist())
-        top = max(counts.values())
-        tied = {cls for cls, n in counts.items() if n == top}
-        label = next(v for v in reversed(window_labels.tolist()) if v in tied)
-        out.append(Window(features=sequence.features[start:start + size],
-                          label=label, is_multiclass=len(counts) > 1))
-    return out
-
-
 def multiclass_window_rate(sequence: SensorSequence, size: int,
                            stride: int) -> float:
-    """Share of `sliding_windows(sequence, size, stride)` that are multiclass.
+    """Share of the size-sample windows, one every stride samples, that
+    hold more than one label.
 
     A window holds two labels iff a label change falls inside it, that is
     iff the running count of changes differs at its first and last sample.
     """
-    starts = np.asarray(_window_starts(len(sequence), size, stride))
+    if size < 1 or size > len(sequence):
+        raise ValueError(f"window size {size} outside [1, {len(sequence)}]")
+    if stride < 1:
+        raise ValueError("stride must be >= 1")
+    starts = np.arange(0, len(sequence) - size + 1, stride)
     labels = sequence.labels
     changes = np.concatenate([[0], np.cumsum(labels[1:] != labels[:-1])])
     multiclass = changes[starts + size - 1] != changes[starts]

@@ -20,7 +20,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import autodiff as ad
 from .autodiff import Tensor
@@ -78,9 +77,12 @@ def info_nce(anchor, positive, negatives, temperature: float) -> float:
         raise ValueError("at least one negative is required")
     anchor = np.asarray(anchor, dtype=np.float64)
     pos_sim = float(anchor @ np.asarray(positive, dtype=np.float64)) / temperature
-    neg_sims = [float(anchor @ n) / temperature for n in negatives]
-    # -log softmax of the positive among {positive} U negatives
-    return float(logsumexp([pos_sim] + neg_sims) - pos_sim)
+    sims = np.array([pos_sim] + [float(anchor @ n) / temperature
+                                 for n in negatives])
+    # -log softmax of the positive among {positive} U negatives, shifted by
+    # the largest similarity so no exp overflows
+    top = sims.max()
+    return float(top + np.log(np.exp(sims - top).sum()) - pos_sim)
 
 
 def supervised_contrast(pools: Sequence[ContrastPool], temperature: float,

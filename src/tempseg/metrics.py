@@ -11,7 +11,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 
 def confusion_matrix(truth, pred, num_classes: int) -> np.ndarray:
@@ -69,6 +68,25 @@ def _jaccard_from_confusion(confusion):
     return _safe_div(diag, union), union > 0
 
 
+def average_ranks(values) -> np.ndarray:
+    """1-based ranks of a 1-D array; tied values share the mean of their
+    positions.
+
+    A tie group at sorted positions [start, end) gets (start + end + 1) / 2,
+    an exact half-integer, so the order of ties within the sort is
+    irrelevant.
+    """
+    values = np.asarray(values)
+    order = np.argsort(values)
+    ordered = values[order]
+    starts = np.flatnonzero(np.concatenate([[True],
+                                            ordered[1:] != ordered[:-1]]))
+    ends = np.append(starts[1:], len(values))
+    ranks = np.empty(len(values))
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
+
+
 def roc_auc(truth, probs):
     """One-vs-rest rank AUC per class and its macro mean.
 
@@ -80,6 +98,8 @@ def roc_auc(truth, probs):
     probs = np.asarray(probs, dtype=np.float64)
     if probs.ndim != 2 or probs.shape[0] != truth.shape[0]:
         raise ValueError("probs must be T x C aligned with truth")
+    if not np.all(np.isfinite(probs)):
+        raise ValueError("probabilities must be finite")
     if np.any(np.abs(probs.sum(axis=1) - 1.0) > 1e-6):
         raise ValueError("probability rows must sum to 1 within 1e-6")
 
@@ -91,7 +111,7 @@ def roc_auc(truth, probs):
         n_neg = len(truth) - n_pos
         if n_pos == 0 or n_neg == 0:
             continue
-        ranks = rankdata(probs[:, c])
+        ranks = average_ranks(probs[:, c])
         u = ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0
         per_class[c] = u / (n_pos * n_neg)
     defined = ~np.isnan(per_class)

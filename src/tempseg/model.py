@@ -110,13 +110,43 @@ class StageOutput:
     probs: Tensor       # T x C, rows sum to 1
 
 
-def _conv_weight(rng, c_out, c_in, k) -> Tensor:
-    bound = np.sqrt(6.0 / (c_in * k))
-    return Tensor(rng.uniform(-bound, bound, size=(c_out, c_in, k)))
+def build_params(config: ModelConfig, make) -> ModelParams:
+    """ModelParams whose tensor `name` of shape `shape` holds make(name, shape).
 
+    make is called once per tensor, in a fixed order: per stage, every
+    block's dilated and mix tensors, then the adapter, classifier and
+    projection tensors.
+    """
+    f = config.hidden_channels
+    k = config.kernel_size
 
-def _zero_bias(c_out) -> Tensor:
-    return Tensor(np.zeros(c_out))
+    def tensor(name, *shape):
+        return Tensor(make(name, shape))
+
+    stages = []
+    for s in range(config.num_stages):
+        prefix = f"stage{s}"
+        c_in = config.input_dim if s == 0 else config.num_classes
+        blocks = [BlockParams(
+            dilated_w=tensor(f"{prefix}.block{l}.dilated.w", f, f, k),
+            dilated_b=tensor(f"{prefix}.block{l}.dilated.b", f),
+            mix_w=tensor(f"{prefix}.block{l}.mix.w", f, f, 1),
+            mix_b=tensor(f"{prefix}.block{l}.mix.b", f),
+        ) for l in range(config.layers_per_stage)]
+        stages.append(StageParams(
+            adapter_w=tensor(f"{prefix}.adapter.w", f, c_in, 1),
+            adapter_b=tensor(f"{prefix}.adapter.b", f),
+            blocks=blocks,
+            classifier_w=tensor(f"{prefix}.classifier.w",
+                                config.num_classes, f, 1),
+            classifier_b=tensor(f"{prefix}.classifier.b", config.num_classes),
+            proj_hidden_w=tensor(f"{prefix}.proj_hidden.w", f, f, 1),
+            proj_hidden_b=tensor(f"{prefix}.proj_hidden.b", f),
+            proj_out_w=tensor(f"{prefix}.proj_out.w",
+                              config.projection_dim, f, 1),
+            proj_out_b=tensor(f"{prefix}.proj_out.b", config.projection_dim),
+        ))
+    return ModelParams(stages=stages)
 
 
 def init_params(config: ModelConfig, seed: int) -> ModelParams:
@@ -126,31 +156,25 @@ def init_params(config: ModelConfig, seed: int) -> ModelParams:
     parameters, fully reproducible.
     """
     rng = np.random.default_rng(seed)
-    f = config.hidden_channels
-    k = config.kernel_size
-    stages = []
-    for s in range(config.num_stages):
-        c_in = config.input_dim if s == 0 else config.num_classes
-        blocks = []
-        for _ in range(config.layers_per_stage):
-            blocks.append(BlockParams(
-                dilated_w=_conv_weight(rng, f, f, k),
-                dilated_b=_zero_bias(f),
-                mix_w=_conv_weight(rng, f, f, 1),
-                mix_b=_zero_bias(f),
-            ))
-        stages.append(StageParams(
-            adapter_w=_conv_weight(rng, f, c_in, 1),
-            adapter_b=_zero_bias(f),
-            blocks=blocks,
-            classifier_w=_conv_weight(rng, config.num_classes, f, 1),
-            classifier_b=_zero_bias(config.num_classes),
-            proj_hidden_w=_conv_weight(rng, f, f, 1),
-            proj_hidden_b=_zero_bias(f),
-            proj_out_w=_conv_weight(rng, config.projection_dim, f, 1),
-            proj_out_b=_zero_bias(config.projection_dim),
-        ))
-    return ModelParams(stages=stages)
+
+    def draw(name, shape):
+        if len(shape) == 1:
+            return np.zeros(shape)
+        _, c_in, k = shape
+        bound = np.sqrt(6.0 / (c_in * k))
+        return rng.uniform(-bound, bound, size=shape)
+
+    return build_params(config, draw)
+
+
+def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Shape of every tensor of the model, in named_parameters order.
+
+    The tensors are zero-stride views of one scalar, so nothing is
+    allocated per parameter.
+    """
+    params = build_params(config, lambda _, shape: np.broadcast_to(0.0, shape))
+    return {name: t.shape for name, t in params.named_parameters()}
 
 
 def parameter_count(config: ModelConfig) -> int:

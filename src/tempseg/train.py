@@ -116,7 +116,11 @@ class TrainState:
 
 
 def init_train_state(model_config: ModelConfig, seed: int) -> TrainState:
-    params = md.init_params(model_config, seed)
+    return _fresh_state(md.init_params(model_config, seed), model_config)
+
+
+def _fresh_state(params: ModelParams, model_config: ModelConfig) -> TrainState:
+    """A state at step 0 with zero Adam moments."""
     m = {name: np.zeros_like(t.values) for name, t in params.named_parameters()}
     v = {name: np.zeros_like(t.values) for name, t in params.named_parameters()}
     return TrainState(params=params, model_config=model_config, m=m, v=v)
@@ -566,24 +570,25 @@ def load_checkpoint(path) -> TrainState:
     if version == 1:  # format 1 also stored Adam moments
         tensors = {name: values for name, values in tensors.items()
                    if not name.startswith("adam.")}
-    # Checked before init_train_state allocates anything from the header.
+    # Checked before anything is built from the header: a corrupt header
+    # can name a model far larger than the file.
     if sum(v.size for v in tensors.values()) != md.parameter_count(
             model_config):
         raise ValueError("checkpoint tensor sizes do not match its "
                          "model_config")
 
-    state = init_train_state(model_config, seed=0)
-    named = dict(state.params.named_parameters())
-    if tensors.keys() != named.keys():
+    shapes = md.parameter_shapes(model_config)
+    if tensors.keys() != shapes.keys():
         raise ValueError("checkpoint tensor names do not match its "
                          "model_config: "
-                         + ", ".join(sorted(tensors.keys() ^ named.keys())))
-    for name, tensor in named.items():
-        if tensors[name].shape != tensor.shape:
+                         + ", ".join(sorted(tensors.keys() ^ shapes.keys())))
+    for name, shape in shapes.items():
+        if tensors[name].shape != shape:
             raise ValueError(f"checkpoint tensor {name} has shape "
-                             f"{tensors[name].shape}, expected {tensor.shape}")
+                             f"{tensors[name].shape}, expected {shape}")
         if not np.all(np.isfinite(tensors[name])):
             raise ValueError(f"checkpoint tensor {name} is not finite")
-        tensor.values = tensors[name]
+    params = md.build_params(model_config, lambda name, shape: tensors[name])
+    state = _fresh_state(params, model_config)
     state.norm_stats = _header_norm_stats(header, model_config.input_dim)
     return state

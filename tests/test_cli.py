@@ -1,6 +1,10 @@
 import dataclasses
 import json
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -533,3 +537,21 @@ class TestMainPlumbing:
         assert len(err) == 1 and err[0].startswith("error:")
         assert key in err[0]
         assert not out.exists()
+
+
+class TestColdStart:
+    def test_cli_imports_no_scipy(self):
+        # scipy.stats alone took most of a second to import; the package
+        # must start on numpy alone
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        out = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "tempseg.cli",
+             "--help"], env=env, capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        modules = [line.rsplit("|", 1)[1].strip()
+                   for line in out.stderr.splitlines()
+                   if line.startswith("import time:")]
+        assert {"tempseg", "tempseg.train"} <= set(modules)
+        assert not [m for m in modules
+                    if m == "scipy" or m.startswith("scipy.")]

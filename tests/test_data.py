@@ -2,6 +2,8 @@
 import csv
 import re
 import tempfile
+from collections import Counter
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +12,36 @@ from hypothesis import given, settings, strategies as st
 
 from tempseg import data as dt
 from tempseg.sampling import labels_to_segments
+
+
+@dataclass(frozen=True)
+class Window:
+    features: np.ndarray
+    label: int
+    is_multiclass: bool
+
+
+def sliding_windows(sequence, size: int, stride: int) -> list[Window]:
+    """Fixed-size windows with majority labels, enumerated one by one: the
+    oracle of `multiclass_window_rate`.
+
+    Majority ties go to the tied label seen latest in the window, which is
+    the last sample's label whenever that label is part of the tie.
+    """
+    if size < 1 or size > len(sequence):
+        raise ValueError(f"window size {size} outside [1, {len(sequence)}]")
+    if stride < 1:
+        raise ValueError("stride must be >= 1")
+    out = []
+    for start in range(0, len(sequence) - size + 1, stride):
+        window_labels = sequence.labels[start:start + size].tolist()
+        counts = Counter(window_labels)
+        top = max(counts.values())
+        tied = {cls for cls, n in counts.items() if n == top}
+        label = next(v for v in reversed(window_labels) if v in tied)
+        out.append(Window(features=sequence.features[start:start + size],
+                          label=label, is_multiclass=len(counts) > 1))
+    return out
 
 
 def tiny_sequence(labels):
@@ -480,35 +512,35 @@ class TestNormalizeFeatures:
 class TestSlidingWindows:
     def test_enumerated_example(self):
         seq = tiny_sequence([0, 0, 0, 1, 1])
-        windows = dt.sliding_windows(seq, size=3, stride=1)
+        windows = sliding_windows(seq, size=3, stride=1)
         assert len(windows) == 3
         assert [w.is_multiclass for w in windows] == [False, True, True]
         assert dt.multiclass_window_rate(seq, 3, 1) == pytest.approx(2 / 3)
 
     def test_window_inside_one_run(self):
         seq = tiny_sequence([2] * 6 + [1] * 6)
-        w = dt.sliding_windows(seq, 4, 1)[0]
+        w = sliding_windows(seq, 4, 1)[0]
         assert not w.is_multiclass and w.label == 2
 
     def test_full_length_window(self):
         seq = tiny_sequence([0, 1, 0])
-        assert len(dt.sliding_windows(seq, 3, 1)) == 1
+        assert len(sliding_windows(seq, 3, 1)) == 1
 
     def test_oversized_window_rejected(self):
         with pytest.raises(ValueError, match="size"):
-            dt.sliding_windows(tiny_sequence([0, 1]), 3, 1)
+            sliding_windows(tiny_sequence([0, 1]), 3, 1)
 
     def test_tie_goes_to_last_sample(self):
-        assert dt.sliding_windows(tiny_sequence([0, 0, 1, 1]), 4, 1)[0].label == 1
-        assert dt.sliding_windows(tiny_sequence([1, 1, 0, 0]), 4, 1)[0].label == 0
+        assert sliding_windows(tiny_sequence([0, 0, 1, 1]), 4, 1)[0].label == 1
+        assert sliding_windows(tiny_sequence([1, 1, 0, 0]), 4, 1)[0].label == 0
 
     def test_tie_without_last_sample_uses_latest_tied(self):
         # counts {0: 2, 1: 2, 2: 1}; the last sample's class is not tied,
         # so the tie resolves to the tied label seen latest (1 at index 3)
-        assert dt.sliding_windows(tiny_sequence([0, 0, 1, 1, 2]), 5, 1)[0].label == 1
+        assert sliding_windows(tiny_sequence([0, 0, 1, 1, 2]), 5, 1)[0].label == 1
 
     def test_majority_beats_recency(self):
-        assert dt.sliding_windows(tiny_sequence([0, 0, 0, 1]), 4, 1)[0].label == 0
+        assert sliding_windows(tiny_sequence([0, 0, 0, 1]), 4, 1)[0].label == 0
 
     @given(st.lists(st.integers(0, 3), min_size=2, max_size=40),
            st.integers(1, 40), st.integers(1, 5))
@@ -516,7 +548,7 @@ class TestSlidingWindows:
         t = len(labels)
         if size > t:
             size = t
-        windows = dt.sliding_windows(tiny_sequence(labels), size, stride)
+        windows = sliding_windows(tiny_sequence(labels), size, stride)
         assert len(windows) == (t - size) // stride + 1
 
 
@@ -545,7 +577,7 @@ class TestMulticlassWindowRate:
             self, labels, size, stride):
         seq = tiny_sequence(labels)
         size = min(size, len(labels))
-        windows = dt.sliding_windows(seq, size, stride)
+        windows = sliding_windows(seq, size, stride)
         assert (dt.multiclass_window_rate(seq, size, stride)
                 == sum(w.is_multiclass for w in windows) / len(windows))
 

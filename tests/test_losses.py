@@ -101,6 +101,23 @@ class TestInfoNce:
         n = np.array([-1.0, 0.0])
         assert math.isfinite(ls.info_nce(a, n, [a], temperature=1e-3))
 
+    def test_extreme_temperature_equal_similarities(self):
+        # every similarity is 1000, where exp overflows unless shifted
+        e = np.array([0.0, 1.0])
+        loss = ls.info_nce(e, e, [e, e], temperature=1e-3)
+        assert abs(loss - math.log(3)) < 1e-12
+
+    def test_matches_the_direct_formula(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            n_neg = int(rng.integers(1, 8))
+            vecs = unit_rows(rng, n_neg + 2, 5)
+            tau = float(rng.uniform(0.1, 2.0))
+            sims = [float(vecs[0] @ v) / tau for v in vecs[1:]]
+            want = math.log(sum(math.exp(s) for s in sims)) - sims[0]
+            got = ls.info_nce(vecs[0], vecs[1], list(vecs[2:]), tau)
+            assert abs(got - want) < 1e-12
+
 
 class TestSupervisedContrast:
     def test_two_identical_vs_one_orthogonal(self):

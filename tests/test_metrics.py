@@ -3,6 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tempseg import metrics as mt
 
@@ -242,6 +243,63 @@ class TestRocAuc:
     def test_row_sum_validation(self):
         with pytest.raises(ValueError, match="sum to 1"):
             mt.roc_auc(np.array([0, 1]), np.array([[0.7, 0.7], [0.2, 0.8]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_probability_rejected(self, bad):
+        # |nan - 1| > 1e-6 is False, so the row-sum check alone lets a nan
+        # row through
+        probs = np.array([[bad, bad], [0.2, 0.8], [0.5, 0.5]])
+        with pytest.raises(ValueError, match="finite"):
+            mt.roc_auc(np.array([0, 1, 0]), probs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_equals_the_rankdata_formula_bitwise(self, data):
+        from scipy.stats import rankdata
+        t = data.draw(st.integers(1, 60))
+        c = data.draw(st.integers(2, 4))
+        truth = np.array(data.draw(st.lists(st.integers(0, c - 1),
+                                            min_size=t, max_size=t)))
+        # few distinct levels, so most columns are full of ties
+        levels = data.draw(st.integers(1, 6))
+        scores = np.array(data.draw(st.lists(
+            st.lists(st.integers(0, levels), min_size=c, max_size=c),
+            min_size=t, max_size=t)), dtype=np.float64) + 1.0
+        probs = scores / scores.sum(axis=1, keepdims=True)
+        want = np.full(c, np.nan)
+        for k in range(c):
+            pos = truth == k
+            n_pos = int(pos.sum())
+            n_neg = t - n_pos
+            if n_pos and n_neg:
+                ranks = rankdata(probs[:, k])
+                want[k] = ((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0)
+                           / (n_pos * n_neg))
+        per, _ = mt.roc_auc(truth, probs)
+        assert per.tobytes() == want.tobytes()
+
+
+class TestAverageRanks:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from([-0.0, 0.0, 0.25, 0.5, 1.0, -3.0,
+                                     np.inf, -np.inf, 1e-300]),
+                    min_size=1, max_size=50)
+           | st.lists(st.floats(allow_nan=False), min_size=1, max_size=50))
+    def test_equals_scipy_rankdata_bitwise(self, values):
+        from scipy.stats import rankdata
+        got = mt.average_ranks(np.array(values))
+        assert got.tobytes() == rankdata(values).tobytes()
+
+    def test_signed_zeros_tie(self):
+        np.testing.assert_array_equal(
+            mt.average_ranks(np.array([0.0, -0.0, 1.0, -0.0])),
+            [2.0, 2.0, 4.0, 2.0])
+
+    def test_length_one(self):
+        assert mt.average_ranks(np.array([7.0])).tolist() == [1.0]
+
+    def test_all_tied_take_the_mean_position(self):
+        assert mt.average_ranks(np.full(4, 0.3)).tolist() == [2.5] * 4
 
 
 class TestEvaluatePredictions:

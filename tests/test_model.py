@@ -78,6 +78,8 @@ class TestInitParams:
         params = md.init_params(cfg, seed=0)
         assert md.parameter_count(cfg) == sum(t.values.size
                                               for t in params.tensors())
+        assert md.parameter_shapes(cfg) == {name: t.shape for name, t
+                                            in params.named_parameters()}
 
 
 class TestSstcnForward:

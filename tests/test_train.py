@@ -648,6 +648,26 @@ class TestCheckpoint:
         np.testing.assert_array_equal(loaded.norm_stats.std,
                                       state.norm_stats.std)
 
+    def test_load_draws_no_random_numbers(self, tmp_path, monkeypatch):
+        state = self.trained_state(tmp_path)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(state, path)
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("load_checkpoint drew random numbers")
+
+        monkeypatch.setattr(md, "init_params", no_draws)
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        loaded = load_checkpoint(path)
+        saved = list(state.params.named_parameters())
+        restored = list(loaded.params.named_parameters())
+        assert [name for name, _ in restored] == [name for name, _ in saved]
+        for (name, a), (_, b) in zip(saved, restored):
+            assert b.values.dtype == np.float64
+            assert b.values.tobytes() == a.values.tobytes(), name
+            assert loaded.m[name].shape == a.shape
+            assert not loaded.m[name].any() and not loaded.v[name].any()
+
     def test_save_after_load_is_byte_identical(self, tmp_path):
         state = self.trained_state(tmp_path)
         first = tmp_path / "a.ckpt"
