@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from tempseg import (default_synth_config, labels_to_segments,
+from tempseg import (default_synth_config, label_runs,
                      multiclass_window_rate, synthesize_sequence)
 
 # Five activity classes on six channels.  Each class is a bank of
@@ -22,11 +22,10 @@ sequence = synthesize_sequence(config)
 print(f"sequence: {len(sequence)} samples x {sequence.features.shape[1]} "
       f"channels")
 
-runs = labels_to_segments(sequence.labels)
-print(f"{len(runs)} activity segments; first five:")
-for run in runs[:5]:
-    print(f"  class {run.class_label}: samples [{run.start}, {run.end}) "
-          f"length {run.end - run.start}")
+classes, starts, ends = label_runs(sequence.labels)
+print(f"{len(classes)} activity segments; first five:")
+for cls, start, end in zip(classes[:5], starts, ends):
+    print(f"  class {cls}: samples [{start}, {end}) length {end - start}")
 
 # How many windows span more than one activity?  Average over a few
 # independently drawn sequences so the numbers are stable.

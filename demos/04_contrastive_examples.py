@@ -12,7 +12,7 @@ of unit-norm embedding rows plus one class label per row.
 import numpy as np
 
 from tempseg import (ModelConfig, build_example_set, default_synth_config,
-                     find_boundaries, init_params, mstcn_forward, project,
+                     init_params, label_runs, mstcn_forward, project,
                      select_hard_examples, supervised_contrast,
                      synthesize_sequence)
 
@@ -27,7 +27,8 @@ params = init_params(model_cfg, seed=0)
 outputs = mstcn_forward(sequence.features, params, model_cfg)
 predictions = np.argmax(outputs[-1].probs.values, axis=1)
 
-boundaries = np.asarray(find_boundaries(sequence.labels))
+_, starts, _ = label_runs(sequence.labels)
+boundaries = starts[1:]   # a boundary is every run start but the first
 wrong = int(np.sum(predictions != sequence.labels))
 print(f"untrained model: {wrong}/{len(sequence)} samples wrong, "
       f"{len(boundaries)} activity boundaries")
@@ -49,7 +50,8 @@ for cls, indices in sorted(plan.items()):
 projected = project(outputs[-1].features, params.stages[-1])
 samples, segments = build_example_set(projected, predictions,
                                       sequence.labels, rng, k_per_class=8,
-                                      boundary_radius=2)
+                                      boundary_radius=2,
+                                      include_segments=True)
 print(f"\nexample set: {len(samples)} sample-level rows "
       f"{samples.embeddings.shape} + {len(segments)} segment-level rows "
       f"{segments.embeddings.shape}")

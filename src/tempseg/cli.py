@@ -225,7 +225,8 @@ def cmd_generate(cfg: ExperimentConfig, out_dir) -> int:
             name = f"seq_{i:03d}.csv"
             dt.write_csv_sequence(split_dir / name, seq)
             names.append(name)
-            if split == "train":
+            # a recording shorter than the window holds no window
+            if split == "train" and len(seq) >= 24:
                 rates.append(dt.multiclass_window_rate(seq, 24, 1))
         manifest["splits"][split] = names
     if rates:
@@ -518,7 +519,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, FloatingPointError) as exc:
+    except (ValueError, OSError, FloatingPointError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,4 +1,5 @@
-"""Dataset ingestion, normalization, windowing, and a synthetic generator.
+"""Dataset ingestion, normalization, label runs, windowing, and a synthetic
+generator.
 
 The canonical on-disk form is one CSV per recording: header
 ``ch_0,...,ch_{D-1},label[,subject]``, one sample per row at a fixed
@@ -347,23 +348,35 @@ def normalize_features(train: list[SensorSequence],
     return transform(train), transform(others), stats
 
 
+def label_runs(labels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The maximal runs of equal values of a 1-D array, in order, as
+    (classes, starts, ends) with ends exclusive.  An empty array has no
+    runs."""
+    labels = np.asarray(labels)
+    mask = np.ones(len(labels), dtype=bool)
+    mask[1:] = labels[1:] != labels[:-1]
+    edges = np.append(np.flatnonzero(mask), len(labels))
+    starts, ends = edges[:-1], edges[1:]
+    return labels[starts], starts, ends
+
+
 def multiclass_window_rate(sequence: SensorSequence, size: int,
                            stride: int) -> float:
     """Share of the size-sample windows, one every stride samples, that
     hold more than one label.
 
-    A window holds two labels iff a label change falls inside it, that is
-    iff the running count of changes differs at its first and last sample.
+    A window holds two labels iff its first and last sample lie in
+    different label runs.
     """
     if size < 1 or size > len(sequence):
         raise ValueError(f"window size {size} outside [1, {len(sequence)}]")
     if stride < 1:
         raise ValueError("stride must be >= 1")
-    starts = np.arange(0, len(sequence) - size + 1, stride)
-    labels = sequence.labels
-    changes = np.concatenate([[0], np.cumsum(labels[1:] != labels[:-1])])
-    multiclass = changes[starts + size - 1] != changes[starts]
-    return int(np.count_nonzero(multiclass)) / len(starts)
+    first = np.arange(0, len(sequence) - size + 1, stride)
+    _, starts, _ = label_runs(sequence.labels)
+    multiclass = (np.searchsorted(starts, first, "right")
+                  != np.searchsorted(starts, first + size - 1, "right"))
+    return int(np.count_nonzero(multiclass)) / len(first)
 
 
 def split_sequences(sequences: list[SensorSequence], policy: str,

@@ -18,6 +18,7 @@ from . import autodiff as ad
 from . import losses as ls
 from . import model as md
 from . import sampling as sp
+from .data import label_runs
 
 EPS = 1e-3
 # rejection thresholds for the full-objective instance
@@ -240,10 +241,10 @@ def build_full_objective_instance(seed_start: int = 0, max_tries: int = 400):
                                            np.random.default_rng(seed))
             plan = {c: idx[row_norms[idx] > _NORM_MARGIN]
                     for c, idx in plan.items()}
-            runs = sp.labels_to_segments(labels)
+            _, starts, ends = label_runs(labels)
             pooled_ok = all(
-                np.linalg.norm(np.mean(projected[r.start:r.end], axis=0))
-                > _NORM_MARGIN for r in runs)
+                np.linalg.norm(np.mean(projected[a:b], axis=0))
+                > _NORM_MARGIN for a, b in zip(starts, ends))
             if not pooled_ok:
                 ok = False
                 break

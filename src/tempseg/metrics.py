@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import label_runs
+
 
 def confusion_matrix(truth, pred, num_classes: int) -> np.ndarray:
     truth = np.asarray(truth, dtype=np.int64)
@@ -78,10 +80,7 @@ def average_ranks(values) -> np.ndarray:
     """
     values = np.asarray(values)
     order = np.argsort(values)
-    ordered = values[order]
-    starts = np.flatnonzero(np.concatenate([[True],
-                                            ordered[1:] != ordered[:-1]]))
-    ends = np.append(starts[1:], len(values))
+    _, starts, ends = label_runs(values[order])
     ranks = np.empty(len(values))
     ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
     return ranks

@@ -15,40 +15,12 @@ node).  Gradient checks rely on that split to keep the example set fixed
 while parameters are perturbed.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .data import label_runs
 from .losses import ContrastPool
-
-
-@dataclass(frozen=True)
-class SegmentRun:
-    """A maximal constant-label run, end exclusive."""
-    class_label: int
-    start: int
-    end: int
-
-    def __post_init__(self):
-        if not 0 <= self.start < self.end:
-            raise ValueError("need 0 <= start < end")
-
-
-def find_boundaries(labels) -> list[int]:
-    """Indices t >= 1 where the label changes from t-1 to t."""
-    labels = np.asarray(labels)
-    if labels.size == 0:
-        raise ValueError("labels must be non-empty")
-    return list(np.nonzero(labels[1:] != labels[:-1])[0] + 1)
-
-
-def labels_to_segments(labels) -> list[SegmentRun]:
-    labels = np.asarray(labels)
-    edges = [0] + find_boundaries(labels) + [len(labels)]
-    return [SegmentRun(int(labels[a]), a, b)
-            for a, b in zip(edges[:-1], edges[1:])]
 
 
 def select_hard_examples(predictions, labels, k_per_class: int,
@@ -68,8 +40,9 @@ def select_hard_examples(predictions, labels, k_per_class: int,
     if k_per_class < 2 or k_per_class % 2 != 0:
         raise ValueError("k_per_class must be an even integer >= 2")
 
+    _, starts, _ = label_runs(labels)
     near_boundary = np.zeros(len(labels), dtype=bool)
-    for b in find_boundaries(labels):
+    for b in starts[1:]:
         lo = max(0, b - boundary_radius)
         near_boundary[lo:b + boundary_radius] = True
 
@@ -109,10 +82,7 @@ def segment_pool(projected: Tensor, labels) -> ContrastPool:
 
     Runs whose mean is zero carry no direction and are dropped.
     """
-    runs = labels_to_segments(labels)
-    starts = np.array([r.start for r in runs])
-    ends = np.array([r.end for r in runs])
-    classes = np.array([r.class_label for r in runs])
+    classes, starts, ends = label_runs(labels)
     pooled = ad.mean_rows(projected, starts, ends)
     keep = np.linalg.norm(pooled.values, axis=1) > 0
     if not keep.all():
@@ -120,9 +90,9 @@ def segment_pool(projected: Tensor, labels) -> ContrastPool:
     return ContrastPool(ad.l2_normalize(pooled), classes[keep])
 
 
-def build_example_set(projected: Tensor, predictions, labels, rng,
-                      k_per_class: int = 16, boundary_radius: int = 2,
-                      include_segments: bool = True,
+def build_example_set(projected: Tensor, predictions, labels, rng, *,
+                      k_per_class: int, boundary_radius: int,
+                      include_segments: bool,
                       ) -> tuple[ContrastPool, ContrastPool]:
     """Full per-sequence example set: the hard-sample and segment pools.
 

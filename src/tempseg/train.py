@@ -24,8 +24,7 @@ Checkpoints are a flat binary container: magic, format version, a JSON
 header (model config, normalization statistics, free-form metadata), then
 each parameter tensor as name, shape, and little-endian float64 data.  They
 hold what inference needs and nothing else: no optimizer state, so a
-loaded state starts with zero Adam moments at step 0.  Format 1 files,
-which also carried Adam moments and the step count, still load.
+loaded state starts with zero Adam moments at step 0.
 """
 
 import contextlib
@@ -510,7 +509,7 @@ def _read_tensor(fh) -> tuple[str, np.ndarray]:
     return name, data.reshape(shape).astype(np.float64)
 
 
-def _read_header(path) -> tuple[int, dict, io.BytesIO]:
+def _read_header(path) -> tuple[dict, io.BytesIO]:
     """Magic, format version and JSON header; the returned stream is left
     at the tensor count.  The file is read whole first, so no corrupt
     length field can make a read allocate more than the file holds."""
@@ -518,7 +517,7 @@ def _read_header(path) -> tuple[int, dict, io.BytesIO]:
     if _read_exact(fh, len(_MAGIC)) != _MAGIC:
         raise ValueError(f"{path} is not a checkpoint file")
     (version,) = struct.unpack("<I", _read_exact(fh, 4))
-    if version not in (1, _VERSION):
+    if version != _VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
     (header_len,) = struct.unpack("<Q", _read_exact(fh, 8))
     try:
@@ -527,15 +526,11 @@ def _read_header(path) -> tuple[int, dict, io.BytesIO]:
         header = None
     if not isinstance(header, dict):
         raise ValueError("checkpoint header is not a JSON object")
-    return version, header, fh
+    return header, fh
 
 
-def _header_model_config(header: dict, version: int) -> ModelConfig:
+def _header_model_config(header: dict) -> ModelConfig:
     raw = header.get("model_config")
-    if version == 1 and isinstance(raw, dict):
-        # format 1 also stored the contrastive hyperparameters here
-        raw = {k: v for k, v in raw.items()
-               if k not in ("temperature", "contrast_weight")}
     names = {f.name for f in dataclasses.fields(ModelConfig)}
     if (not isinstance(raw, dict) or raw.keys() != names
             or any(type(v) is not int for v in raw.values())):
@@ -561,15 +556,12 @@ def load_checkpoint(path) -> TrainState:
 
     Raises ValueError for any file that is not a well-formed checkpoint.
     """
-    version, header, fh = _read_header(path)
-    model_config = _header_model_config(header, version)
+    header, fh = _read_header(path)
+    model_config = _header_model_config(header)
     (n_tensors,) = struct.unpack("<I", _read_exact(fh, 4))
     tensors = dict(_read_tensor(fh) for _ in range(n_tensors))
     if fh.read(1):
         raise ValueError("checkpoint has bytes after its last tensor")
-    if version == 1:  # format 1 also stored Adam moments
-        tensors = {name: values for name, values in tensors.items()
-                   if not name.startswith("adam.")}
     # Checked before anything is built from the header: a corrupt header
     # can name a model far larger than the file.
     if sum(v.size for v in tensors.values()) != md.parameter_count(

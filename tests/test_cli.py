@@ -160,6 +160,18 @@ class TestGenerate:
                 != (data / "train/seq_000.csv").read_bytes())
 
 
+    def test_recordings_shorter_than_the_window_add_no_rate(self, tmp_path):
+        config = tmp_path / "c.cfg"
+        config.write_text("total_length = 10\nnum_train = 2\nnum_val = 0\n"
+                          "num_test = 0\n")
+        out = tmp_path / "data"
+        assert main(["generate", "--config", str(config),
+                     "--out", str(out)]) == 0
+        assert [len(s) for s in load_csv_dataset(out / "train")] == [10, 10]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["splits"]["train"] == ["seq_000.csv", "seq_001.csv"]
+        assert "multiclass_window_rate_24_1" not in manifest
+
     @pytest.mark.parametrize("key,value", [
         ("noise_std", "nan"), ("sample_rate_hz", "inf"),
         ("num_train", "-1"), ("num_val", "-1"), ("num_test", "-2"),
@@ -508,6 +520,25 @@ class TestMainPlumbing:
         assert len(err) == 1 and err[0].startswith("error:")
         assert key in err[0]
         assert not out.exists()
+
+    def test_out_of_memory_is_a_one_line_error(self, tmp_path, capsys):
+        # 2**40 classes ask for a 256 TiB classifier, past any address
+        # space, so the allocation fails at once
+        flat = tmp_path / "flat"
+        flat.mkdir()
+        labels = np.zeros(50, dtype=np.int64)
+        labels[7] = 2 ** 40
+        write_csv_sequence(flat / "rec.csv", SensorSequence(
+            features=np.random.default_rng(0).normal(size=(50, 2)),
+            labels=labels))
+        config = tmp_path / "c.cfg"
+        config.write_text(f"data_dir = {flat}\ntrain_fraction = 1.0\n"
+                          "val_fraction = 0.0\nepochs = 1\n")
+        assert main(["train", "--config", str(config),
+                     "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "allocate" in err[0]
 
     def test_missing_dataset_reports_path(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"

@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tempseg import data as dt
-from tempseg.sampling import labels_to_segments
 
 
 @dataclass(frozen=True)
@@ -110,7 +109,8 @@ class TestSynthesizeSequence:
                                       dwell_max=50, total_length=500,
                                       noise_std=0.0, transition_blur=0, seed=1)
         seq = dt.synthesize_sequence(cfg)
-        assert len(labels_to_segments(seq.labels)) == 10
+        classes, _, _ = dt.label_runs(seq.labels)
+        assert len(classes) == 10
 
     def test_deterministic(self):
         cfg = dt.default_synth_config(total_length=400, seed=9)
@@ -122,10 +122,9 @@ class TestSynthesizeSequence:
     def test_no_self_transitions(self):
         cfg = dt.default_synth_config(num_classes=4, dim=2, dwell_min=5,
                                       dwell_max=15, total_length=600, seed=4)
-        runs = labels_to_segments(dt.synthesize_sequence(cfg).labels)
-        assert len(runs) > 10
-        for a, b in zip(runs[:-1], runs[1:]):
-            assert a.class_label != b.class_label
+        classes, _, _ = dt.label_runs(dt.synthesize_sequence(cfg).labels)
+        assert len(classes) > 10
+        assert np.all(classes[1:] != classes[:-1])
 
     def test_crossfade_mixes_adjacent_class_signals(self):
         blur = 4
@@ -133,9 +132,9 @@ class TestSynthesizeSequence:
                                       transition_blur=blur, dwell_min=60,
                                       dwell_max=90, total_length=400, seed=5)
         seq = dt.synthesize_sequence(cfg)
-        runs = labels_to_segments(seq.labels)
-        b = runs[1].start
-        prev_c, next_c = runs[0].class_label, runs[1].class_label
+        classes, starts, _ = dt.label_runs(seq.labels)
+        b = starts[1]
+        prev_c, next_c = classes[0], classes[1]
         t = np.arange(400) / cfg.sample_rate_hz
 
         def signal(c, idx):
@@ -155,10 +154,10 @@ class TestSynthesizeSequence:
                                       dwell_min=50, dwell_max=80,
                                       total_length=300, seed=6)
         seq = dt.synthesize_sequence(cfg)
-        runs = labels_to_segments(seq.labels)
-        b = runs[1].start
-        assert seq.labels[b - 1] == runs[0].class_label
-        assert seq.labels[b] == runs[1].class_label
+        classes, starts, _ = dt.label_runs(seq.labels)
+        b = starts[1]
+        assert seq.labels[b - 1] == classes[0]
+        assert seq.labels[b] == classes[1]
 
 
 class TestCsvRoundTrip:
@@ -507,6 +506,42 @@ class TestNormalizeFeatures:
     def test_empty_train_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
             dt.normalize_features([], [])
+
+
+class TestLabelRuns:
+    @staticmethod
+    def runs(labels):
+        return [a.tolist() for a in dt.label_runs(labels)]
+
+    def test_basic(self):
+        assert self.runs([0, 0, 1, 1, 2]) == [[0, 1, 2], [0, 2, 4],
+                                              [2, 4, 5]]
+
+    def test_constant(self):
+        assert self.runs([4] * 9) == [[4], [0], [9]]
+
+    def test_alternating(self):
+        assert self.runs([0, 1, 0, 1]) == [[0, 1, 0, 1], [0, 1, 2, 3],
+                                           [1, 2, 3, 4]]
+
+    @given(st.lists(st.integers(0, 5), min_size=1, max_size=60))
+    def test_round_trip(self, labels):
+        classes, starts, ends = dt.label_runs(np.array(labels))
+        assert np.repeat(classes, ends - starts).tolist() == labels
+        assert np.all(classes[1:] != classes[:-1])
+        # the runs tile [0, T) without gaps or empty runs
+        assert starts[0] == 0 and ends[-1] == len(labels)
+        np.testing.assert_array_equal(starts[1:], ends[:-1])
+        assert np.all(ends > starts)
+
+    def test_empty_has_no_runs(self):
+        classes, starts, ends = dt.label_runs(np.array([], dtype=np.int64))
+        assert classes.size == starts.size == ends.size == 0
+        assert starts.dtype.kind == ends.dtype.kind == "i"
+
+    def test_signed_zeros_are_one_run(self):
+        assert self.runs([0.0, -0.0, 0.0, 1.0]) == [[0.0, 1.0], [0, 3],
+                                                    [3, 4]]
 
 
 class TestSlidingWindows:

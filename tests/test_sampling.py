@@ -6,48 +6,6 @@ from tempseg import autodiff as ad
 from tempseg import sampling as sp
 
 
-class TestFindBoundaries:
-    def test_basic(self):
-        assert sp.find_boundaries([0, 0, 1, 1, 2]) == [2, 4]
-
-    def test_constant(self):
-        assert sp.find_boundaries([3] * 7) == []
-
-    def test_alternating(self):
-        assert sp.find_boundaries([0, 1, 0, 1]) == [1, 2, 3]
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            sp.find_boundaries([])
-
-
-class TestLabelsToSegments:
-    def test_basic(self):
-        runs = sp.labels_to_segments([0, 0, 1, 1, 2])
-        assert runs == [sp.SegmentRun(0, 0, 2), sp.SegmentRun(1, 2, 4),
-                        sp.SegmentRun(2, 4, 5)]
-
-    def test_single_label(self):
-        assert sp.labels_to_segments([4] * 9) == [sp.SegmentRun(4, 0, 9)]
-
-    @given(st.lists(st.integers(0, 5), min_size=1, max_size=60))
-    def test_round_trip(self, labels):
-        runs = sp.labels_to_segments(labels)
-        expanded = [r.class_label for r in runs for _ in range(r.start, r.end)]
-        assert expanded == labels
-        for a, b in zip(runs[:-1], runs[1:]):
-            assert a.class_label != b.class_label
-            assert a.end == b.start
-
-    @given(st.lists(st.integers(0, 3), min_size=1, max_size=40))
-    def test_boundary_count_matches_segments(self, labels):
-        assert len(sp.find_boundaries(labels)) == len(sp.labels_to_segments(labels)) - 1
-
-    def test_degenerate_run_rejected(self):
-        with pytest.raises(ValueError):
-            sp.SegmentRun(0, 3, 3)
-
-
 class TestSelectHardExamples:
     def test_all_correct_single_segment(self):
         labels = np.zeros(30, dtype=int)
@@ -200,7 +158,7 @@ class TestBuildExampleSet:
         rows /= np.linalg.norm(rows, axis=1, keepdims=True)
         samples, segments = sp.build_example_set(
             ad.Tensor(rows), predictions, labels, np.random.default_rng(8),
-            k_per_class=6, boundary_radius=2)
+            k_per_class=6, boundary_radius=2, include_segments=True)
         # no zero rows here, so per class exactly min(k, population) samples
         want = sum(min(6, int(np.sum(labels == c))) for c in np.unique(labels))
         assert len(samples) == want
@@ -215,10 +173,12 @@ class TestBuildExampleSet:
         predictions = rng.integers(0, 3, size=40)
         rows = rng.normal(size=(40, 4))
         rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        kwargs = dict(k_per_class=16, boundary_radius=2,
+                      include_segments=True)
         a_s, a_g = sp.build_example_set(ad.Tensor(rows), predictions, labels,
-                                        np.random.default_rng(11))
+                                        np.random.default_rng(11), **kwargs)
         b_s, b_g = sp.build_example_set(ad.Tensor(rows), predictions, labels,
-                                        np.random.default_rng(11))
+                                        np.random.default_rng(11), **kwargs)
         for pa, pb in ((a_s, b_s), (a_g, b_g)):
             np.testing.assert_array_equal(pa.labels, pb.labels)
             assert (pa.embeddings.values.tobytes()

@@ -5,7 +5,6 @@ import subprocess
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +16,7 @@ from tempseg import train as tr
 from tempseg.data import (NormStats, SensorSequence, default_synth_config,
                           synthesize_sequence)
 from tempseg.losses import total_objective
-from tempseg.model import ModelConfig, init_params
+from tempseg.model import ModelConfig
 from tempseg.sampling import build_example_set
 from tempseg.train import (TrainConfig, adam_step, evaluate, fit,
                            init_train_state, load_checkpoint,
@@ -690,7 +689,7 @@ class TestCheckpoint:
         state = self.trained_state(tmp_path)
         path = tmp_path / "model.ckpt"
         save_checkpoint(state, path, metadata={"seed": 7, "note": "abc"})
-        header = tr._read_header(path)[1]
+        header = tr._read_header(path)[0]
         assert header["metadata"] == {"seed": 7, "note": "abc"}
         assert set(header) == {"model_config", "norm_mean", "norm_std",
                                "metadata"}
@@ -718,6 +717,16 @@ class TestCheckpoint:
         blob[8:12] = (99).to_bytes(4, "little")
         path.write_bytes(bytes(blob))
         with pytest.raises(ValueError, match="version 99"):
+            load_checkpoint(path)
+
+    def test_format_1_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(self.trained_state(tmp_path, epochs=0), path)
+        blob = bytearray(path.read_bytes())
+        blob[8:12] = (1).to_bytes(4, "little")
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError,
+                           match="^unsupported checkpoint version 1$"):
             load_checkpoint(path)
 
     def test_unknown_tensor_name_rejected(self, tmp_path):
@@ -765,32 +774,6 @@ class TestCheckpoint:
                          + encoded + blob[20 + length:])
         with pytest.raises(ValueError):
             load_checkpoint(path)
-
-
-V1_FIXTURE = Path(__file__).parent / "data" / "v1_tiny.ckpt"
-
-
-def test_v1_checkpoint_still_loads(tmp_path):
-    """A format 1 file (with Adam moments and a step count) written from
-    init_train_state(config, seed=3) before format 2 existed."""
-    config = ModelConfig(input_dim=3, num_classes=3, num_stages=2,
-                         layers_per_stage=1, hidden_channels=4,
-                         projection_dim=2, kernel_size=3)
-    loaded = load_checkpoint(V1_FIXTURE)
-    assert loaded.model_config == config and loaded.step == 0
-    for (name, got), (_, want) in zip(
-            loaded.params.named_parameters(),
-            init_params(config, seed=3).named_parameters()):
-        assert got.values.tobytes() == want.values.tobytes(), name
-    np.testing.assert_array_equal(loaded.norm_stats.mean, [0.25, -1.5, 3.0])
-    np.testing.assert_array_equal(loaded.norm_stats.std, [1.0, 0.5, 2.0])
-
-    metadata = tr._read_header(V1_FIXTURE)[1]["metadata"]
-    first, second = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-    save_checkpoint(loaded, first, metadata=metadata)
-    save_checkpoint(load_checkpoint(first), second, metadata=metadata)
-    assert first.read_bytes()[8:12] == (2).to_bytes(4, "little")
-    assert first.read_bytes() == second.read_bytes()
 
 
 @pytest.fixture(scope="module")
