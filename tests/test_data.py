@@ -513,26 +513,9 @@ class TestLabelRuns:
     def runs(labels):
         return [a.tolist() for a in dt.label_runs(labels)]
 
-    def test_basic(self):
-        assert self.runs([0, 0, 1, 1, 2]) == [[0, 1, 2], [0, 2, 4],
-                                              [2, 4, 5]]
-
-    def test_constant(self):
-        assert self.runs([4] * 9) == [[4], [0], [9]]
-
     def test_alternating(self):
         assert self.runs([0, 1, 0, 1]) == [[0, 1, 0, 1], [0, 1, 2, 3],
                                            [1, 2, 3, 4]]
-
-    @given(st.lists(st.integers(0, 5), min_size=1, max_size=60))
-    def test_round_trip(self, labels):
-        classes, starts, ends = dt.label_runs(np.array(labels))
-        assert np.repeat(classes, ends - starts).tolist() == labels
-        assert np.all(classes[1:] != classes[:-1])
-        # the runs tile [0, T) without gaps or empty runs
-        assert starts[0] == 0 and ends[-1] == len(labels)
-        np.testing.assert_array_equal(starts[1:], ends[:-1])
-        assert np.all(ends > starts)
 
     def test_empty_has_no_runs(self):
         classes, starts, ends = dt.label_runs(np.array([], dtype=np.int64))

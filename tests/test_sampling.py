@@ -6,6 +6,51 @@ from tempseg import autodiff as ad
 from tempseg import sampling as sp
 
 
+class TestFindBoundaries:
+    """Segment boundaries, as the samplers read them: the run starts after
+    the first one."""
+
+    @staticmethod
+    def boundaries(labels):
+        _, starts, _ = sp.label_runs(np.array(labels))
+        return starts[1:].tolist()
+
+    def test_basic(self):
+        assert self.boundaries([0, 0, 1, 1, 2]) == [2, 4]
+
+    def test_constant(self):
+        assert self.boundaries([3] * 7) == []
+
+
+class TestLabelsToSegments:
+    """Maximal runs of one class, as (classes, starts, ends) arrays."""
+
+    def test_basic(self):
+        runs = [a.tolist() for a in sp.label_runs(np.array([0, 0, 1, 1, 2]))]
+        assert runs == [[0, 1, 2], [0, 2, 4], [2, 4, 5]]
+
+    def test_single_label(self):
+        runs = [a.tolist() for a in sp.label_runs(np.array([4] * 9))]
+        assert runs == [[4], [0], [9]]
+
+    @given(st.lists(st.integers(0, 5), min_size=1, max_size=60))
+    def test_round_trip(self, labels):
+        classes, starts, ends = sp.label_runs(np.array(labels))
+        assert np.repeat(classes, ends - starts).tolist() == labels
+        assert np.all(classes[1:] != classes[:-1])
+        # the runs tile [0, T) without gaps or empty runs
+        assert starts[0] == 0 and ends[-1] == len(labels)
+        np.testing.assert_array_equal(starts[1:], ends[:-1])
+        assert np.all(ends > starts)
+
+    @given(st.lists(st.integers(0, 3), min_size=1, max_size=40))
+    def test_boundary_count_matches_segments(self, labels):
+        classes, starts, _ = sp.label_runs(np.array(labels))
+        changes = [i for i in range(1, len(labels)) if labels[i] != labels[i - 1]]
+        assert starts[1:].tolist() == changes
+        assert len(changes) == len(classes) - 1
+
+
 class TestSelectHardExamples:
     def test_all_correct_single_segment(self):
         labels = np.zeros(30, dtype=int)
