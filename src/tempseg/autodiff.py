@@ -5,7 +5,9 @@ convolutional model with a contrastive head needs. Every operation records
 its inputs and a vector-Jacobian closure on the output tensor, so a backward
 pass is a single reverse walk over a topologically ordered graph. There is
 no broadcasting: ``add`` and ``mul`` take operands of one shape, and the
-only other structured case is the bias inside conv1d_dilated.
+only other structured case is the conv bias.  ``residual_block`` fuses
+one dilated residual layer of the model into a single node, so a
+recorded forward keeps two arrays per layer instead of four.
 
 Contracts are matrix-only: every op takes and returns 2-D arrays, with no
 vector forms, except that ``tsum`` and ``softmax_cross_entropy`` return
@@ -44,6 +46,7 @@ __all__ = [
     "grad_check",
     "no_grad",
     "conv1d_dilated",
+    "residual_block",
     "relu",
     "add",
     "mul",
@@ -204,6 +207,58 @@ def _overlap(shift: int, t_len: int) -> tuple[slice, slice]:
     return slice(-shift, t_len), slice(0, t_len + shift)
 
 
+def _check_conv(x: Tensor, w: Tensor, b: Tensor, dilation: int,
+                op: str = "conv1d_dilated") -> None:
+    if not isinstance(dilation, int) or dilation < 1:
+        raise ValueError(f"dilation must be a positive int, got {dilation!r}")
+    if x.ndim != 2 or w.ndim != 3 or b.ndim != 1:
+        raise ValueError(
+            f"{op} expects x (T,C_in), w (C_out,C_in,k), b (C_out,); "
+            f"got {x.shape}, {w.shape}, {b.shape}"
+        )
+    c_out, w_cin, k = w.shape
+    if k % 2 == 0:
+        raise ValueError(f"kernel size must be odd, got {k}")
+    if w_cin != x.shape[1]:
+        raise ValueError(f"channel mismatch: input has {x.shape[1]}, "
+                         f"weight expects {w_cin}")
+    if b.shape != (c_out,):
+        raise ValueError(f"bias shape {b.shape} does not match C_out={c_out}")
+
+
+def _taps(t_len: int, k: int, dilation: int) -> tuple[int, list]:
+    """The centre tap, and (j, dst, src) for every other tap that reaches
+    the sequence."""
+    centre = (k - 1) // 2
+    return centre, [(j, *_overlap((j - centre) * dilation, t_len))
+                    for j in range(k)
+                    if j != centre and abs(j - centre) * dilation < t_len]
+
+
+def _conv_forward(xv: np.ndarray, wv: np.ndarray, bv: np.ndarray,
+                  dilation: int) -> np.ndarray:
+    centre, taps = _taps(xv.shape[0], wv.shape[2], dilation)
+    out = xv @ wv[:, :, centre].T
+    out += bv
+    for j, dst, src in taps:
+        out[dst] += xv[src] @ wv[:, :, j].T
+    return out
+
+
+def _conv_backward(g: np.ndarray, xv: np.ndarray, wv: np.ndarray,
+                   dilation: int) -> tuple:
+    """Gradients of x, w and b from the output gradient ``g``."""
+    centre, taps = _taps(xv.shape[0], wv.shape[2], dilation)
+    gb = g.sum(axis=0)
+    gw = np.zeros_like(wv)
+    gw[:, :, centre] = g.T @ xv
+    gx = g @ wv[:, :, centre]
+    for j, dst, src in taps:
+        gw[:, :, j] = g[dst].T @ xv[src]
+        gx[src] += g[dst] @ wv[:, :, j]
+    return gx, gw, gb
+
+
 def conv1d_dilated(x: Tensor, w: Tensor, b: Tensor, dilation: int = 1) -> Tensor:
     """Length-preserving dilated 1-D convolution.
 
@@ -219,42 +274,44 @@ def conv1d_dilated(x: Tensor, w: Tensor, b: Tensor, dilation: int = 1) -> Tensor
     skipped, and a 1x1 convolution is a single affine map.
     """
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
-    if not isinstance(dilation, int) or dilation < 1:
-        raise ValueError(f"dilation must be a positive int, got {dilation!r}")
-    if x.ndim != 2 or w.ndim != 3 or b.ndim != 1:
-        raise ValueError(
-            f"conv1d_dilated expects x (T,C_in), w (C_out,C_in,k), b (C_out,); "
-            f"got {x.shape}, {w.shape}, {b.shape}"
-        )
-    t_len, c_in = x.shape
-    c_out, w_cin, k = w.shape
-    if k % 2 == 0:
-        raise ValueError(f"kernel size must be odd, got {k}")
-    if w_cin != c_in:
-        raise ValueError(f"channel mismatch: input has {c_in}, weight expects {w_cin}")
-    if b.shape != (c_out,):
-        raise ValueError(f"bias shape {b.shape} does not match C_out={c_out}")
-
+    _check_conv(x, w, b, dilation)
     xv, wv = x.values, w.values
-    centre = (k - 1) // 2
-    taps = [(j, *_overlap((j - centre) * dilation, t_len)) for j in range(k)
-            if j != centre and abs(j - centre) * dilation < t_len]
-    out = xv @ wv[:, :, centre].T
-    out += b.values
-    for j, dst, src in taps:
-        out[dst] += xv[src] @ wv[:, :, j].T
 
     def vjp(g):
-        gb = g.sum(axis=0)
-        gw = np.zeros_like(wv)
-        gw[:, :, centre] = g.T @ xv
-        gx = g @ wv[:, :, centre]
-        for j, dst, src in taps:
-            gw[:, :, j] = g[dst].T @ xv[src]
-            gx[src] += g[dst] @ wv[:, :, j]
-        return gx, gw, gb
+        return _conv_backward(g, xv, wv, dilation)
 
-    return Tensor(out, (x, w, b), vjp, "conv1d_dilated")
+    return Tensor(_conv_forward(xv, wv, b.values, dilation), (x, w, b), vjp,
+                  "conv1d_dilated")
+
+
+def residual_block(h: Tensor, wd: Tensor, bd: Tensor, wm: Tensor, bm: Tensor,
+                   dilation: int) -> Tensor:
+    """One dilated residual layer, ``h + conv1x1(relu(conv_dilated(h)))``.
+
+    ``h`` is T x F, ``wd`` M x F x k with odd k, ``wm`` F x M x 1, and
+    the biases have M and F entries.  Values and gradients are bitwise
+    those of ``add(h, conv1d_dilated(relu(conv1d_dilated(h, wd, bd,
+    dilation)), wm, bm, 1))``, but as one graph node that keeps only its
+    input and the ReLU output alive, not the four arrays of the
+    composition.
+    """
+    h, wd, bd, wm, bm = map(_as_tensor, (h, wd, bd, wm, bm))
+    _check_conv(h, wd, bd, dilation, "residual_block")
+    width, mid = h.shape[1], wd.shape[0]
+    if wm.shape != (width, mid, 1) or bm.shape != (width,):
+        raise ValueError(f"residual_block: mix weight {wm.shape} and bias "
+                         f"{bm.shape} must map {mid} channels back to {width}")
+    hv, wdv, wmv = h.values, wd.values, wm.values
+    act = _conv_forward(hv, wdv, bd.values, dilation)
+    np.maximum(act, 0.0, out=act)
+
+    def vjp(g):
+        ga, gwm, gbm = _conv_backward(g, act, wmv, 1)
+        gx, gwd, gbd = _conv_backward(ga * (act > 0), hv, wdv, dilation)
+        return g + gx, gwd, gbd, gwm, gbm
+
+    return Tensor(hv + _conv_forward(act, wmv, bm.values, 1),
+                  (h, wd, bd, wm, bm), vjp, "residual_block")
 
 
 def relu(x: Tensor) -> Tensor:

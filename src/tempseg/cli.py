@@ -266,13 +266,31 @@ def _resolve_dims(cfg: ExperimentConfig, splits) -> tuple[int, int]:
     if cfg.input_dim is not None and cfg.input_dim != dim:
         raise ValueError(f"config input_dim {cfg.input_dim} does not match "
                          f"dataset dim {dim}")
-    classes = max(int(s.labels.max()) for s in everything) + 1
+    largest = max(int(s.labels.max()) for s in everything)
+    classes = largest + 1
     if cfg.num_classes is not None:
         if classes > cfg.num_classes:
             raise ValueError(f"dataset has {classes} classes, config allows "
                              f"{cfg.num_classes}")
         classes = cfg.num_classes
+    _check_fits_in_memory(cfg.model_config(dim, classes), largest)
     return dim, classes
+
+
+def _check_fits_in_memory(model_cfg: md.ModelConfig, largest_label: int):
+    """Reject a model whose parameters and two Adam moments (8 bytes each)
+    exceed physical memory, where the system reports it, before any of it
+    is allocated: one stray large label would size the classifier."""
+    try:
+        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return
+    need = 24 * md.parameter_count(model_cfg)
+    if 0 < memory < need:
+        raise ValueError(
+            f"cannot allocate {need} bytes to train a "
+            f"{model_cfg.num_classes}-class model (largest label "
+            f"{largest_label}): physical memory is {memory} bytes")
 
 
 def _prepared_splits(cfg: ExperimentConfig):

@@ -154,6 +154,25 @@ def check_conv1d_dilated(rng) -> float:
     return worst
 
 
+def check_residual_block(rng) -> float:
+    # the conv1d_dilated instances, each redrawn until no relu
+    # pre-activation lies within the finite-difference step of its kink
+    worst = 0.0
+    for t_len, k, dilation in ((9, 3, 2), (6, 1, 1), (4, 3, 5)):
+        while True:
+            tensors = [ad.Tensor(rng.normal(size=shape)) for shape in
+                       ((t_len, 3), (2, 3, k), (2,), (3, 2, 1), (3,))]
+            pre = ad.conv1d_dilated(*tensors[:3], dilation=dilation)
+            if np.abs(pre.values).min() > 0.05:
+                break
+
+        def f(p, dilation=dilation):
+            return _squared_sum(ad.residual_block(*p, dilation=dilation))
+
+        worst = max(worst, ad.grad_check(f, tensors, eps=EPS))
+    return worst
+
+
 def check_softmax_cross_entropy(rng) -> float:
     labels = rng.integers(0, 3, size=10)
     logits = ad.Tensor(rng.normal(size=(10, 3)))
@@ -161,17 +180,23 @@ def check_softmax_cross_entropy(rng) -> float:
         lambda p: ad.softmax_cross_entropy(p[0], labels), [logits], eps=EPS)
 
 
-def _graph_kink_margins(loss: ad.Tensor) -> tuple[float, float]:
+def _graph_kink_margins(loss: ad.Tensor,
+                        params: md.ModelParams) -> tuple[float, float]:
     """Distance of the built graph from its nearest kinks.
 
     Walks the loss graph after a backward pass.  For every relu, entries
     whose output gradient is nonzero must sit away from zero input; for
     every l2 normalization, rows that carry gradient must have a healthy
     pre-normalization norm.  Entries with zero output-gradient cannot move
-    the loss, so they are ignored.
+    the loss, so they are ignored.  A residual block hides its relu, so
+    its pre-activation is recomputed from the node's parents, with the
+    dilation of the block of `params` that owns the dilated weight.
     """
+    dilations = {id(blk.dilated_w): 2 ** i for stage in params.stages
+                 for i, blk in enumerate(stage.blocks)}
     kinks = [node for node in ad.CompGraph.from_output(loss).nodes
-             if node._op in ("relu", "l2_normalize") and node._parents]
+             if node._op in ("relu", "residual_block", "l2_normalize")
+             and node._parents]
     grads = ad.backward({loss: 1.0}, kinks)
     relu_margin = np.inf
     norm_margin = np.inf
@@ -179,17 +204,23 @@ def _graph_kink_margins(loss: ad.Tensor) -> tuple[float, float]:
         g = grads.get(node)
         if g is None:
             continue
-        if node._op == "relu":
-            pre = node._parents[0].values
-            relevant = np.abs(g) > 1e-12
-            if relevant.any():
-                relu_margin = min(relu_margin, np.abs(pre[relevant]).min())
-        elif node._op == "l2_normalize":
+        if node._op == "l2_normalize":
             pre = node._parents[0].values
             rows = np.abs(g).max(axis=1) > 1e-12
             if rows.any():
                 norm_margin = min(norm_margin,
                                   np.linalg.norm(pre[rows], axis=1).min())
+            continue
+        if node._op == "relu":
+            pre = node._parents[0].values
+        else:
+            h, wd, bd, wm, _ = node._parents
+            with ad.no_grad():
+                pre = ad.conv1d_dilated(h, wd, bd, dilations[id(wd)]).values
+            g = g @ wm.values[:, :, 0]
+        relevant = np.abs(g) > 1e-12
+        if relevant.any():
+            relu_margin = min(relu_margin, np.abs(pre[relevant]).min())
     return relu_margin, norm_margin
 
 
@@ -256,7 +287,7 @@ def build_full_objective_instance(seed_start: int = 0, max_tries: int = 400):
                                                 plans)
         if any(c <= 0.0 for c in breakdown.contrast):
             continue
-        relu_margin, norm_margin = _graph_kink_margins(loss)
+        relu_margin, norm_margin = _graph_kink_margins(loss, params)
         if relu_margin > _RELU_MARGIN and norm_margin > _NORM_MARGIN:
             return dict(cfg=cfg, params=params, x=x, labels=labels,
                         plans=plans, seed=seed)
@@ -292,5 +323,6 @@ OP_CHECKS: dict[str, Callable] = {
     "transpose": check_transpose,
     "softmax_rows": check_softmax_rows,
     "conv1d_dilated": check_conv1d_dilated,
+    "residual_block": check_residual_block,
     "softmax_cross_entropy": check_softmax_cross_entropy,
 }

@@ -1,7 +1,8 @@
 """Multi-stage temporal convolutional model.
 
 A stage maps its input channels to a hidden width with a 1x1 adapter, runs a
-stack of dilated residual blocks (dilation doubling per layer), and exposes
+stack of dilated residual blocks (dilation doubling per layer, one
+`autodiff.residual_block` graph node each), and exposes
 two views of the result: hidden features and per-sample class logits.  The
 unit-normalized projection for contrastive training is computed from the
 features on demand (`project`), only where something reads it.  Stage
@@ -190,9 +191,8 @@ def sstcn_forward(x: Tensor, stage: StageParams) -> Tensor:
     """Single-stage forward: adapter, then the dilated residual stack."""
     h = ad.conv1d_dilated(x, stage.adapter_w, stage.adapter_b, dilation=1)
     for i, blk in enumerate(stage.blocks):
-        pre = ad.relu(ad.conv1d_dilated(h, blk.dilated_w, blk.dilated_b,
-                                        dilation=2 ** i))
-        h = ad.add(h, ad.conv1d_dilated(pre, blk.mix_w, blk.mix_b, dilation=1))
+        h = ad.residual_block(h, blk.dilated_w, blk.dilated_b, blk.mix_w,
+                              blk.mix_b, dilation=2 ** i)
     return h
 
 

@@ -160,6 +160,47 @@ class TestConv1dDilated:
             ad.conv1d_dilated(x, w, ad.Tensor(np.zeros(1)), 1)
 
 
+def unfused_residual_block(h, wd, bd, wm, bm, dilation):
+    """The composition that ad.residual_block fuses (oracle)."""
+    pre = ad.relu(ad.conv1d_dilated(h, wd, bd, dilation))
+    return ad.add(h, ad.conv1d_dilated(pre, wm, bm, 1))
+
+
+class TestResidualBlock:
+    @settings(max_examples=150, deadline=None)
+    @given(k=st.sampled_from([1, 3, 5]), t_len=st.integers(1, 40),
+           dilation=st.integers(1, 48), width=st.integers(1, 4),
+           mid=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_composition_bitwise(self, k, t_len, dilation, width,
+                                             mid, seed):
+        r = np.random.default_rng(seed)
+        inputs = [ad.Tensor(r.normal(size=shape)) for shape in
+                  ((t_len, width), (mid, width, k), (mid,), (width, mid, 1),
+                   (width,))]
+        g = r.normal(size=(t_len, width))
+        fused = ad.residual_block(*inputs, dilation=dilation)
+        oracle = unfused_residual_block(*inputs, dilation)
+        assert fused._op == "residual_block"
+        np.testing.assert_array_equal(fused.values, oracle.values)
+        got = ad.backward({fused: g}, inputs)
+        want = ad.backward({oracle: g}, inputs)
+        for tensor in inputs:
+            np.testing.assert_array_equal(got[tensor], want[tensor])
+
+    def test_mix_weight_must_map_back_to_the_input_width(self, rng):
+        h = ad.Tensor(rng.normal(size=(5, 3)))
+        wd = ad.Tensor(rng.normal(size=(2, 3, 3)))
+        bd = ad.Tensor(np.zeros(2))
+        with pytest.raises(ValueError, match="mix weight"):
+            ad.residual_block(h, wd, bd, ad.Tensor(np.zeros((2, 2, 1))),
+                              ad.Tensor(np.zeros(2)), 1)
+        with pytest.raises(ValueError, match="channel mismatch"):
+            ad.residual_block(h, ad.Tensor(np.zeros((3, 2, 3))),
+                              ad.Tensor(np.zeros(3)),
+                              ad.Tensor(np.zeros((3, 3, 1))),
+                              ad.Tensor(np.zeros(3)), 1)
+
+
 class TestElementwiseOps:
     def test_relu(self):
         out = ad.relu(ad.Tensor([-1.0, 0.0, 2.0]))

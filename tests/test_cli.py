@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from tempseg import cli
+from tempseg import model as md
 from tempseg import train as tr
 from tempseg.cli import (_load_splits, load_experiment_config, main,
                          parse_config_file, variant_settings)
@@ -488,6 +489,22 @@ class TestFractionSplit:
         assert len(err.strip().splitlines()) == 1
 
 
+def stray_label_config(tmp_path, label):
+    """Config over one flat 50-sample recording, all label 0 but one
+    `label`, trained on whole for one epoch."""
+    flat = tmp_path / "flat"
+    flat.mkdir()
+    labels = np.zeros(50, dtype=np.int64)
+    labels[7] = label
+    write_csv_sequence(flat / "rec.csv", SensorSequence(
+        features=np.random.default_rng(0).normal(size=(50, 2)),
+        labels=labels))
+    config = tmp_path / "c.cfg"
+    config.write_text(f"data_dir = {flat}\ntrain_fraction = 1.0\n"
+                      "val_fraction = 0.0\nepochs = 1\nablate_seeds = 1\n")
+    return config
+
+
 class TestMainPlumbing:
     def test_invalid_log_level_exits_2(self, monkeypatch, capsys):
         monkeypatch.setenv("TEMPSEG_LOG_LEVEL", "chatty")
@@ -521,24 +538,38 @@ class TestMainPlumbing:
         assert key in err[0]
         assert not out.exists()
 
-    def test_out_of_memory_is_a_one_line_error(self, tmp_path, capsys):
+    def test_out_of_memory_is_a_one_line_error(self, tmp_path, capsys,
+                                               monkeypatch):
         # 2**40 classes ask for a 256 TiB classifier, past any address
-        # space, so the allocation fails at once
-        flat = tmp_path / "flat"
-        flat.mkdir()
-        labels = np.zeros(50, dtype=np.int64)
-        labels[7] = 2 ** 40
-        write_csv_sequence(flat / "rec.csv", SensorSequence(
-            features=np.random.default_rng(0).normal(size=(50, 2)),
-            labels=labels))
-        config = tmp_path / "c.cfg"
-        config.write_text(f"data_dir = {flat}\ntrain_fraction = 1.0\n"
-                          "val_fraction = 0.0\nepochs = 1\n")
+        # space; where the system does not report its memory, no check
+        # runs first and the allocation fails at once
+        def unknown(name):
+            raise ValueError(f"unrecognized configuration name {name!r}")
+        monkeypatch.setattr(os, "sysconf", unknown)
+        config = stray_label_config(tmp_path, 2 ** 40)
         assert main(["train", "--config", str(config),
                      "--out", str(tmp_path / "run")]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
         assert "allocate" in err[0]
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_model_larger_than_memory_is_rejected_before_allocation(
+            self, tmp_path, capsys, monkeypatch, command):
+        # a label of 2**30 sizes a default model at 98 * 2**30 parameters,
+        # 2352 GiB with Adam's two moments: it must be refused before
+        # init_params, not fill memory
+        monkeypatch.setattr(md, "init_params", lambda *a: pytest.fail(
+            "init_params ran"))
+        config = stray_label_config(tmp_path, 2 ** 30)
+        assert main([command, "--config", str(config),
+                     "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        need = 24 * md.parameter_count(ModelConfig(input_dim=2,
+                                                   num_classes=2 ** 30 + 1))
+        assert need // 2 ** 30 == 2352
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert f"largest label {2 ** 30}" in err[0] and str(need) in err[0]
 
     def test_missing_dataset_reports_path(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"

@@ -305,3 +305,32 @@ class TestTotalObjective:
     def test_gradient_passes_finite_difference_check(self):
         from tempseg.gradcheck_suite import check_full_objective
         assert check_full_objective() < 1e-4
+
+
+def unfused_sstcn_forward(x, stage):
+    """sstcn_forward with each residual block as four recorded ops."""
+    h = ad.conv1d_dilated(x, stage.adapter_w, stage.adapter_b, 1)
+    for i, blk in enumerate(stage.blocks):
+        pre = ad.relu(ad.conv1d_dilated(h, blk.dilated_w, blk.dilated_b,
+                                        2 ** i))
+        h = ad.add(h, ad.conv1d_dilated(pre, blk.mix_w, blk.mix_b, 1))
+    return h
+
+
+class TestKinkSearch:
+    def test_sees_the_relus_inside_residual_blocks(self, monkeypatch):
+        # the block relus hold the smallest margin of this instance; a
+        # search blind to them accepts an earlier, kinkier seed
+        from tempseg import gradcheck_suite as gs
+        inst = gs.build_full_objective_instance(0)
+        assert inst["seed"] == 21
+        args = (inst["cfg"], inst["params"], inst["x"], inst["labels"],
+                inst["plans"])
+        fused, _ = gs._build_objective_loss(*args)
+        monkeypatch.setattr(md, "sstcn_forward", unfused_sstcn_forward)
+        unfused, _ = gs._build_objective_loss(*args)
+        assert "residual_block" not in {
+            n._op for n in ad.CompGraph.from_output(unfused).nodes}
+        assert fused.values == unfused.values
+        assert (gs._graph_kink_margins(fused, inst["params"])
+                == gs._graph_kink_margins(unfused, inst["params"]))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -129,6 +131,24 @@ class TestSstcnForward:
         with pytest.raises(ValueError, match="channel mismatch"):
             md.sstcn_forward(ad.Tensor(np.zeros((10, cfg.input_dim + 1))),
                              params.stages[0])
+
+
+    def test_recorded_forward_holds_two_arrays_per_block(self):
+        # default config, T=1126 (a training chunk with its halo): each of
+        # the 12 blocks keeps its output and its relu output, so with the
+        # adapter outputs, logits and softmax the graph holds about 27
+        # T x F arrays; four ops per block held about 51
+        cfg = md.ModelConfig(input_dim=6, num_classes=5)
+        params = md.init_params(cfg, seed=0)
+        x = np.random.default_rng(0).normal(size=(1126, cfg.input_dim))
+        tracemalloc.start()
+        try:
+            outs = md.mstcn_forward(x, params, cfg)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert outs[-1].probs._parents
+        assert held <= 32 * 1126 * cfg.hidden_channels * 8
 
 
 class TestHeads:

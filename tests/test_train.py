@@ -4,6 +4,7 @@ import struct
 import subprocess
 import sys
 import threading
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -553,7 +554,7 @@ class TestFit:
     def test_chunk_graphs_hold_the_forward_and_nothing_else(self,
                                                            monkeypatch):
         # default config, T=2000: two chunks of 1000 samples; per stage 3
-        # adapter, 6 x 8 block, 3 classifier and 8 projection nodes, plus
+        # adapter, 6 x 5 block, 3 classifier and 8 projection nodes, plus
         # the input and the softmax that feeds stage 2: no seeding ops
         graphs = capture_graphs(monkeypatch)
         seq = synthesize_sequence(default_synth_config())
@@ -562,9 +563,11 @@ class TestFit:
                                np.random.default_rng(0),
                                tr.TRAIN_CHUNK_LENGTH)
         chunk_graphs = graphs[1:]   # the first is the loss graph's
-        assert [len(g.nodes) for g in chunk_graphs] == [126, 126]
-        assert not {"mul", "tsum"} & {n._op for g in chunk_graphs
-                                      for n in g.nodes}
+        assert [len(g.nodes) for g in chunk_graphs] == [90, 90]
+        for graph in chunk_graphs:
+            assert Counter(n._op for n in graph.nodes) == {
+                "leaf": 65, "conv1d_dilated": 8, "residual_block": 12,
+                "relu": 2, "l2_normalize": 2, "softmax_rows": 1}
 
     @pytest.mark.parametrize("contrast_weight, include_segments, want", [
         (0.0, True, {"l2_normalize": 0, "mean_rows": 0}),
