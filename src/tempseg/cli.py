@@ -331,8 +331,13 @@ def cmd_train(cfg: ExperimentConfig, out_dir, variant=None) -> int:
                 "best_epoch": state.best_epoch,
                 "best_metric": state.best_metric}
     tr.save_checkpoint(state, out / "model.ckpt", metadata=metadata)
-    print(f"checkpoint {out / 'model.ckpt'} (best epoch {state.best_epoch}, "
-          f"validation F1 {state.best_metric:.4f})")
+    if state.best_metric is None:
+        why = "no validation split" if not bundle[1] else "no epoch trained"
+        print(f"checkpoint {out / 'model.ckpt'} (latest parameters, "
+              f"epoch {state.best_epoch}: {why})")
+    else:
+        print(f"checkpoint {out / 'model.ckpt'} (best epoch "
+              f"{state.best_epoch}, validation F1 {state.best_metric:.4f})")
     return 0
 
 

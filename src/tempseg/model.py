@@ -112,40 +112,33 @@ class StageOutput:
 
 
 def build_params(config: ModelConfig, make) -> ModelParams:
-    """ModelParams whose tensor `name` of shape `shape` holds make(name, shape).
+    """ModelParams whose every tensor of shape `shape` holds make(shape).
 
     make is called once per tensor, in a fixed order: per stage, every
     block's dilated and mix tensors, then the adapter, classifier and
-    projection tensors.
+    projection tensors.  That order is init_params' draw order; tensor
+    names live only in `ModelParams.named_parameters`.
     """
     f = config.hidden_channels
     k = config.kernel_size
+    c = config.num_classes
 
-    def tensor(name, *shape):
-        return Tensor(make(name, shape))
+    def tensor(*shape):
+        return Tensor(make(shape))
 
     stages = []
     for s in range(config.num_stages):
-        prefix = f"stage{s}"
-        c_in = config.input_dim if s == 0 else config.num_classes
-        blocks = [BlockParams(
-            dilated_w=tensor(f"{prefix}.block{l}.dilated.w", f, f, k),
-            dilated_b=tensor(f"{prefix}.block{l}.dilated.b", f),
-            mix_w=tensor(f"{prefix}.block{l}.mix.w", f, f, 1),
-            mix_b=tensor(f"{prefix}.block{l}.mix.b", f),
-        ) for l in range(config.layers_per_stage)]
+        c_in = config.input_dim if s == 0 else c
+        blocks = [BlockParams(dilated_w=tensor(f, f, k), dilated_b=tensor(f),
+                              mix_w=tensor(f, f, 1), mix_b=tensor(f))
+                  for _ in range(config.layers_per_stage)]
         stages.append(StageParams(
-            adapter_w=tensor(f"{prefix}.adapter.w", f, c_in, 1),
-            adapter_b=tensor(f"{prefix}.adapter.b", f),
+            adapter_w=tensor(f, c_in, 1), adapter_b=tensor(f),
             blocks=blocks,
-            classifier_w=tensor(f"{prefix}.classifier.w",
-                                config.num_classes, f, 1),
-            classifier_b=tensor(f"{prefix}.classifier.b", config.num_classes),
-            proj_hidden_w=tensor(f"{prefix}.proj_hidden.w", f, f, 1),
-            proj_hidden_b=tensor(f"{prefix}.proj_hidden.b", f),
-            proj_out_w=tensor(f"{prefix}.proj_out.w",
-                              config.projection_dim, f, 1),
-            proj_out_b=tensor(f"{prefix}.proj_out.b", config.projection_dim),
+            classifier_w=tensor(c, f, 1), classifier_b=tensor(c),
+            proj_hidden_w=tensor(f, f, 1), proj_hidden_b=tensor(f),
+            proj_out_w=tensor(config.projection_dim, f, 1),
+            proj_out_b=tensor(config.projection_dim),
         ))
     return ModelParams(stages=stages)
 
@@ -158,7 +151,7 @@ def init_params(config: ModelConfig, seed: int) -> ModelParams:
     """
     rng = np.random.default_rng(seed)
 
-    def draw(name, shape):
+    def draw(shape):
         if len(shape) == 1:
             return np.zeros(shape)
         _, c_in, k = shape
@@ -166,16 +159,6 @@ def init_params(config: ModelConfig, seed: int) -> ModelParams:
         return rng.uniform(-bound, bound, size=shape)
 
     return build_params(config, draw)
-
-
-def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
-    """Shape of every tensor of the model, in named_parameters order.
-
-    The tensors are zero-stride views of one scalar, so nothing is
-    allocated per parameter.
-    """
-    params = build_params(config, lambda _, shape: np.broadcast_to(0.0, shape))
-    return {name: t.shape for name, t in params.named_parameters()}
 
 
 def parameter_count(config: ModelConfig) -> int:

@@ -9,10 +9,9 @@ pooling), runs between them on leaf copies of the chunks' kept outputs
 (`_sequence_gradients`).  The gradients equal a whole-sequence graph's
 up to rounding and do not depend on the thread count.  Elsewhere BLAS's
 own threads already use the CPUs, and a sequence is one chunk.
-`train_epoch` sums the gradients per parameter in sequence order, and
-the optimizer consumes their mean every batch_size sequences (and at
-epoch end), so a batch is a group of whole sequences rather than
-windows; a parameter no graph reached gets a zero gradient.  All
+`train_epoch` steps the optimizer once per batch of batch_size whole
+sequences, not windows, with the mean of their gradients; a parameter
+no graph reached gets a zero gradient.  All
 randomness flows through one caller-owned generator, on the calling
 thread, which makes full runs bitwise reproducible.
 
@@ -104,14 +103,8 @@ class TrainState:
     step: int = 0
     norm_stats: NormStats | None = None
     best_params: ModelParams | None = None
-    best_metric: float = -1.0
+    best_metric: float | None = None    # None: no validation ran
     best_epoch: int = -1
-
-    def snapshot_best(self, metric: float, epoch: int):
-        if metric > self.best_metric:
-            self.best_metric = metric
-            self.best_epoch = epoch
-            self.best_params = copy.deepcopy(self.params)
 
 
 def init_train_state(model_config: ModelConfig, seed: int) -> TrainState:
@@ -129,13 +122,15 @@ def adam_step(state: TrainState, gradients: dict[str, np.ndarray],
               lr: float) -> TrainState:
     """Bias-corrected adaptive-moment update, in place on state.params,
     with ADAM_BETAS and ADAM_EPSILON."""
+    named = list(state.params.named_parameters())
+    for name, _ in named:   # all checked before any state changes
+        if not np.all(np.isfinite(gradients[name])):
+            raise FloatingPointError(f"non-finite gradient for {name}")
     b1, b2 = ADAM_BETAS
     state.step += 1
     t = state.step
-    for name, tensor in state.params.named_parameters():
+    for name, tensor in named:
         g = gradients[name]
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError(f"non-finite gradient for {name}")
         state.m[name] = b1 * state.m[name] + (1 - b1) * g
         state.v[name] = b2 * state.v[name] + (1 - b2) * g * g
         m_hat = state.m[name] / (1 - b1 ** t)
@@ -240,58 +235,46 @@ def _sequence_gradients(state: TrainState, seq: SensorSequence,
 
 def train_epoch(state: TrainState, sequences: list[SensorSequence],
                 cfg: TrainConfig, rng) -> EpochStats:
-    """One pass over the shuffled sequences with gradient accumulation."""
+    """One pass over the shuffled sequences: one Adam step per batch of
+    cfg.batch_size of them (the last may be shorter), with the mean of
+    their gradients.  The stats sum every sequence's `LossBreakdown` in
+    sequence order; the losses are then divided by the sequence count.
+    """
     if not sequences:
         raise ValueError("need at least one training sequence")
-    n_stages = state.model_config.num_stages
-    ce_sums = np.zeros(n_stages)
-    con_sums = np.zeros(n_stages)
-    total_sum = 0.0
-    steps = 0
-    skipped = 0
-    n_samples = np.zeros(n_stages, dtype=int)
-    n_segments = np.zeros(n_stages, dtype=int)
-
     order = rng.permutation(len(sequences))
-    accumulated = 0
+    batches = [order[i:i + cfg.batch_size]
+               for i in range(0, len(order), cfg.batch_size)]
+    breakdowns = []
     chunk_length = train_chunk_length()
     with chunk_runner() as run:
-        for idx in order:
-            grads, breakdown = _sequence_gradients(
-                state, sequences[int(idx)], cfg, rng, chunk_length, run)
-            if not np.isfinite(breakdown.total):
-                raise FloatingPointError(
-                    f"non-finite loss on sequence {int(idx)}")
-            summed = grads if not accumulated else {
-                name: summed[name] + g for name, g in grads.items()}
-            accumulated += 1
-            ce_sums += breakdown.classification
-            con_sums += breakdown.contrast
-            total_sum += breakdown.total
-            skipped += breakdown.skipped_anchors
-            n_samples += breakdown.sample_examples
-            n_segments += breakdown.segment_examples
-            if accumulated == cfg.batch_size:
-                _apply_accumulated(state, cfg, summed, accumulated)
-                accumulated = 0
-                steps += 1
-    if accumulated:
-        _apply_accumulated(state, cfg, summed, accumulated)
-        steps += 1
+        for batch in batches:
+            for i, idx in enumerate(batch):
+                grads, breakdown = _sequence_gradients(
+                    state, sequences[int(idx)], cfg, rng, chunk_length, run)
+                if not np.isfinite(breakdown.total):
+                    raise FloatingPointError(
+                        f"non-finite loss on sequence {int(idx)}")
+                breakdowns.append(breakdown)
+                summed = grads if i == 0 else {
+                    name: summed[name] + g for name, g in grads.items()}
+            adam_step(state, {name: g / len(batch)
+                              for name, g in summed.items()},
+                      cfg.learning_rate)
+
+    def epoch_sum(field):
+        return functools.reduce(np.add, (np.asarray(getattr(b, field))
+                                         for b in breakdowns))
 
     n = len(sequences)
-    return EpochStats(classification=(ce_sums / n).tolist(),
-                      contrast=(con_sums / n).tolist(),
-                      total=total_sum / n, optimizer_steps=steps,
-                      skipped_anchors=skipped,
-                      sample_examples=n_samples.tolist(),
-                      segment_examples=n_segments.tolist())
-
-
-def _apply_accumulated(state: TrainState, cfg: TrainConfig,
-                       summed: dict[str, np.ndarray], count: int):
-    gradients = {name: g / count for name, g in summed.items()}
-    adam_step(state, gradients, cfg.learning_rate)
+    return EpochStats(
+        classification=(epoch_sum("classification") / n).tolist(),
+        contrast=(epoch_sum("contrast") / n).tolist(),
+        total=(epoch_sum("total") / n).tolist(),
+        optimizer_steps=len(batches),
+        skipped_anchors=epoch_sum("skipped_anchors").tolist(),
+        sample_examples=epoch_sum("sample_examples").tolist(),
+        segment_examples=epoch_sum("segment_examples").tolist())
 
 
 @functools.cache
@@ -438,10 +421,16 @@ def fit(state: TrainState, train_seqs: list[SensorSequence],
         log_fn=None) -> list[dict]:
     """Run cfg.epochs epochs, snapshotting the best validation F1.
 
-    Returns one JSON-ready record per epoch.  Without validation
-    sequences the latest parameters are always the snapshot.
+    Returns one JSON-ready record per epoch.  `state.best_params` is a
+    copy of the parameters after the epoch of highest validation macro F1
+    (the first on ties), `best_metric` that F1, `best_epoch` that epoch.
+    Where no epoch was validated (no validation sequences, or no epochs),
+    `best_metric` is None, `best_params` is `state.params` itself (the
+    latest parameters) and `best_epoch` the last epoch, -1 for none.
     """
     rng = np.random.default_rng(cfg.seed)
+    state.best_params, state.best_metric = state.params, None
+    state.best_epoch = cfg.epochs - 1
     history = []
     for epoch in range(cfg.epochs):
         stats = train_epoch(state, train_seqs, cfg, rng)
@@ -450,14 +439,13 @@ def fit(state: TrainState, train_seqs: list[SensorSequence],
             report, _ = evaluate(state.params, state.model_config, val_seqs)
             record["val_macro_f1"] = report.macro_f1
             record["val_jaccard"] = report.jaccard
-            state.snapshot_best(report.macro_f1, epoch)
-        else:
-            state.snapshot_best(float(epoch), epoch)
+            if (state.best_metric is None
+                    or report.macro_f1 > state.best_metric):
+                state.best_params = copy.deepcopy(state.params)
+                state.best_metric, state.best_epoch = report.macro_f1, epoch
         history.append(record)
         if log_fn is not None:
             log_fn(record)
-    if state.best_params is None:
-        state.snapshot_best(0.0, -1)
     return history
 
 
@@ -569,18 +557,20 @@ def load_checkpoint(path) -> TrainState:
         raise ValueError("checkpoint tensor sizes do not match its "
                          "model_config")
 
-    shapes = md.parameter_shapes(model_config)
-    if tensors.keys() != shapes.keys():
+    params = md.build_params(model_config,
+                             lambda shape: np.broadcast_to(0.0, shape))
+    named = dict(params.named_parameters())
+    if tensors.keys() != named.keys():
         raise ValueError("checkpoint tensor names do not match its "
                          "model_config: "
-                         + ", ".join(sorted(tensors.keys() ^ shapes.keys())))
-    for name, shape in shapes.items():
-        if tensors[name].shape != shape:
+                         + ", ".join(sorted(tensors.keys() ^ named.keys())))
+    for name, tensor in named.items():
+        if tensors[name].shape != tensor.shape:
             raise ValueError(f"checkpoint tensor {name} has shape "
-                             f"{tensors[name].shape}, expected {shape}")
+                             f"{tensors[name].shape}, expected {tensor.shape}")
         if not np.all(np.isfinite(tensors[name])):
             raise ValueError(f"checkpoint tensor {name} is not finite")
-    params = md.build_params(model_config, lambda name, shape: tensors[name])
+        tensor.values = tensors[name]
     state = _fresh_state(params, model_config)
     state.norm_stats = _header_norm_stats(header, model_config.input_dim)
     return state

@@ -226,6 +226,25 @@ class TestTrain:
                 state.params.named_parameters(), fresh.named_parameters()):
             np.testing.assert_array_equal(got.values, want.values)
 
+    def test_without_validation_split_no_f1_is_reported(self, workspace,
+                                                        tmp_path, capsys):
+        root, config, _ = workspace
+        data, out = tmp_path / "data", tmp_path / "run"
+        cfg = tmp_path / "noval.cfg"
+        cfg.write_text(config.read_text()
+                       + f"num_val = 0\ndata_dir = {data}\n")
+        assert main(["generate", "--config", str(cfg),
+                     "--out", str(data)]) == 0
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        assert "no validation split" in printed and "F1" not in printed
+        metadata = tr._read_header(out / "model.ckpt")[0]["metadata"]
+        assert metadata["best_metric"] is None
+        assert metadata["best_epoch"] == 1      # the last of two epochs
+        log = (out / "training_log.jsonl").read_text().splitlines()
+        assert len(log) == 2 and "val_macro_f1" not in json.loads(log[-1])
+
     def test_same_seed_checkpoints_are_byte_identical(self, workspace,
                                                       tmp_path):
         root, config, data = workspace

@@ -80,8 +80,47 @@ class TestInitParams:
         params = md.init_params(cfg, seed=0)
         assert md.parameter_count(cfg) == sum(t.values.size
                                               for t in params.tensors())
-        assert md.parameter_shapes(cfg) == {name: t.shape for name, t
-                                            in params.named_parameters()}
+
+    def test_draws_follow_the_documented_order(self):
+        cfg = small_config(kernel_size=5)
+        rng = np.random.default_rng(3)
+
+        def draw(c_out, c_in, k):
+            bound = np.sqrt(6.0 / (c_in * k))
+            return rng.uniform(-bound, bound, size=(c_out, c_in, k))
+
+        # one generator: per stage, each block's dilated then mix weight,
+        # then the adapter, classifier and projection weights
+        f, c, p = cfg.hidden_channels, cfg.num_classes, cfg.projection_dim
+        want = {}
+        for s in range(cfg.num_stages):
+            for l in range(cfg.layers_per_stage):
+                want[f"stage{s}.block{l}.dilated.w"] = draw(f, f, 5)
+                want[f"stage{s}.block{l}.mix.w"] = draw(f, f, 1)
+            want[f"stage{s}.adapter.w"] = draw(f, cfg.input_dim if s == 0
+                                               else c, 1)
+            want[f"stage{s}.classifier.w"] = draw(c, f, 1)
+            want[f"stage{s}.proj_hidden.w"] = draw(f, f, 1)
+            want[f"stage{s}.proj_out.w"] = draw(p, f, 1)
+        got = {name: t.values for name, t
+               in md.init_params(cfg, seed=3).named_parameters()
+               if name.endswith(".w")}
+        assert got.keys() == want.keys()
+        for name, values in want.items():
+            assert got[name].tobytes() == values.tobytes(), name
+
+    def test_checkpoint_names_of_a_one_block_model(self):
+        params = md.init_params(small_config(num_stages=1,
+                                             layers_per_stage=1), seed=0)
+        assert [(name, t.shape) for name, t in params.named_parameters()] == [
+            ("stage0.adapter.w", (8, 3, 1)), ("stage0.adapter.b", (8,)),
+            ("stage0.block0.dilated.w", (8, 8, 3)),
+            ("stage0.block0.dilated.b", (8,)),
+            ("stage0.block0.mix.w", (8, 8, 1)), ("stage0.block0.mix.b", (8,)),
+            ("stage0.classifier.w", (4, 8, 1)), ("stage0.classifier.b", (4,)),
+            ("stage0.proj_hidden.w", (8, 8, 1)),
+            ("stage0.proj_hidden.b", (8,)),
+            ("stage0.proj_out.w", (5, 8, 1)), ("stage0.proj_out.b", (5,))]
 
 
 class TestSstcnForward:

@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import struct
@@ -119,11 +120,21 @@ class TestAdamStep:
 
     def test_non_finite_gradient_names_the_parameter(self):
         state = init_train_state(small_config(), seed=0)
+        adam_step(state, constant_gradients(state, 0.5), lr=0.001)
         grads = constant_gradients(state, 1.0)
-        bad = sorted(grads)[2]
+        bad = sorted(grads)[2]   # the 4th tensor in named_parameters order
         grads[bad][...] = np.nan
+        before = {n: (t.values.copy(), state.m[n].copy(), state.v[n].copy())
+                  for n, t in state.params.named_parameters()}
         with pytest.raises(FloatingPointError, match=bad.replace(".", r"\.")):
             adam_step(state, grads, lr=0.001)
+        # nothing of the failed step was applied
+        assert state.step == 1
+        for name, tensor in state.params.named_parameters():
+            values, m, v = before[name]
+            assert tensor.values.tobytes() == values.tobytes(), name
+            assert state.m[name].tobytes() == m.tobytes(), name
+            assert state.v[name].tobytes() == v.tobytes(), name
 
     def test_step_counter_advances(self):
         state = init_train_state(small_config(), seed=0)
@@ -240,27 +251,31 @@ class TestTrainEpoch:
             self, monkeypatch, contrast_weight):
         monkeypatch.setattr(tr, "train_chunk_length", lambda: 40)
         monkeypatch.setattr(tr, "chunk_workers", lambda: 2)
-        state = init_train_state(small_config(num_stages=2), seed=5)
         cfg = TrainConfig(batch_size=2, temperature=0.5, k_per_class=4,
                           contrast_weight=contrast_weight)
-        data = make_dataset(2)
-        # the expected gradients replay train_epoch's draws on a twin rng
-        rng = np.random.default_rng(8)
-        per_sequence = [tr._sequence_gradients(state, data[int(idx)], cfg,
-                                               rng, 40)[0]   # 3 chunks each
-                        for idx in rng.permutation(len(data))]
-        received = []
-        monkeypatch.setattr(tr, "adam_step",
-                            lambda _state, g, *args: received.append(g))
-        stats = train_epoch(state, data, cfg, np.random.default_rng(8))
-        assert stats.optimizer_steps == 1 and len(received) == 1
-        first, second = per_sequence
-        assert received[0].keys() == first.keys() == {
-            name for name, _ in state.params.named_parameters()}
-        for name, g in received[0].items():
-            np.testing.assert_array_equal(g, (first[name] + second[name]) / 2)
-            if ".proj_" in name:
-                assert np.any(g != 0.0) == (contrast_weight > 0)
+        # two sequences make one batch; three, a pair and then a lone one
+        for n_sequences, batches in ((2, [[0, 1]]), (3, [[0, 1], [2]])):
+            state = init_train_state(small_config(num_stages=2), seed=5)
+            data = make_dataset(n_sequences)
+            # the expected gradients replay train_epoch's draws on a twin rng
+            rng = np.random.default_rng(8)
+            per_sequence = [tr._sequence_gradients(state, data[int(idx)], cfg,
+                                                   rng, 40)[0]  # 3 chunks each
+                            for idx in rng.permutation(len(data))]
+            received = []
+            monkeypatch.setattr(tr, "adam_step",
+                                lambda _state, g, *args: received.append(g))
+            stats = train_epoch(state, data, cfg, np.random.default_rng(8))
+            assert stats.optimizer_steps == len(received) == len(batches)
+            for g, batch in zip(received, batches):
+                assert g.keys() == {
+                    name for name, _ in state.params.named_parameters()}
+                for name, mean in g.items():
+                    summed = functools.reduce(
+                        np.add, [per_sequence[i][name] for i in batch])
+                    np.testing.assert_array_equal(mean, summed / len(batch))
+                    if ".proj_" in name:
+                        assert np.any(mean != 0.0) == (contrast_weight > 0)
 
     def test_concurrent_backward_equals_serial(self, monkeypatch):
         # three training steps over the same parameters on three threads
@@ -486,7 +501,7 @@ class TestFit:
 
         def spy(*args, **kwargs):
             loss, breakdown = original(*args, **kwargs)
-            per_sequence.append(breakdown.skipped_anchors)
+            per_sequence.append(breakdown)
             return loss, breakdown
 
         monkeypatch.setattr(tr, "total_objective", spy)
@@ -495,10 +510,17 @@ class TestFit:
         # a single-class sequence: its anchors have no negative
         data = make_dataset(2) + make_dataset(1, run=96)
         history = fit(state, data, [], cfg)
+        epochs = [per_sequence[:3], per_sequence[3:]]
         assert [r["skipped_anchors"] for r in history] == [
-            sum(per_sequence[:3]), sum(per_sequence[3:])]
+            sum(b.skipped_anchors for b in epoch) for epoch in epochs]
         assert history[0]["skipped_anchors"] > 0
         assert [r["optimizer_steps"] for r in history] == [2, 2]
+        # the losses are sums in sequence order over n, bitwise
+        for record, epoch in zip(history, epochs):
+            for key in ("classification", "contrast"):
+                assert record[key] == [sum(stage) / 3 for stage in zip(
+                    *(getattr(b, key) for b in epoch))]
+            assert record["total"] == sum(b.total for b in epoch) / 3
 
     def test_pool_sizes_are_summed_per_stage(self, monkeypatch):
         from tempseg import train as tr
@@ -610,6 +632,12 @@ class TestFit:
         fit(state, make_dataset(2), make_dataset(1, seed=9), cfg)
         assert len(nonzero) == 2
         assert nonzero[0] and nonzero[1] == nonzero[0]
+
+    def test_without_validation_the_latest_parameters_are_kept(self):
+        state = init_train_state(small_config(), seed=6)
+        fit(state, make_dataset(2), [], TrainConfig(epochs=3, batch_size=1))
+        assert state.best_params is state.params
+        assert state.best_metric is None and state.best_epoch == 2
 
     def test_best_snapshot_reproduces_logged_metric(self):
         state = init_train_state(small_config(), seed=6)
