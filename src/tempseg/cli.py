@@ -5,7 +5,7 @@ Subcommands
     train      fit a model, writing a checkpoint and a JSON-lines log
     eval       score a checkpoint on a dataset (metrics, predictions,
                embeddings for external projection tools)
-    predict    label a dataset with a checkpoint, no ground-truth needed
+    predict    label a dataset with a checkpoint (labels read and ignored)
     gradcheck  finite-difference audit of every differentiable op
     ablate     run the five standard variants over several seeds
 
@@ -14,6 +14,7 @@ allowed).  Command-line flags override file values, which override the
 built-in defaults below; the --variant flag is applied last since it
 defines the experiment row.  Unknown keys are rejected.  Every command is
 a pure function of its config: re-running overwrites outputs identically.
+Seeds must be >= 0.
 Every CSV it writes (datasets, predictions, embeddings, ablation tables)
 goes through `data.write_table`: floats print with %.17g, integers
 exactly, lines end in LF.
@@ -28,7 +29,6 @@ import argparse
 import dataclasses
 import functools
 import json
-import logging
 import os
 import sys
 from dataclasses import dataclass, field, replace
@@ -41,8 +41,6 @@ from . import model as md
 from . import train as tr
 from .gradcheck_suite import OP_CHECKS, check_full_objective
 from .metrics import evaluate_predictions
-
-log = logging.getLogger("tempseg.cli")
 
 _TOLERANCE = 1e-4   # gradcheck pass threshold
 
@@ -74,8 +72,8 @@ class ExperimentConfig:
 
     Each field is one config key with its default, parser and help text.
     This table is the documentation of record for the config file format.
-    A key named after a ModelConfig, TrainConfig or SynthConfig field
-    takes that field's default.
+    A key shared with ModelConfig, TrainConfig, SynthConfig or
+    default_synth_config takes its owner's default.
     """
     # model
     input_dim: int | None = _key(None, _parse_auto_int, "feature channels; auto = infer from data")
@@ -97,9 +95,9 @@ class ExperimentConfig:
     include_segments: bool = _key(tr.TrainConfig.include_segments, _parse_bool, "add segment-level contrast examples")
     seed: int = _key(tr.TrainConfig.seed, int, "master seed (init, shuffling, synthesis)")
     # synthetic data
-    synth_classes: int = _key(5, int, "classes in generated data")
-    synth_dim: int = _key(6, int, "channels in generated data")
-    signal_seed: int = _key(7, int, "seed for the per-class signal banks")
+    synth_classes: int = _key(dt.default_synth_config.__kwdefaults__["num_classes"], int, "classes in generated data")
+    synth_dim: int = _key(dt.default_synth_config.__kwdefaults__["dim"], int, "channels in generated data")
+    signal_seed: int = _key(dt.default_synth_config.__kwdefaults__["signal_seed"], int, "seed for the per-class signal banks")
     noise_std: float = _key(dt.SynthConfig.noise_std, float, "additive noise level")
     dwell_min: int = _key(dt.SynthConfig.dwell_min, int, "shortest run length")
     dwell_max: int = _key(dt.SynthConfig.dwell_max, int, "longest run length")
@@ -363,6 +361,7 @@ def _names(prefix, matrix) -> list[str]:
 
 
 def cmd_eval(checkpoint_path, data_path, out_dir) -> int:
+    """Score a checkpoint; dropped zero embedding rows warn on stderr."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     truth, preds, probs, embeds = _forward_dataset(checkpoint_path,
@@ -376,7 +375,8 @@ def cmd_eval(checkpoint_path, data_path, out_dir) -> int:
     # a zero row is a dead projection, meaningless to a projection tool
     live = np.any(embeds, axis=1)
     if not live.all():
-        log.warning("dropped %d zero embedding rows", np.sum(~live))
+        print(f"warning: dropped {np.sum(~live)} zero embedding rows",
+              file=sys.stderr)
     dt.write_table(out / "embeddings.csv",
                    ["index", "truth", *_names("e", embeds)],
                    [index[live], truth[live], embeds[live]])
@@ -398,6 +398,8 @@ def cmd_predict(checkpoint_path, data_path, out_dir) -> int:
 
 
 def cmd_gradcheck(seed: int = 0) -> int:
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     checks = {name: functools.partial(check, np.random.default_rng(seed))
               for name, check in sorted(OP_CHECKS.items())}
     checks["full_objective"] = functools.partial(check_full_objective,
@@ -413,6 +415,7 @@ def cmd_gradcheck(seed: int = 0) -> int:
 
 
 def cmd_ablate(cfg: ExperimentConfig, out_dir) -> int:
+    """Print each run's scores as it finishes, then the summary."""
     if cfg.ablate_seeds < 1:
         raise ValueError(f"ablate_seeds must be >= 1, got {cfg.ablate_seeds}")
     runs = []   # every variant's config is checked before loading
@@ -434,8 +437,8 @@ def cmd_ablate(cfg: ExperimentConfig, out_dir) -> int:
         best = _train_once(run_cfg, train_cfg, base_bundle)
         report, _ = tr.evaluate(best.params, best.model_config, test)
         f1s[i], jis[i] = report.macro_f1, report.jaccard
-        log.info("variant %d seed %d: F1 %.4f JI %.4f", variant,
-                 run_cfg.seed, report.macro_f1, report.jaccard)
+        print(f"variant {variant} seed {run_cfg.seed}: "
+              f"F1 {report.macro_f1:.4f} JI {report.jaccard:.4f}")
     dt.write_table(out / "ablation_runs.csv",
                    ["variant", "seed", "macro_f1", "jaccard"],
                    [variants, [run_cfg.seed for _, run_cfg, _ in runs],
@@ -455,21 +458,6 @@ def cmd_ablate(cfg: ExperimentConfig, out_dir) -> int:
 
 
 # ------------------------------------------------------------- entry point
-
-_LOG_LEVELS = {"error": logging.ERROR, "warn": logging.WARNING,
-               "info": logging.INFO, "debug": logging.DEBUG}
-
-
-def _configure_logging() -> bool:
-    level_name = os.environ.get("TEMPSEG_LOG_LEVEL", "warn")
-    if level_name not in _LOG_LEVELS:
-        print(f"error: TEMPSEG_LOG_LEVEL must be one of "
-              f"{sorted(_LOG_LEVELS)}, got {level_name!r}", file=sys.stderr)
-        return False
-    logging.basicConfig(level=_LOG_LEVELS[level_name],
-                        format="%(levelname)s %(name)s: %(message)s")
-    return True
-
 
 def _add_config_flags(parser):
     parser.add_argument("--config", metavar="PATH",
@@ -537,8 +525,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    if not _configure_logging():
-        return 2
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -76,19 +76,22 @@ class SynthConfig:
         if not (math.isfinite(self.noise_std)
                 and math.isfinite(self.sample_rate_hz)):
             raise ValueError("noise_std and sample_rate_hz must be finite")
-        if self.noise_std < 0 or self.transition_blur < 0:
-            raise ValueError("noise_std and transition_blur must be >= 0")
+        for name in ("noise_std", "transition_blur", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         if self.sample_rate_hz <= 0:
             raise ValueError("sample_rate_hz must be positive")
 
 
-def default_synth_config(num_classes: int = 5, dim: int = 6,
+def default_synth_config(*, num_classes: int = 5, dim: int = 6,
                          signal_seed: int = 7, **overrides) -> SynthConfig:
     """Per-class signal banks drawn once from signal_seed.
 
     Classes differ in frequency, amplitude, and offset per channel, which
     keeps them separable yet overlapping enough that boundaries are hard.
     """
+    if signal_seed < 0:
+        raise ValueError(f"signal_seed must be >= 0, got {signal_seed}")
     rng = np.random.default_rng(signal_seed)
     shape = (num_classes, dim)
     return SynthConfig(

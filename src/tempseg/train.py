@@ -80,8 +80,9 @@ class TrainConfig:
                                  f"{getattr(self, name)}")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
+        for name in ("epochs", "seed", "boundary_radius"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.temperature <= 0:
@@ -90,8 +91,6 @@ class TrainConfig:
             raise ValueError("contrast_weight must be nonnegative")
         if self.k_per_class < 2 or self.k_per_class % 2 != 0:
             raise ValueError("k_per_class must be an even integer >= 2")
-        if self.boundary_radius < 0:
-            raise ValueError("boundary_radius must be >= 0")
 
 
 @dataclass
@@ -341,26 +340,22 @@ def chunk_runner():
                                    else map)(fn, *chunks)
 
 
-def chunk_spans(length: int, chunk_length: int) -> list[tuple[int, int]]:
-    """[start, end) spans of near-equal chunks, none longer than
-    chunk_length, covering range(length); one empty span for length 0."""
-    count = max(1, -(-length // chunk_length))
-    bounds = [length * i // count for i in range(count + 1)]
-    return list(zip(bounds[:-1], bounds[1:]))
-
-
 def halo_chunks(length: int, chunk_length: int,
                 radius: int) -> list[tuple[slice, slice, slice]]:
-    """(rows, read, keep) per chunk of `chunk_spans(length, chunk_length)`.
+    """(rows, read, keep) per chunk, in order.
 
-    `rows` are the recording rows the chunk labels, `read` those it reads
+    `rows` are the recording rows the chunk labels: near-equal spans, none
+    longer than chunk_length, that cover range(length) (one empty chunk
+    for length 0).  `read` are those it reads
     (`radius` more on each side, where the recording has them), and
     `keep` the rows of its output that belong to `rows`.  With the
     model's receptive radius, every kept output sees exactly the inputs
     it sees in a whole-sequence forward.
     """
+    count = max(1, -(-length // chunk_length))
+    bounds = [length * i // count for i in range(count + 1)]
     chunks = []
-    for start, end in chunk_spans(length, chunk_length):
+    for start, end in zip(bounds[:-1], bounds[1:]):
         lo, hi = max(0, start - radius), min(length, end + radius)
         chunks.append((slice(start, end), slice(lo, hi),
                        slice(start - lo, end - lo)))
@@ -368,8 +363,8 @@ def halo_chunks(length: int, chunk_length: int,
 
 
 def final_stage_outputs(params: ModelParams, model_config: ModelConfig,
-                        sequences, embed: bool = False):
-    """Yield the final stage's (probs, embeddings) values per sequence.
+                        sequences, embed: bool = False) -> list[tuple]:
+    """The final stage's (probs, embeddings) values, one pair per sequence.
 
     Embeddings are the final stage's unit-norm projections when `embed`
     is set, else None; no other stage is projected.
@@ -379,8 +374,7 @@ def final_stage_outputs(params: ModelParams, model_config: ModelConfig,
     recording.  The chunks run on `chunk_runner()` (numpy's BLAS releases
     the GIL); their boundaries depend on the length alone, so the result
     does not depend on the worker count.  Each forward records no graph;
-    nothing runs, and recording is unchanged, while the generator is
-    suspended at a yield.
+    recording is unchanged on return.
     """
     radius = md.receptive_radius(model_config)
 
@@ -392,14 +386,15 @@ def final_stage_outputs(params: ModelParams, model_config: ModelConfig,
                       if embed else None)
         return out.probs.values[keep], embeds
 
+    outputs = []
     with chunk_runner() as run:
         for seq in sequences:
             chunks = halo_chunks(len(seq.features), CHUNK_LENGTH, radius)
-            parts = list(run(lambda chunk: label(seq.features, *chunk[1:]),
-                             chunks))
-            probs, embeds = zip(*parts)
-            yield (np.concatenate(probs),
-                   np.concatenate(embeds) if embed else None)
+            probs, embeds = zip(*run(
+                lambda chunk: label(seq.features, *chunk[1:]), chunks))
+            outputs.append((np.concatenate(probs),
+                            np.concatenate(embeds) if embed else None))
+    return outputs
 
 
 def evaluate(params: ModelParams, model_config: ModelConfig,

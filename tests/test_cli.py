@@ -1,6 +1,6 @@
 import dataclasses
+import inspect
 import json
-import logging
 import os
 import subprocess
 import sys
@@ -14,8 +14,8 @@ from tempseg import model as md
 from tempseg import train as tr
 from tempseg.cli import (_load_splits, load_experiment_config, main,
                          parse_config_file, variant_settings)
-from tempseg.data import (SensorSequence, SynthConfig, load_csv_dataset,
-                          write_csv_sequence)
+from tempseg.data import (SensorSequence, SynthConfig, default_synth_config,
+                          load_csv_dataset, write_csv_sequence)
 from tempseg.gradcheck_suite import OP_CHECKS
 from tempseg.model import ModelConfig, init_params
 from tempseg.train import load_checkpoint
@@ -108,7 +108,12 @@ class TestConfigFile:
                 if f.name in keys and f.default is not dataclasses.MISSING:
                     assert keys[f.name] == f.default, f"{owner.__name__}.{f.name}"
                     shared += 1
-        assert shared == 21
+        synth = inspect.signature(default_synth_config).parameters
+        for key, name in (("synth_classes", "num_classes"), ("synth_dim", "dim"),
+                          ("signal_seed", "signal_seed")):
+            assert keys[key] == synth[name].default, f"default_synth_config.{name}"
+            shared += 1
+        assert shared == 24
 
     def test_auto_dims_parse(self, tmp_path):
         path = tmp_path / "c.cfg"
@@ -176,6 +181,7 @@ class TestGenerate:
     @pytest.mark.parametrize("key,value", [
         ("noise_std", "nan"), ("sample_rate_hz", "inf"),
         ("num_train", "-1"), ("num_val", "-1"), ("num_test", "-2"),
+        ("signal_seed", "-1"),
     ])
     def test_bad_synth_value_exits_1_without_output(self, tmp_path, capsys,
                                                     key, value):
@@ -294,7 +300,7 @@ class TestEval:
         np.testing.assert_allclose(norms, 1.0, atol=1e-6)
 
     def test_all_zero_embeddings_leave_only_the_header(
-            self, trained, tmp_path, monkeypatch, caplog):
+            self, trained, tmp_path, monkeypatch, capsys):
         config, data, run = trained
         original = tr.final_stage_outputs
 
@@ -304,12 +310,12 @@ class TestEval:
 
         monkeypatch.setattr(tr, "final_stage_outputs", zeroed)
         out = tmp_path / "eval0"
-        with caplog.at_level(logging.WARNING, logger="tempseg.cli"):
-            assert main(["eval", str(run / "model.ckpt"), str(data / "test"),
-                         "--out", str(out)]) == 0
+        assert main(["eval", str(run / "model.ckpt"), str(data / "test"),
+                     "--out", str(out)]) == 0
         assert ((out / "embeddings.csv").read_text()
                 == "index,truth,e_0,e_1,e_2,e_3\n")
-        assert "dropped 200 zero embedding rows" in caplog.text
+        assert ("warning: dropped 200 zero embedding rows\n"
+                == capsys.readouterr().err)
         assert len((out / "predictions.csv").read_text().splitlines()) == 201
 
     def test_dim_mismatch_names_both_dims(self, trained, tmp_path, capsys):
@@ -358,6 +364,21 @@ class TestPredict:
         rows = (out / "predictions.csv").read_text().splitlines()
         assert rows[0] == "index,pred,prob_0,prob_1,prob_2"
         assert len(rows) - 1 == 200
+
+    def test_file_without_labels_is_a_one_line_error(self, trained,
+                                                     tmp_path, capsys):
+        # predict reads the dataset schema and ignores the labels; a file
+        # without the label column is refused, not labelled
+        config, data, run = trained
+        bare = tmp_path / "bare"
+        bare.mkdir()
+        (bare / "rec.csv").write_text("ch_0,ch_1,ch_2\n1,2,3\n4,5,6\n")
+        code = main(["predict", str(run / "model.ckpt"), str(bare),
+                     "--out", str(tmp_path / "pred")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "rec.csv: header must be ch_0..ch_(D-1),label[,subject]" in err
 
     def test_gap_in_recording_is_a_one_line_error(self, trained, tmp_path,
                                                   capsys):
@@ -455,6 +476,24 @@ class TestAblate:
         seeds = [int(r.split(",")[1]) for r in rows[1:]]
         assert seeds == [0, 1] * 5
 
+    def test_each_run_prints_its_scores_in_row_order(self, workspace,
+                                                     tmp_path, capsys):
+        root, config, data = workspace
+        cfg3 = tmp_path / "abl3.cfg"
+        cfg3.write_text(config.read_text()
+                        + "epochs = 0\nablate_seeds = 2\n")
+        out = tmp_path / "ablation3"
+        assert main(["ablate", "--config", str(cfg3), "--out",
+                     str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        rows = [r.split(",") for r in
+                (out / "ablation_runs.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 10 and len(lines) == 10 + 5
+        assert lines[:10] == [f"variant {v} seed {s}: F1 {float(f1):.4f} "
+                              f"JI {float(ji):.4f}" for v, s, f1, ji in rows]
+        assert [line.split(":")[0] for line in lines[10:]] == [
+            f"variant {v}" for v in range(1, 6)]
+
 
 class TestSubjectSplit:
     @pytest.fixture
@@ -525,11 +564,6 @@ def stray_label_config(tmp_path, label):
 
 
 class TestMainPlumbing:
-    def test_invalid_log_level_exits_2(self, monkeypatch, capsys):
-        monkeypatch.setenv("TEMPSEG_LOG_LEVEL", "chatty")
-        assert main(["gradcheck"]) == 2
-        assert "TEMPSEG_LOG_LEVEL" in capsys.readouterr().err
-
     def test_errors_exit_1_with_message(self, workspace, tmp_path, capsys):
         root, config, data = workspace
         cases = [(tmp_path / "missing.cfg", [], "missing.cfg"),
@@ -589,6 +623,24 @@ class TestMainPlumbing:
         assert need // 2 ** 30 == 2352
         assert len(err) == 1 and err[0].startswith("error:")
         assert f"largest label {2 ** 30}" in err[0] and str(need) in err[0]
+
+    @pytest.mark.parametrize("command,seed", [
+        ("train", -1), ("ablate", -2), ("generate", -3), ("gradcheck", -1)])
+    def test_negative_seed_names_the_key_without_output(
+            self, tmp_path, capsys, command, seed):
+        # rejected while the configs are built, before data or output
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"data_dir = {tmp_path / 'nowhere'}\n")
+        out = tmp_path / "o"
+        argv = [command, "--seed", str(seed)]
+        if command != "gradcheck":
+            argv += ["--config", str(cfg), "--out", str(out)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "seed" in err[0]
+        assert captured.out == "" and not out.exists()
 
     def test_missing_dataset_reports_path(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"

@@ -31,6 +31,12 @@ def chunked(params, cfg, seq, embed=True):
     return result
 
 
+def spans(length, chunk):
+    """[start, end) of each chunk's labelled rows, in order."""
+    return [(rows.start, rows.stop)
+            for rows, _, _ in tr.halo_chunks(length, chunk, 0)]
+
+
 def test_default_radius():
     cfg = md.ModelConfig(input_dim=6, num_classes=5)
     assert md.receptive_radius(cfg) == 2 * 1 * (2 ** 6 - 1) == 126
@@ -45,17 +51,17 @@ def test_default_radius():
                     (8000, 10_000)]),
 ])
 def test_chunk_spans(length, chunk, want):
-    assert tr.chunk_spans(length, chunk) == want
+    assert spans(length, chunk) == want
 
 
 @settings(max_examples=60, deadline=None)
 @given(length=st.integers(1, 5000), chunk=st.integers(1, 600))
 def test_chunk_spans_cover_in_near_equal_pieces(length, chunk):
-    spans = tr.chunk_spans(length, chunk)
-    sizes = [end - start for start, end in spans]
-    assert spans[0][0] == 0 and spans[-1][1] == length
-    assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
-    assert len(spans) == -(-length // chunk)
+    pieces = spans(length, chunk)
+    sizes = [end - start for start, end in pieces]
+    assert pieces[0][0] == 0 and pieces[-1][1] == length
+    assert all(a[1] == b[0] for a, b in zip(pieces, pieces[1:]))
+    assert len(pieces) == -(-length // chunk)
     assert max(sizes) <= chunk and max(sizes) - min(sizes) <= 1
 
 
