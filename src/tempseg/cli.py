@@ -119,6 +119,12 @@ class ExperimentConfig:
     ablate_seeds: int = _key(5, int, "seeds per variant in the ablation table")
 
     def synth_config(self) -> dt.SynthConfig:
+        """The generator's config; its sizes are checked here first, so
+        the error names these keys, not the generator's parameters."""
+        for key in ("synth_classes", "synth_dim"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1, got "
+                                 f"{getattr(self, key)}")
         return dt.default_synth_config(
             num_classes=self.synth_classes, dim=self.synth_dim,
             signal_seed=self.signal_seed, noise_std=self.noise_std,
@@ -257,13 +263,17 @@ def _load_splits(cfg: ExperimentConfig):
 
 
 def _resolve_dims(cfg: ExperimentConfig, splits) -> tuple[int, int]:
+    """The model's input and class counts: every recording must have the
+    first one's channel count, and `num_classes`, where set, must cover
+    the largest label."""
     everything = [s for split in splits for s in split]
     if not everything:
         raise ValueError(f"no sequences found under {cfg.data_dir!r}")
     dim = everything[0].features.shape[1]
-    if cfg.input_dim is not None and cfg.input_dim != dim:
-        raise ValueError(f"config input_dim {cfg.input_dim} does not match "
-                         f"dataset dim {dim}")
+    for seq in everything:
+        if seq.features.shape[1] != dim:
+            raise ValueError(f"recordings differ in channel count: {dim} "
+                             f"and {seq.features.shape[1]}")
     largest = max(int(s.labels.max()) for s in everything)
     classes = largest + 1
     if cfg.num_classes is not None:

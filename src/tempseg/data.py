@@ -89,9 +89,13 @@ def default_synth_config(*, num_classes: int = 5, dim: int = 6,
 
     Classes differ in frequency, amplitude, and offset per channel, which
     keeps them separable yet overlapping enough that boundaries are hard.
+    `num_classes` and `dim` below 1 are rejected before anything is drawn.
     """
     if signal_seed < 0:
         raise ValueError(f"signal_seed must be >= 0, got {signal_seed}")
+    if num_classes < 1 or dim < 1:
+        raise ValueError(f"num_classes and dim must be >= 1, got "
+                         f"{num_classes} and {dim}")
     rng = np.random.default_rng(signal_seed)
     shape = (num_classes, dim)
     return SynthConfig(
@@ -134,8 +138,6 @@ def synthesize_sequence(config: SynthConfig) -> SensorSequence:
     if blur > 0:
         for i in range(1, len(run_classes)):
             b = run_starts[i]
-            if b >= t_total:
-                break
             lo, hi = max(0, b - blur), min(t_total, b + blur)
             alpha = (np.arange(lo, hi) - (b - blur) + 0.5) / (2.0 * blur)
             prev_c, next_c = run_classes[i - 1], run_classes[i]
@@ -385,7 +387,11 @@ def multiclass_window_rate(sequence: SensorSequence, size: int,
 def split_sequences(sequences: list[SensorSequence], policy: str,
                     fractions: tuple[float, float, float] | None = None,
                     val_subjects=(), test_subjects=()):
-    """Partition into (train, val, test) without breaking sequences apart."""
+    """Partition into (train, val, test) without breaking sequences apart.
+
+    Under "by-subject", every id must name a sequence, and no id may be in
+    both `val_subjects` and `test_subjects`.
+    """
     if policy == "fractions":
         if fractions is None or abs(sum(fractions) - 1.0) > 1e-9:
             raise ValueError("fractions must be given and sum to 1")
@@ -402,6 +408,12 @@ def split_sequences(sequences: list[SensorSequence], policy: str,
                              "sequence")
         val_subjects = set(val_subjects)
         test_subjects = set(test_subjects)
+        # fit would pick its checkpoint on the test recordings
+        both = val_subjects & test_subjects
+        if both:
+            raise ValueError("subject ids in both val_subjects and "
+                             "test_subjects: "
+                             + ", ".join(map(str, sorted(both))))
         # an id that names no sequence would leave its split empty
         unknown = (val_subjects | test_subjects) - {
             s.subject_id for s in sequences}

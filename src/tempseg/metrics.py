@@ -35,6 +35,14 @@ def _safe_div(num, den):
     return out
 
 
+def _macro(per_class, defined, empty=0.0) -> float:
+    """The mean of per_class over the defined classes, as one sum divided
+    once by their count; `empty` where no class is defined."""
+    if not defined.any():
+        return empty
+    return float(per_class[defined].sum() / defined.sum())
+
+
 def precision_recall_f1(confusion: np.ndarray):
     """Per-class arrays plus macro means over classes present in truth."""
     confusion = np.asarray(confusion)
@@ -46,22 +54,14 @@ def precision_recall_f1(confusion: np.ndarray):
     # single-division form, bitwise identical to 2|A n B| / (|A| + |B|)
     f1 = _safe_div(2 * diag, rowsum + colsum)
     present = rowsum > 0
-    if not present.any():
-        return precision, recall, f1, 0.0, 0.0, 0.0
-    n = int(present.sum())
-    return (precision, recall, f1,
-            float(precision[present].sum() / n),
-            float(recall[present].sum() / n),
-            float(f1[present].sum() / n))
+    return (precision, recall, f1, _macro(precision, present),
+            _macro(recall, present), _macro(f1, present))
 
 
 def jaccard_index(truth, pred, num_classes: int) -> float:
     """Macro intersection-over-union across classes with nonempty union."""
-    confusion = confusion_matrix(truth, pred, num_classes)
-    per_class, defined = _jaccard_from_confusion(confusion)
-    if not defined.any():
-        return 0.0
-    return float(per_class[defined].sum() / defined.sum())
+    return _macro(*_jaccard_from_confusion(
+        confusion_matrix(truth, pred, num_classes)))
 
 
 def _jaccard_from_confusion(confusion):
@@ -113,9 +113,7 @@ def roc_auc(truth, probs):
         ranks = average_ranks(probs[:, c])
         u = ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0
         per_class[c] = u / (n_pos * n_neg)
-    defined = ~np.isnan(per_class)
-    macro = float(per_class[defined].mean()) if defined.any() else float("nan")
-    return per_class, macro
+    return per_class, _macro(per_class, ~np.isnan(per_class), float("nan"))
 
 
 @dataclass
@@ -173,13 +171,12 @@ def evaluate_predictions(truth, pred, probs, num_classes: int) -> MetricsReport:
     precision, recall, f1, macro_p, macro_r, macro_f1 = \
         precision_recall_f1(confusion)
     ji_per_class, ji_defined = _jaccard_from_confusion(confusion)
-    jaccard = (float(ji_per_class[ji_defined].sum() / ji_defined.sum())
-               if ji_defined.any() else 0.0)
     auc_per_class, auc_macro = roc_auc(truth, probs)
     return MetricsReport(confusion=confusion, precision=precision,
                          recall=recall, f1=f1,
                          jaccard_per_class=ji_per_class,
                          auc_per_class=auc_per_class,
                          macro_precision=macro_p, macro_recall=macro_r,
-                         macro_f1=macro_f1, jaccard=jaccard,
+                         macro_f1=macro_f1,
+                         jaccard=_macro(ji_per_class, ji_defined),
                          auc_macro=auc_macro)

@@ -175,6 +175,10 @@ def _sequence_gradients(state: TrainState, seq: SensorSequence,
     ones up to rounding.  They are summed in chunk order, and the chunks
     depend on the length and `chunk_length` alone, so the result does not
     depend on `run`.  A parameter no graph reaches gets zeros.
+
+    Chunks do not bound memory: every chunk's recorded graph stays alive
+    until the loss has been differentiated, so a step holds at least one
+    whole-recording graph, and smaller chunks add their halos.
     """
     params, config = state.params, state.model_config
     n_stages = config.num_stages

@@ -115,6 +115,12 @@ class TestConfigFile:
             shared += 1
         assert shared == 24
 
+    def test_booleans_parse(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_text("include_segments = true\nnormalize = false\n")
+        assert parse_config_file(path) == {"include_segments": True,
+                                           "normalize": False}
+
     def test_auto_dims_parse(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("input_dim = auto\nnum_classes = 4\n")
@@ -181,7 +187,8 @@ class TestGenerate:
     @pytest.mark.parametrize("key,value", [
         ("noise_std", "nan"), ("sample_rate_hz", "inf"),
         ("num_train", "-1"), ("num_val", "-1"), ("num_test", "-2"),
-        ("signal_seed", "-1"),
+        ("signal_seed", "-1"), ("synth_classes", "-1"),
+        ("synth_classes", "0"), ("synth_dim", "-1"), ("synth_dim", "0"),
     ])
     def test_bad_synth_value_exits_1_without_output(self, tmp_path, capsys,
                                                     key, value):
@@ -250,6 +257,47 @@ class TestTrain:
         assert metadata["best_epoch"] == 1      # the last of two epochs
         log = (out / "training_log.jsonl").read_text().splitlines()
         assert len(log) == 2 and "val_macro_f1" not in json.loads(log[-1])
+
+    def test_num_classes_above_the_data_sizes_the_model(self, workspace,
+                                                        tmp_path):
+        root, config, data = workspace
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(config.read_text() + "num_classes = 5\nepochs = 0\n")
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        assert load_checkpoint(out / "model.ckpt").model_config.num_classes == 5
+
+    def test_num_classes_below_the_data_exits_1(self, workspace, tmp_path,
+                                                capsys):
+        root, config, data = workspace
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(config.read_text() + "num_classes = 2\n")
+        assert main(["train", "--config", str(cfg),
+                     "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: dataset has 3 classes, config allows 2"]
+
+    @pytest.mark.parametrize("normalize", ["true", "false"])
+    def test_recordings_with_different_channel_counts_exit_1(
+            self, tmp_path, capsys, monkeypatch, normalize):
+        # normalization used to fail in numpy's concatenate, and without
+        # it the first step failed after the log was opened
+        monkeypatch.setattr(md, "init_params", lambda *a: pytest.fail(
+            "init_params ran"))
+        rng = np.random.default_rng(0)
+        (tmp_path / "data" / "train").mkdir(parents=True)
+        for name, dim in (("a.csv", 2), ("b.csv", 3)):
+            write_csv_sequence(tmp_path / "data" / "train" / name,
+                               SensorSequence(rng.normal(size=(60, dim)),
+                                              np.arange(60) // 30))
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"data_dir = {tmp_path / 'data'}\n"
+                       f"normalize = {normalize}\nepochs = 1\n")
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: recordings differ in channel count: 2 and 3"]
+        assert not (out / "training_log.jsonl").exists()
 
     def test_same_seed_checkpoints_are_byte_identical(self, workspace,
                                                       tmp_path):
@@ -495,6 +543,22 @@ class TestAblate:
             f"variant {v}" for v in range(1, 6)]
 
 
+    def test_empty_test_split_exits_1(self, workspace, tmp_path, capsys):
+        root, config, _ = workspace
+        data = tmp_path / "data"
+        cfg = tmp_path / "notest.cfg"
+        cfg.write_text(config.read_text()
+                       + f"num_test = 0\ndata_dir = {data}\n")
+        assert main(["generate", "--config", str(cfg),
+                     "--out", str(data)]) == 0
+        assert (data / "test").is_dir() and not any(data.glob("test/*"))
+        capsys.readouterr()
+        assert main(["ablate", "--config", str(cfg),
+                     "--out", str(tmp_path / "abl")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: ablation needs a non-empty test split"]
+
+
 class TestSubjectSplit:
     @pytest.fixture
     def subject_config(self, tmp_path):
@@ -525,6 +589,18 @@ class TestSubjectSplit:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "9" in err
+
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_subject_in_both_val_and_test_exits_1(
+            self, subject_config, tmp_path, capsys, command):
+        subject_config.write_text(subject_config.read_text()
+                                  + "test_subjects = 2,3\n")
+        assert main([command, "--config", str(subject_config),
+                     "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: subject ids in both val_subjects and "
+                       "test_subjects: 2"]
 
 
 class TestFractionSplit:

@@ -72,6 +72,13 @@ class TestSynthConfig:
                            amplitudes=cfg.amplitudes[:2, :2],
                            offsets=cfg.offsets[:2, :2])
 
+    @pytest.mark.parametrize("key", ["num_classes", "dim"])
+    @pytest.mark.parametrize("value", [-1, 0])
+    def test_size_below_one_rejected_before_the_draw(self, key, value):
+        # a negative size used to reach numpy's `negative dimensions`
+        with pytest.raises(ValueError, match="num_classes and dim must be"):
+            dt.default_synth_config(**{key: value})
+
     def test_signal_bank_shapes(self):
         cfg = dt.default_synth_config(num_classes=4, dim=3)
         assert cfg.frequencies.shape == (4, 3)
@@ -308,6 +315,11 @@ class TestLoadCsvDataset:
     def test_non_numeric_feature_names_line(self, tmp_path):
         p = self.write(tmp_path, "ch_0,label\noops,0\n")
         with pytest.raises(ValueError, match=r":2: non-numeric"):
+            dt.load_csv_dataset(p)
+
+    def test_negative_label_names_line(self, tmp_path):
+        p = self.write(tmp_path, "ch_0,label\n1.0,0\n2.0,-1\n")
+        with pytest.raises(ValueError, match=r":3: negative label$"):
             dt.load_csv_dataset(p)
 
     def test_symbolic_label_rejected(self, tmp_path):
@@ -633,6 +645,14 @@ class TestSplitSequences:
         assert [s.subject_id for s in val] == [5]
         assert [s.subject_id for s in test] == [6]
         assert all(s.subject_id not in (5, 6) for s in train)
+
+    def test_subject_in_both_val_and_test_rejected(self):
+        # it used to land in both splits, so the checkpoint was picked on
+        # the test recordings
+        with pytest.raises(ValueError, match=r"both val_subjects and "
+                                             r"test_subjects: 2, 3$"):
+            dt.split_sequences(self.make(5, with_subjects=True), "by-subject",
+                               val_subjects=(3, 1, 2), test_subjects=(2, 3))
 
     def test_missing_subject_ids(self):
         with pytest.raises(ValueError, match="subject ids"):

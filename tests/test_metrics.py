@@ -124,14 +124,19 @@ class TestJaccard:
         assert mt.jaccard_index([0, 0, 1], [1, 1, 0], 2) == 0.0
 
 
+def random_pairs():
+    """200 (truth, pred, num_classes) triples: 2-6 classes, 1-50 samples,
+    so classes are often absent from truth or from both vectors."""
+    rng = np.random.default_rng(1)
+    for _ in range(200):
+        c = int(rng.integers(2, 7))
+        t = int(rng.integers(1, 51))
+        yield rng.integers(0, c, size=t), rng.integers(0, c, size=t), c
+
+
 class TestAgainstSetArithmetic:
     def test_exact_equality_on_random_pairs(self):
-        rng = np.random.default_rng(1)
-        for _ in range(200):
-            c = int(rng.integers(2, 7))
-            t = int(rng.integers(1, 51))
-            truth = rng.integers(0, c, size=t)
-            pred = rng.integers(0, c, size=t)
+        for truth, pred, c in random_pairs():
             conf = mt.confusion_matrix(truth, pred, c)
             p, r, f1, mp, mr, mf = mt.precision_recall_f1(conf)
             per, macros = set_arithmetic_metrics(truth.tolist(),
@@ -144,6 +149,32 @@ class TestAgainstSetArithmetic:
             assert mr == macros["recall"]
             assert mf == macros["f1"]
             assert mt.jaccard_index(truth, pred, c) == macros["jaccard"]
+
+    def test_report_equals_the_oracle_on_random_pairs(self):
+        # the report's own averages, not only the functions above
+        rng = np.random.default_rng(9)
+        undefined_auc = 0
+        for truth, pred, c in random_pairs():
+            probs = rng.dirichlet(np.ones(c), size=len(truth))
+            rep = mt.evaluate_predictions(truth, pred, probs, c)
+            per, macros = set_arithmetic_metrics(truth.tolist(),
+                                                 pred.tolist(), c)
+            for cls in range(c):
+                assert rep.precision[cls] == per[cls]["precision"]
+                assert rep.recall[cls] == per[cls]["recall"]
+                assert rep.f1[cls] == per[cls]["f1"]
+                assert rep.jaccard_per_class[cls] == per[cls]["jaccard"]
+            assert rep.macro_precision == macros["precision"]
+            assert rep.macro_recall == macros["recall"]
+            assert rep.macro_f1 == macros["f1"]
+            assert rep.jaccard == macros["jaccard"]
+            defined = [float(a) for a in rep.auc_per_class if not np.isnan(a)]
+            if defined:
+                assert rep.auc_macro == sum(defined) / len(defined)
+            else:
+                assert np.isnan(rep.auc_macro)
+                undefined_auc += 1
+        assert undefined_auc > 0
 
     def test_permutation_of_class_ids(self):
         rng = np.random.default_rng(2)

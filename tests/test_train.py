@@ -827,6 +827,12 @@ class TestCheckpointCorruption:
             with pytest.raises(ValueError):
                 load_checkpoint(path)
 
+    def test_byte_after_the_last_tensor_is_rejected(self, tiny_checkpoint):
+        path, blob = tiny_checkpoint
+        path.write_bytes(blob + b"\x00")
+        with pytest.raises(ValueError, match="bytes after its last tensor"):
+            load_checkpoint(path)
+
     @settings(max_examples=300, deadline=None)
     @given(flips=st.lists(st.tuples(st.integers(min_value=0),
                                     st.integers(1, 255)),
