@@ -166,7 +166,9 @@ def backward(cotangents: dict, wrt: Sequence[Tensor]) -> dict:
     (``prev + g``), and the first one is stored as given, so an entry may
     be a cotangent or a view of another node's gradient (``add`` passes
     ``g`` to both parents, ``stack_rows`` slices it).  No stored gradient
-    and no cotangent is ever written to.
+    and no cotangent is ever written to.  Every node of the walked graph
+    is an ancestor of a seeded output, and every vjp returns one array per
+    parent, so each node has its gradient by the time the walk reaches it.
     """
     pending = {out: np.asarray(c, dtype=np.float64)
                for out, c in cotangents.items()}
@@ -177,17 +179,14 @@ def backward(cotangents: dict, wrt: Sequence[Tensor]) -> dict:
     wanted = set(wrt)
     grads = {}
     for node in reversed(CompGraph.from_output(*cotangents).nodes):
-        g = pending.pop(node, None)
-        if g is None:
-            continue
+        g = pending.pop(node)
         if node in wanted:
             grads[node] = g
         if node._vjp is None:
             continue
         for parent, pg in zip(node._parents, node._vjp(g)):
-            if pg is not None:
-                prev = pending.get(parent)
-                pending[parent] = pg if prev is None else prev + pg
+            prev = pending.get(parent)
+            pending[parent] = pg if prev is None else prev + pg
     return grads
 
 

@@ -13,7 +13,8 @@ Configuration is a plain-text file of `key = value` lines (# comments
 allowed).  Command-line flags override file values, which override the
 built-in defaults below; the --variant flag is applied last since it
 defines the experiment row.  Unknown keys are rejected.  Every command is
-a pure function of its config: re-running overwrites outputs identically.
+a pure function of its config: re-running overwrites outputs identically,
+and makes its output directory only once its inputs pass their checks.
 Seeds must be >= 0.
 Every CSV it writes (datasets, predictions, embeddings, ablation tables)
 goes through `data.write_table`: floats print with %.17g, integers
@@ -110,11 +111,10 @@ class ExperimentConfig:
     # dataset handling
     data_dir: str = _key("data", str, "dataset root (train/val/test subdirs, or flat)")
     normalize: bool = _key(True, _parse_bool, "z-score features with train statistics")
-    split_policy: str = _key("fractions", str, "flat-directory split: fractions | by-subject")
-    train_fraction: float = _key(0.8, float, "train share under the fractions policy")
-    val_fraction: float = _key(0.1, float, "validation share under the fractions policy")
-    val_subjects: tuple[int, ...] = _key((), _parse_subjects, "comma-separated validation subject ids")
-    test_subjects: tuple[int, ...] = _key((), _parse_subjects, "comma-separated test subject ids")
+    train_fraction: float = _key(0.8, float, "train share of a flat data_dir when no subject id is named")
+    val_fraction: float = _key(0.1, float, "validation share of a flat data_dir when no subject id is named")
+    val_subjects: tuple[int, ...] = _key((), _parse_subjects, "comma-separated validation subject ids; a flat data_dir is then split by subject")
+    test_subjects: tuple[int, ...] = _key((), _parse_subjects, "comma-separated test subject ids; a flat data_dir is then split by subject")
     # ablation
     ablate_seeds: int = _key(5, int, "seeds per variant in the ablation table")
 
@@ -243,9 +243,12 @@ def cmd_generate(cfg: ExperimentConfig, out_dir) -> int:
 
 
 def _load_splits(cfg: ExperimentConfig):
-    """Train/val/test from subdirectories, or one flat dir plus a policy."""
+    """Train/val/test from subdirectories, or one flat dir split."""
     root = Path(cfg.data_dir)
     if (root / "train").is_dir():
+        if cfg.val_subjects or cfg.test_subjects:
+            raise ValueError("val_subjects and test_subjects need a flat "
+                             f"data_dir, but {root} has a train/ subdir")
         def maybe(name):
             sub = root / name
             if not sub.is_dir() or not any(sub.glob("*.csv")):
@@ -256,8 +259,7 @@ def _load_splits(cfg: ExperimentConfig):
     sequences = dt.load_csv_dataset(root, cfg.input_dim)
     fractions = (cfg.train_fraction, cfg.val_fraction,
                  1.0 - cfg.train_fraction - cfg.val_fraction)
-    return dt.split_sequences(sequences, cfg.split_policy,
-                              fractions=fractions,
+    return dt.split_sequences(sequences, fractions=fractions,
                               val_subjects=cfg.val_subjects,
                               test_subjects=cfg.test_subjects)
 
@@ -267,8 +269,6 @@ def _resolve_dims(cfg: ExperimentConfig, splits) -> tuple[int, int]:
     first one's channel count, and `num_classes`, where set, must cover
     the largest label."""
     everything = [s for split in splits for s in split]
-    if not everything:
-        raise ValueError(f"no sequences found under {cfg.data_dir!r}")
     dim = everything[0].features.shape[1]
     for seq in everything:
         if seq.features.shape[1] != dim:
@@ -302,7 +302,10 @@ def _check_fits_in_memory(model_cfg: md.ModelConfig, largest_label: int):
 
 
 def _prepared_splits(cfg: ExperimentConfig):
+    """The checked, normalized splits, with the model's dims."""
     train, val, test = _load_splits(cfg)
+    if not train:
+        raise ValueError("the training split is empty")
     dim, classes = _resolve_dims(cfg, (train, val, test))
     stats = None
     if cfg.normalize:
@@ -328,9 +331,9 @@ def _train_once(cfg: ExperimentConfig, train_cfg: tr.TrainConfig,
 
 def cmd_train(cfg: ExperimentConfig, out_dir, variant=None) -> int:
     train_cfg = cfg.train_config()
+    bundle = _prepared_splits(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    bundle = _prepared_splits(cfg)
     with open(out / "training_log.jsonl", "w") as fh:
         def log_record(record):
             fh.write(json.dumps(record, sort_keys=True) + "\n")
@@ -372,10 +375,10 @@ def _names(prefix, matrix) -> list[str]:
 
 def cmd_eval(checkpoint_path, data_path, out_dir) -> int:
     """Score a checkpoint; dropped zero embedding rows warn on stderr."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     truth, preds, probs, embeds = _forward_dataset(checkpoint_path,
                                                    data_path, embed=True)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     report = evaluate_predictions(truth, preds, probs, probs.shape[1])
     (out / "metrics.json").write_text(report.to_json() + "\n")
     index = np.arange(len(preds))
@@ -396,10 +399,10 @@ def cmd_eval(checkpoint_path, data_path, out_dir) -> int:
 
 
 def cmd_predict(checkpoint_path, data_path, out_dir) -> int:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     _truth, preds, probs, _embeds = _forward_dataset(
         checkpoint_path, data_path, embed=False)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     dt.write_table(out / "predictions.csv",
                    ["index", "pred", *_names("prob", probs)],
                    [np.arange(len(preds)), preds, probs])
@@ -434,12 +437,12 @@ def cmd_ablate(cfg: ExperimentConfig, out_dir) -> int:
             run_cfg = dataclasses.replace(
                 cfg, seed=cfg.seed + offset, **variant_settings(variant))
             runs.append((variant, run_cfg, run_cfg.train_config()))
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     base_bundle = _prepared_splits(cfg)
     test = base_bundle[2]
     if not test:
         raise ValueError("ablation needs a non-empty test split")
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
     variants = np.array([variant for variant, _, _ in runs])
     f1s, jis = np.empty(len(runs)), np.empty(len(runs))

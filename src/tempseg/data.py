@@ -1,7 +1,7 @@
 """Dataset ingestion, normalization, label runs, windowing, and a synthetic
 generator.
 
-The canonical on-disk form is one CSV per recording: header
+The canonical on-disk form is one CSV per recording: header exactly
 ``ch_0,...,ch_{D-1},label[,subject]``, one sample per row at a fixed
 implicit rate.  `write_table` writes every CSV the package produces,
 datasets and the CLI's exports alike, with LF line endings, formatting
@@ -176,15 +176,19 @@ def write_table(path, header, columns):
             fh.write(row * len(cells) % tuple(cells.ravel()))
 
 
+def _csv_header(d: int, subject: bool) -> list[str]:
+    """The columns of a recording CSV: ch_0..ch_(D-1),label[,subject]."""
+    return ([f"ch_{i}" for i in range(d)] + ["label"]
+            + (["subject"] if subject else []))
+
+
 def write_csv_sequence(path, sequence: SensorSequence):
     """Full-precision export in the canonical column schema."""
-    d = sequence.features.shape[1]
-    header = [f"ch_{i}" for i in range(d)] + ["label"]
     columns = [sequence.features, sequence.labels]
     if sequence.subject_id is not None:
-        header.append("subject")
         columns.append(np.full(len(sequence), sequence.subject_id))
-    write_table(path, header, columns)
+    write_table(path, _csv_header(sequence.features.shape[1],
+                                  sequence.subject_id is not None), columns)
 
 
 def _parse_rows(lines: list[str], dtype: np.dtype):
@@ -219,10 +223,10 @@ def _number_text(cell: str) -> str:
     return text
 
 
-def _raise_first_bad_line(path: Path, lines: list[str], d: int,
-                          has_subject: bool):
+def _raise_first_bad_line(path: Path, lines: list[str], columns: list[str],
+                          d: int):
     """Name the first line that `_parse_rows` cannot use, and why."""
-    width = d + 2 if has_subject else d + 1
+    width = len(columns)
     reader = csv.reader(lines)
     # loadtxt has no field limit: lift the reader's (131072 by default) to
     # the length of the whole text while it reads
@@ -246,7 +250,7 @@ def _raise_first_bad_line(path: Path, lines: list[str], d: int,
                                  "cell") from None
             if not all(map(math.isfinite, values)):
                 raise ValueError(f"{path}:{lineno}: blank or non-finite cell")
-            for name, cell in zip(("label", "subject"), cells[d:]):
+            for name, cell in zip(columns[d:], cells[d:]):
                 try:
                     value = int(_number_text(cell))
                 except ValueError:
@@ -278,23 +282,22 @@ def _parse_csv_file(path: Path) -> list[SensorSequence]:
         header = next(csv.reader(lines[:1]), [])
     except csv.Error as exc:
         raise ValueError(f"{path}:1: {exc}") from None
-    feature_cols = [h for h in header if h.startswith("ch_")]
-    expected = [f"ch_{i}" for i in range(len(feature_cols))]
-    rest = [h for h in header if not h.startswith("ch_")]
-    if (feature_cols != expected or not feature_cols
-            or rest not in (["label"], ["label", "subject"])):
+    # columns are read by position: the header must be the canonical one
+    has_subject = header[-1:] == ["subject"]
+    d = len(header) - 1 - has_subject
+    columns = _csv_header(d, has_subject)
+    if d < 1 or header != columns:
         raise ValueError(f"{path}: header must be ch_0..ch_(D-1),"
                          f"label[,subject], got {header}")
-    d = len(feature_cols)
     fields = [("features", np.float64, (d,))] + [(name, np.int64)
-                                                 for name in rest]
+                                                 for name in columns[d:]]
     table = _parse_rows(lines[1:], np.dtype(fields))
     if table is None:
-        _raise_first_bad_line(path, lines[1:], d, len(rest) == 2)
+        _raise_first_bad_line(path, lines[1:], columns, d)
 
     features = np.ascontiguousarray(table["features"])
     labels = np.ascontiguousarray(table["label"])
-    if len(rest) == 1:
+    if not has_subject:
         return [SensorSequence(features, labels)]
     subjects = table["subject"]
     out = []
@@ -384,15 +387,17 @@ def multiclass_window_rate(sequence: SensorSequence, size: int,
     return int(np.count_nonzero(multiclass)) / len(first)
 
 
-def split_sequences(sequences: list[SensorSequence], policy: str,
+def split_sequences(sequences: list[SensorSequence],
                     fractions: tuple[float, float, float] | None = None,
                     val_subjects=(), test_subjects=()):
     """Partition into (train, val, test) without breaking sequences apart.
 
-    Under "by-subject", every id must name a sequence, and no id may be in
-    both `val_subjects` and `test_subjects`.
+    By subject if `val_subjects` or `test_subjects` names an id (each id
+    naming a sequence, none in both lists), else by the `fractions`.
     """
-    if policy == "fractions":
+    val_subjects = set(val_subjects)
+    test_subjects = set(test_subjects)
+    if not val_subjects | test_subjects:
         if fractions is None or abs(sum(fractions) - 1.0) > 1e-9:
             raise ValueError("fractions must be given and sum to 1")
         # the same rounding slack as the sum: 1 - 0.9 - 0.1 is -2.8e-17
@@ -402,27 +407,22 @@ def split_sequences(sequences: list[SensorSequence], policy: str,
         e1 = int(round(n * fractions[0]))
         e2 = int(round(n * (fractions[0] + fractions[1])))
         return sequences[:e1], sequences[e1:e2], sequences[e2:]
-    if policy == "by-subject":
-        if any(s.subject_id is None for s in sequences):
-            raise ValueError("by-subject split needs subject ids on every "
-                             "sequence")
-        val_subjects = set(val_subjects)
-        test_subjects = set(test_subjects)
-        # fit would pick its checkpoint on the test recordings
-        both = val_subjects & test_subjects
-        if both:
-            raise ValueError("subject ids in both val_subjects and "
-                             "test_subjects: "
-                             + ", ".join(map(str, sorted(both))))
-        # an id that names no sequence would leave its split empty
-        unknown = (val_subjects | test_subjects) - {
-            s.subject_id for s in sequences}
-        if unknown:
-            raise ValueError("no sequence has subject id "
-                             + ", ".join(sorted(map(str, unknown))))
-        train = [s for s in sequences if s.subject_id not in val_subjects
-                 and s.subject_id not in test_subjects]
-        val = [s for s in sequences if s.subject_id in val_subjects]
-        test = [s for s in sequences if s.subject_id in test_subjects]
-        return train, val, test
-    raise ValueError(f"unknown split policy {policy!r}")
+    if any(s.subject_id is None for s in sequences):
+        raise ValueError("a split by subject needs subject ids on every "
+                         "sequence")
+    # fit would pick its checkpoint on the test recordings
+    both = val_subjects & test_subjects
+    if both:
+        raise ValueError("subject ids in both val_subjects and "
+                         "test_subjects: " + ", ".join(map(str, sorted(both))))
+    # an id that names no sequence would leave its split empty
+    unknown = (val_subjects | test_subjects) - {
+        s.subject_id for s in sequences}
+    if unknown:
+        raise ValueError("no sequence has subject id "
+                         + ", ".join(sorted(map(str, unknown))))
+    train = [s for s in sequences if s.subject_id not in val_subjects
+             and s.subject_id not in test_subjects]
+    val = [s for s in sequences if s.subject_id in val_subjects]
+    test = [s for s in sequences if s.subject_id in test_subjects]
+    return train, val, test

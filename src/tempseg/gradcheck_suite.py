@@ -201,9 +201,7 @@ def _graph_kink_margins(loss: ad.Tensor,
     relu_margin = np.inf
     norm_margin = np.inf
     for node in kinks:
-        g = grads.get(node)
-        if g is None:
-            continue
+        g = grads[node]
         if node._op == "l2_normalize":
             pre = node._parents[0].values
             rows = np.abs(g).max(axis=1) > 1e-12

@@ -83,10 +83,13 @@ class TestConfigFile:
         assert cfg.seed == 9 and cfg.num_stages == 4
 
     def test_unknown_key_rejected_with_location(self, tmp_path):
+        # split_policy was a key: the subject lists now decide the split
         path = tmp_path / "c.cfg"
-        path.write_text("epochs = 2\nlerning_rate = 0.1\n")
-        with pytest.raises(ValueError, match=r"c\.cfg:2.*lerning_rate"):
-            parse_config_file(path)
+        for key, value in (("lerning_rate", "0.1"),
+                           ("split_policy", "by-subject")):
+            path.write_text(f"epochs = 2\n{key} = {value}\n")
+            with pytest.raises(ValueError, match=rf"c\.cfg:2.*{key}"):
+                parse_config_file(path)
 
     def test_bad_value_reports_key(self, tmp_path):
         path = tmp_path / "c.cfg"
@@ -570,8 +573,7 @@ class TestSubjectSplit:
                 features=rng.normal(size=(40, 2)),
                 labels=np.arange(40) // 10 % 2, subject_id=subject))
         config = tmp_path / "subjects.cfg"
-        config.write_text(f"data_dir = {flat}\nsplit_policy = by-subject\n"
-                          "val_subjects = 2\nepochs = 1\n")
+        config.write_text(f"data_dir = {flat}\nval_subjects = 2\nepochs = 1\n")
         return config
 
     def test_integer_ids_select_their_subjects(self, subject_config):
@@ -590,6 +592,37 @@ class TestSubjectSplit:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "9" in err
 
+
+    def test_subject_lists_decide_the_split_under_default_fractions(
+            self, tmp_path):
+        # without a separate policy key the lists used to be ignored:
+        # train [0, 1, 2, 3], val [], test [4]
+        rng = np.random.default_rng(0)
+        for subject in range(5):
+            write_csv_sequence(tmp_path / f"s{subject}.csv", SensorSequence(
+                rng.normal(size=(20, 2)), np.arange(20) // 10,
+                subject_id=subject))
+        config = tmp_path / "c.cfg"
+        config.write_text(f"data_dir = {tmp_path}\nval_subjects = 3\n"
+                          "test_subjects = 4\n")
+        splits = _load_splits(load_experiment_config(config))
+        assert [[s.subject_id for s in split] for split in splits] == [
+            [0, 1, 2], [3], [4]]
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_subject_lists_with_a_train_layout_exit_1(
+            self, workspace, tmp_path, capsys, command):
+        # a train/ subdirectory fixes the split, and the lists used to be
+        # ignored
+        _, config, data = workspace
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(config.read_text() + "val_subjects = 0\n")
+        out = tmp_path / "run"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: val_subjects and test_subjects need a flat "
+                       f"data_dir, but {data} has a train/ subdir"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train", "ablate"])
     def test_subject_in_both_val_and_test_exits_1(
@@ -621,6 +654,32 @@ class TestFractionSplit:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "[0, 1]" in err
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    @pytest.mark.parametrize("split", [
+        "train_fraction = 0\nval_fraction = 0.5\nnormalize = true\n",
+        "train_fraction = 0\nval_fraction = 0.5\nnormalize = false\n",
+        "val_subjects = 0,1\ntest_subjects = 2\n",
+    ], ids=["fractions-normalized", "fractions-raw", "all-subjects-named"])
+    def test_empty_training_split_exits_1_before_output(
+            self, tmp_path, capsys, command, split):
+        # it used to fail with two different messages, in normalization
+        # or in the first epoch after the log was opened
+        flat = tmp_path / "flat"
+        flat.mkdir()
+        rng = np.random.default_rng(0)
+        for subject in range(3):
+            write_csv_sequence(flat / f"r{subject}.csv", SensorSequence(
+                rng.normal(size=(20, 2)), np.arange(20) // 10,
+                subject_id=subject))
+        config = tmp_path / "c.cfg"
+        config.write_text(f"data_dir = {flat}\nepochs = 1\nablate_seeds = 1\n"
+                          + split)
+        out = tmp_path / "run"
+        assert main([command, "--config", str(config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: the training split is empty"]
+        assert not out.exists()
 
 
 def stray_label_config(tmp_path, label):
@@ -717,6 +776,30 @@ class TestMainPlumbing:
         assert len(err) == 1 and err[0].startswith("error:")
         assert "seed" in err[0]
         assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "ablate", "eval",
+                                         "predict"])
+    def test_rejected_input_leaves_no_output(self, tmp_path, capsys,
+                                             command):
+        # the output directory used to be made before the inputs loaded
+        rng = np.random.default_rng(0)
+        (tmp_path / "data").mkdir()
+        for name, dim in (("a.csv", 2), ("b.csv", 3)):
+            write_csv_sequence(tmp_path / "data" / name, SensorSequence(
+                rng.normal(size=(60, dim)), np.arange(60) // 30))
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"data_dir = {tmp_path / 'data'}\n")
+        junk = tmp_path / "junk.ckpt"
+        junk.write_bytes(b"TSEG")
+        out = tmp_path / "out"
+        if command in ("train", "ablate"):
+            argv = [command, "--config", str(cfg)]
+        else:
+            argv = [command, str(junk), str(tmp_path / "data" / "a.csv")]
+        assert main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert not out.exists()
 
     def test_missing_dataset_reports_path(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"

@@ -328,9 +328,16 @@ class TestLoadCsvDataset:
             dt.load_csv_dataset(p)
 
     def test_bad_header_rejected(self, tmp_path):
-        p = self.write(tmp_path, "time,ch_0,label\n0,1.0,0\n")
-        with pytest.raises(ValueError, match="header"):
-            dt.load_csv_dataset(p)
+        # the columns are read by position, so a header that holds the
+        # right names in another order used to load label cells as
+        # features and feature cells as labels
+        for text in ("time,ch_0,label\n0,1.0,0\n",
+                     "label,ch_0,ch_1\n1,0.5,7\n0,0.25,9\n",
+                     "ch_0,label,ch_1\n0.5,1,7\n0.25,0,9\n",
+                     "ch_0,label,ch_1,subject\n0.5,1,7,0\n0.25,0,9,0\n"):
+            p = self.write(tmp_path, text)
+            with pytest.raises(ValueError, match="header"):
+                dt.load_csv_dataset(p)
 
     def test_subject_column_groups(self, tmp_path):
         p = self.write(tmp_path, "ch_0,label,subject\n"
@@ -626,56 +633,69 @@ class TestSplitSequences:
 
     def test_all_train(self):
         seqs = self.make(5)
-        train, val, test = dt.split_sequences(seqs, "fractions",
+        train, val, test = dt.split_sequences(seqs,
                                               fractions=(1.0, 0.0, 0.0))
         assert len(train) == 5 and not val and not test
 
     def test_partition_property(self):
         seqs = self.make(10)
-        train, val, test = dt.split_sequences(seqs, "fractions",
+        train, val, test = dt.split_sequences(seqs,
                                               fractions=(0.7, 0.15, 0.15))
         assert len(train) + len(val) + len(test) == 10
         assert {id(s) for s in train + val + test} == {id(s) for s in seqs}
 
     def test_by_subject(self):
         seqs = self.make(8, with_subjects=True)
-        train, val, test = dt.split_sequences(seqs, "by-subject",
-                                              val_subjects={5},
+        train, val, test = dt.split_sequences(seqs, val_subjects={5},
                                               test_subjects={6})
         assert [s.subject_id for s in val] == [5]
         assert [s.subject_id for s in test] == [6]
         assert all(s.subject_id not in (5, 6) for s in train)
+
+    @pytest.mark.parametrize("val,test", [((3,), (4,)), ((3,), ()),
+                                          ((), (4,))])
+    def test_named_subjects_override_the_fractions(self, val, test):
+        # the subject lists used to be ignored unless a separate policy
+        # key asked for them, so the named subjects went to training
+        train, val_split, test_split = dt.split_sequences(
+            self.make(5, with_subjects=True), fractions=(0.8, 0.1, 0.1),
+            val_subjects=val, test_subjects=test)
+        assert [[s.subject_id for s in split]
+                for split in (val_split, test_split)] == [list(val),
+                                                         list(test)]
+        assert [s.subject_id for s in train] == [
+            i for i in range(5) if i not in val + test]
+
+    def test_empty_subject_lists_split_by_the_fractions(self):
+        seqs = self.make(10, with_subjects=True)
+        train, val, test = dt.split_sequences(seqs, fractions=(0.8, 0.1, 0.1))
+        assert (train, val, test) == (seqs[:8], seqs[8:9], seqs[9:])
 
     def test_subject_in_both_val_and_test_rejected(self):
         # it used to land in both splits, so the checkpoint was picked on
         # the test recordings
         with pytest.raises(ValueError, match=r"both val_subjects and "
                                              r"test_subjects: 2, 3$"):
-            dt.split_sequences(self.make(5, with_subjects=True), "by-subject",
+            dt.split_sequences(self.make(5, with_subjects=True),
                                val_subjects=(3, 1, 2), test_subjects=(2, 3))
 
     def test_missing_subject_ids(self):
         with pytest.raises(ValueError, match="subject ids"):
-            dt.split_sequences(self.make(3), "by-subject", val_subjects={1})
-
-    def test_unknown_policy(self):
-        with pytest.raises(ValueError, match="policy"):
-            dt.split_sequences(self.make(2), "random")
+            dt.split_sequences(self.make(3), val_subjects={1})
 
     def test_fractions_must_sum_to_one(self):
         with pytest.raises(ValueError, match="sum to 1"):
-            dt.split_sequences(self.make(4), "fractions",
-                               fractions=(0.5, 0.2, 0.2))
+            dt.split_sequences(self.make(4), fractions=(0.5, 0.2, 0.2))
 
     @pytest.mark.parametrize("fractions", [(0.9, 0.3, -0.2), (1.2, 0.0, -0.2),
                                            (-0.1, 0.6, 0.5)])
     def test_fraction_outside_unit_interval_rejected(self, fractions):
         # these sum to 1; (0.9, 0.3, -0.2) used to give a 9/1/0 split
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            dt.split_sequences(self.make(10), "fractions", fractions=fractions)
+            dt.split_sequences(self.make(10), fractions=fractions)
 
     def test_rounding_slack_in_a_derived_fraction_is_accepted(self):
         # the CLI derives the test share as 1 - 0.9 - 0.1 = -2.8e-17
         train, val, test = dt.split_sequences(
-            self.make(10), "fractions", fractions=(0.9, 0.1, 1.0 - 0.9 - 0.1))
+            self.make(10), fractions=(0.9, 0.1, 1.0 - 0.9 - 0.1))
         assert (len(train), len(val), len(test)) == (9, 1, 0)
