@@ -73,8 +73,8 @@ class ExperimentConfig:
 
     Each field is one config key with its default, parser and help text.
     This table is the documentation of record for the config file format.
-    A key shared with ModelConfig, TrainConfig, SynthConfig or
-    default_synth_config takes its owner's default.
+    A key shared with ModelConfig, TrainConfig, SynthConfig,
+    default_synth_config or split_sequences takes its owner's default.
     """
     # model
     input_dim: int | None = _key(None, _parse_auto_int, "feature channels; auto = infer from data")
@@ -111,8 +111,8 @@ class ExperimentConfig:
     # dataset handling
     data_dir: str = _key("data", str, "dataset root (train/val/test subdirs, or flat)")
     normalize: bool = _key(True, _parse_bool, "z-score features with train statistics")
-    train_fraction: float = _key(0.8, float, "train share of a flat data_dir when no subject id is named")
-    val_fraction: float = _key(0.1, float, "validation share of a flat data_dir when no subject id is named")
+    train_fraction: float = _key(dt.split_sequences.__kwdefaults__["train_fraction"], float, "train share of a flat data_dir when no subject id is named")
+    val_fraction: float = _key(dt.split_sequences.__kwdefaults__["val_fraction"], float, "validation share of a flat data_dir when no subject id is named")
     val_subjects: tuple[int, ...] = _key((), _parse_subjects, "comma-separated validation subject ids; a flat data_dir is then split by subject")
     test_subjects: tuple[int, ...] = _key((), _parse_subjects, "comma-separated test subject ids; a flat data_dir is then split by subject")
     # ablation
@@ -257,9 +257,8 @@ def _load_splits(cfg: ExperimentConfig):
         return dt.load_csv_dataset(root / "train", cfg.input_dim), \
             maybe("val"), maybe("test")
     sequences = dt.load_csv_dataset(root, cfg.input_dim)
-    fractions = (cfg.train_fraction, cfg.val_fraction,
-                 1.0 - cfg.train_fraction - cfg.val_fraction)
-    return dt.split_sequences(sequences, fractions=fractions,
+    return dt.split_sequences(sequences, train_fraction=cfg.train_fraction,
+                              val_fraction=cfg.val_fraction,
                               val_subjects=cfg.val_subjects,
                               test_subjects=cfg.test_subjects)
 

@@ -387,25 +387,31 @@ def multiclass_window_rate(sequence: SensorSequence, size: int,
     return int(np.count_nonzero(multiclass)) / len(first)
 
 
-def split_sequences(sequences: list[SensorSequence],
-                    fractions: tuple[float, float, float] | None = None,
+def split_sequences(sequences: list[SensorSequence], *,
+                    train_fraction: float = 0.8, val_fraction: float = 0.1,
                     val_subjects=(), test_subjects=()):
     """Partition into (train, val, test) without breaking sequences apart.
 
     By subject if `val_subjects` or `test_subjects` names an id (each id
-    naming a sequence, none in both lists), else by the `fractions`.
+    naming a sequence, none in both lists); the other subjects train.
+    Else in order: the first round(n * train_fraction) sequences train,
+    the next ones up to round(n * (train_fraction + val_fraction))
+    validate, and the rest test.  In both modes each fraction and their
+    sum must lie in [0, 1].
     """
+    # 1e-9 slack: a share computed in floating point, such as 0.1 + 0.2,
+    # can miss its decimal value by an ulp
+    if any(not -1e-9 <= f <= 1.0 + 1e-9 for f in (
+            train_fraction, val_fraction, train_fraction + val_fraction)):
+        raise ValueError("train_fraction, val_fraction and their sum must "
+                         f"lie in [0, 1], got {train_fraction} and "
+                         f"{val_fraction}")
     val_subjects = set(val_subjects)
     test_subjects = set(test_subjects)
     if not val_subjects | test_subjects:
-        if fractions is None or abs(sum(fractions) - 1.0) > 1e-9:
-            raise ValueError("fractions must be given and sum to 1")
-        # the same rounding slack as the sum: 1 - 0.9 - 0.1 is -2.8e-17
-        if any(not -1e-9 <= f <= 1.0 + 1e-9 for f in fractions):
-            raise ValueError(f"fractions must lie in [0, 1], got {fractions}")
         n = len(sequences)
-        e1 = int(round(n * fractions[0]))
-        e2 = int(round(n * (fractions[0] + fractions[1])))
+        e1 = int(round(n * train_fraction))
+        e2 = int(round(n * (train_fraction + val_fraction)))
         return sequences[:e1], sequences[e1:e2], sequences[e2:]
     if any(s.subject_id is None for s in sequences):
         raise ValueError("a split by subject needs subject ids on every "

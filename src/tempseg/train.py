@@ -138,18 +138,6 @@ def adam_step(state: TrainState, gradients: dict[str, np.ndarray],
     return state
 
 
-@dataclass
-class EpochStats:
-    """One epoch's summary; its fields are the training-log record's keys."""
-    classification: list[float]     # per stage, averaged over sequences
-    contrast: list[float]
-    total: float
-    optimizer_steps: int
-    skipped_anchors: int    # contrast anchors lacking a positive or negative
-    sample_examples: list[int]      # pool rows per stage, summed
-    segment_examples: list[int]
-
-
 def _sequence_gradients(state: TrainState, seq: SensorSequence,
                         cfg: TrainConfig, rng, chunk_length: int | None = None,
                         run=map
@@ -237,11 +225,15 @@ def _sequence_gradients(state: TrainState, seq: SensorSequence,
 
 
 def train_epoch(state: TrainState, sequences: list[SensorSequence],
-                cfg: TrainConfig, rng) -> EpochStats:
+                cfg: TrainConfig, rng) -> dict:
     """One pass over the shuffled sequences: one Adam step per batch of
     cfg.batch_size of them (the last may be shorter), with the mean of
-    their gradients.  The stats sum every sequence's `LossBreakdown` in
-    sequence order; the losses are then divided by the sequence count.
+    their gradients.
+
+    Returns the epoch's training-log record: every `LossBreakdown` field
+    but `contrast_weight`, summed over the sequences in sequence order
+    (the float fields, the losses, then divided once by the sequence
+    count; the integer fields are counts), plus `optimizer_steps`.
     """
     if not sequences:
         raise ValueError("need at least one training sequence")
@@ -265,19 +257,16 @@ def train_epoch(state: TrainState, sequences: list[SensorSequence],
                               for name, g in summed.items()},
                       cfg.learning_rate)
 
-    def epoch_sum(field):
-        return functools.reduce(np.add, (np.asarray(getattr(b, field))
-                                         for b in breakdowns))
-
-    n = len(sequences)
-    return EpochStats(
-        classification=(epoch_sum("classification") / n).tolist(),
-        contrast=(epoch_sum("contrast") / n).tolist(),
-        total=(epoch_sum("total") / n).tolist(),
-        optimizer_steps=len(batches),
-        skipped_anchors=epoch_sum("skipped_anchors").tolist(),
-        sample_examples=epoch_sum("sample_examples").tolist(),
-        segment_examples=epoch_sum("segment_examples").tolist())
+    record = {}
+    for field in dataclasses.fields(LossBreakdown):
+        if field.name != "contrast_weight":
+            epoch_sum = functools.reduce(np.add, (
+                np.asarray(getattr(b, field.name)) for b in breakdowns))
+            record[field.name] = (epoch_sum / len(sequences)
+                                  if epoch_sum.dtype.kind == "f"
+                                  else epoch_sum).tolist()
+    record["optimizer_steps"] = len(batches)
+    return record
 
 
 @functools.cache
@@ -420,9 +409,12 @@ def fit(state: TrainState, train_seqs: list[SensorSequence],
         log_fn=None) -> list[dict]:
     """Run cfg.epochs epochs, snapshotting the best validation F1.
 
-    Returns one JSON-ready record per epoch.  `state.best_params` is a
-    copy of the parameters after the epoch of highest validation macro F1
-    (the first on ties), `best_metric` that F1, `best_epoch` that epoch.
+    Returns the records it logs through `log_fn`, one per epoch:
+    `train_epoch`'s record with the `epoch` number and, where there are
+    validation sequences, `val_macro_f1` and `val_jaccard`.
+    `state.best_params` is a copy of the parameters after the epoch of
+    highest validation macro F1 (the first on ties), `best_metric` that
+    F1, `best_epoch` that epoch.
     Where no epoch was validated (no validation sequences, or no epochs),
     `best_metric` is None, `best_params` is `state.params` itself (the
     latest parameters) and `best_epoch` the last epoch, -1 for none.
@@ -432,8 +424,7 @@ def fit(state: TrainState, train_seqs: list[SensorSequence],
     state.best_epoch = cfg.epochs - 1
     history = []
     for epoch in range(cfg.epochs):
-        stats = train_epoch(state, train_seqs, cfg, rng)
-        record = {"epoch": epoch, **dataclasses.asdict(stats)}
+        record = {"epoch": epoch, **train_epoch(state, train_seqs, cfg, rng)}
         if val_seqs:
             report, _ = evaluate(state.params, state.model_config, val_seqs)
             record["val_macro_f1"] = report.macro_f1

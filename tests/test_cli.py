@@ -635,6 +635,21 @@ class TestSubjectSplit:
         assert err == ["error: subject ids in both val_subjects and "
                        "test_subjects: 2"]
 
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_fractions_outside_unit_interval_exit_1(
+            self, subject_config, tmp_path, capsys, command):
+        # the fractions used to be read only without subject lists, so
+        # this config trained on subjects 1 and 3
+        subject_config.write_text(subject_config.read_text()
+                                  + "train_fraction = 7\nval_fraction = -3\n")
+        out = tmp_path / "run"
+        assert main([command, "--config", str(subject_config),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "[0, 1]" in err[0]
+        assert not out.exists()
+
 
 class TestFractionSplit:
     def test_shares_above_one_exit_1(self, tmp_path, capsys):

@@ -633,14 +633,14 @@ class TestSplitSequences:
 
     def test_all_train(self):
         seqs = self.make(5)
-        train, val, test = dt.split_sequences(seqs,
-                                              fractions=(1.0, 0.0, 0.0))
+        train, val, test = dt.split_sequences(seqs, train_fraction=1.0,
+                                              val_fraction=0.0)
         assert len(train) == 5 and not val and not test
 
     def test_partition_property(self):
         seqs = self.make(10)
-        train, val, test = dt.split_sequences(seqs,
-                                              fractions=(0.7, 0.15, 0.15))
+        train, val, test = dt.split_sequences(seqs, train_fraction=0.7,
+                                              val_fraction=0.15)
         assert len(train) + len(val) + len(test) == 10
         assert {id(s) for s in train + val + test} == {id(s) for s in seqs}
 
@@ -658,8 +658,8 @@ class TestSplitSequences:
         # the subject lists used to be ignored unless a separate policy
         # key asked for them, so the named subjects went to training
         train, val_split, test_split = dt.split_sequences(
-            self.make(5, with_subjects=True), fractions=(0.8, 0.1, 0.1),
-            val_subjects=val, test_subjects=test)
+            self.make(5, with_subjects=True), train_fraction=0.8,
+            val_fraction=0.1, val_subjects=val, test_subjects=test)
         assert [[s.subject_id for s in split]
                 for split in (val_split, test_split)] == [list(val),
                                                          list(test)]
@@ -668,7 +668,8 @@ class TestSplitSequences:
 
     def test_empty_subject_lists_split_by_the_fractions(self):
         seqs = self.make(10, with_subjects=True)
-        train, val, test = dt.split_sequences(seqs, fractions=(0.8, 0.1, 0.1))
+        train, val, test = dt.split_sequences(seqs, train_fraction=0.8,
+                                              val_fraction=0.1)
         assert (train, val, test) == (seqs[:8], seqs[8:9], seqs[9:])
 
     def test_subject_in_both_val_and_test_rejected(self):
@@ -683,19 +684,24 @@ class TestSplitSequences:
         with pytest.raises(ValueError, match="subject ids"):
             dt.split_sequences(self.make(3), val_subjects={1})
 
-    def test_fractions_must_sum_to_one(self):
-        with pytest.raises(ValueError, match="sum to 1"):
-            dt.split_sequences(self.make(4), fractions=(0.5, 0.2, 0.2))
-
-    @pytest.mark.parametrize("fractions", [(0.9, 0.3, -0.2), (1.2, 0.0, -0.2),
-                                           (-0.1, 0.6, 0.5)])
+    @pytest.mark.parametrize("fractions", [(0.9, 0.3), (1.2, 0.0),
+                                           (-0.1, 0.6)])
     def test_fraction_outside_unit_interval_rejected(self, fractions):
-        # these sum to 1; (0.9, 0.3, -0.2) used to give a 9/1/0 split
+        # (0.9, 0.3) used to give a 9/1/0 split
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            dt.split_sequences(self.make(10), fractions=fractions)
+            dt.split_sequences(self.make(10), train_fraction=fractions[0],
+                               val_fraction=fractions[1])
+
+    def test_fractions_are_checked_in_a_subject_split(self):
+        # they used to be read only without subject lists, so this split
+        # gave train [0, 2], val [1], test []
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            dt.split_sequences(self.make(3, with_subjects=True),
+                               train_fraction=7, val_fraction=-3,
+                               val_subjects=(1,))
 
     def test_rounding_slack_in_a_derived_fraction_is_accepted(self):
-        # the CLI derives the test share as 1 - 0.9 - 0.1 = -2.8e-17
+        # a test share derived as 1 - 0.9 - 0.1 would be -2.8e-17
         train, val, test = dt.split_sequences(
-            self.make(10), fractions=(0.9, 0.1, 1.0 - 0.9 - 0.1))
+            self.make(10), train_fraction=0.9, val_fraction=0.1)
         assert (len(train), len(val), len(test)) == (9, 1, 0)
