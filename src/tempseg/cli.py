@@ -249,6 +249,9 @@ def _load_splits(cfg: ExperimentConfig):
         if cfg.val_subjects or cfg.test_subjects:
             raise ValueError("val_subjects and test_subjects need a flat "
                              f"data_dir, but {root} has a train/ subdir")
+        # the layout fixes the split, but bad fractions are still an error
+        dt.split_sequences([], train_fraction=cfg.train_fraction,
+                           val_fraction=cfg.val_fraction)
         def maybe(name):
             sub = root / name
             if not sub.is_dir() or not any(sub.glob("*.csv")):

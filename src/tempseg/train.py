@@ -1,23 +1,28 @@
 """Optimization loop, evaluation, and checkpointing.
 
-A training step differentiates one sequence's loss.  Where the process
-has several CPUs and numpy's BLAS runs one thread (`chunk_workers`), the
-sequence runs in chunks that overlap by the model's receptive radius, on
-several threads: each chunk's forward and backward run on a worker, and
-the loss, which needs the whole sequence (example selection and segment
-pooling), runs between them on leaf copies of the chunks' kept outputs
-(`_sequence_gradients`).  The gradients equal a whole-sequence graph's
-up to rounding and do not depend on the thread count.  Elsewhere BLAS's
-own threads already use the CPUs, and a sequence is one chunk.
+A training step differentiates one sequence's loss.  The sequence runs
+in chunks of at most TRAIN_CHUNK_LENGTH samples that overlap by the
+model's receptive radius, on `chunk_runner`'s threads: each chunk's
+forward and backward run on a worker, and the loss, which needs the
+whole sequence (example selection and segment pooling), runs between
+them on leaf copies of the chunks' kept outputs (`_sequence_gradients`).
+The gradients equal a whole-sequence graph's up to rounding.
 `train_epoch` steps the optimizer once per batch of batch_size whole
 sequences, not windows, with the mean of their gradients; a parameter
-no graph reached gets a zero gradient.  All
-randomness flows through one caller-owned generator, on the calling
-thread, which makes full runs bitwise reproducible.
+no graph reached gets a zero gradient.  All randomness flows through one
+caller-owned generator, on the calling thread.
 
 Inference (`final_stage_outputs`, behind `evaluate`) labels a recording
 in the same kind of chunks, longer ones and without a graph, with the
 same result as one whole-recording forward.
+
+While a `chunk_runner` is open, numpy's OpenBLAS runs one thread, and
+so does every other BLAS call in the process; the previous count comes
+back when the last open runner closes.  Chunk boundaries depend on the
+recording's length alone, so full runs are bitwise reproducible whatever
+the BLAS thread setting and the CPU count.  With a BLAS other than
+numpy's OpenBLAS, nothing is pinned, chunks run on the calling thread,
+and bits can depend on that BLAS's threads.
 
 Checkpoints are a flat binary container: magic, format version, a JSON
 header (model config, normalization statistics, free-form metadata), then
@@ -37,6 +42,7 @@ import math
 import os
 import struct
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -139,14 +145,12 @@ def adam_step(state: TrainState, gradients: dict[str, np.ndarray],
 
 
 def _sequence_gradients(state: TrainState, seq: SensorSequence,
-                        cfg: TrainConfig, rng, chunk_length: int | None = None,
-                        run=map
+                        cfg: TrainConfig, rng, chunk_length: int, run=map
                         ) -> tuple[dict[str, np.ndarray], LossBreakdown]:
     """One recording's parameter gradients, by name, and its loss terms.
 
-    The recording runs in halo chunks of at most `chunk_length` samples
-    (one chunk when None), mapped over by `run`, such as a thread pool's
-    map, in three phases:
+    The recording runs in halo chunks of at most `chunk_length` samples,
+    mapped over by `run`, such as a thread pool's map, in three phases:
 
     - each worker runs its chunk's recorded forward, and the projection
       heads when contrast is on;
@@ -171,8 +175,7 @@ def _sequence_gradients(state: TrainState, seq: SensorSequence,
     params, config = state.params, state.model_config
     n_stages = config.num_stages
     length = len(seq.features)
-    chunks = halo_chunks(length, chunk_length or max(1, length),
-                         md.receptive_radius(config))
+    chunks = halo_chunks(length, chunk_length, md.receptive_radius(config))
 
     def forward(chunk):
         _, read, _ = chunk
@@ -241,12 +244,12 @@ def train_epoch(state: TrainState, sequences: list[SensorSequence],
     batches = [order[i:i + cfg.batch_size]
                for i in range(0, len(order), cfg.batch_size)]
     breakdowns = []
-    chunk_length = train_chunk_length()
     with chunk_runner() as run:
         for batch in batches:
             for i, idx in enumerate(batch):
                 grads, breakdown = _sequence_gradients(
-                    state, sequences[int(idx)], cfg, rng, chunk_length, run)
+                    state, sequences[int(idx)], cfg, rng, TRAIN_CHUNK_LENGTH,
+                    run)
                 if not np.isfinite(breakdown.total):
                     raise FloatingPointError(
                         f"non-finite loss on sequence {int(idx)}")
@@ -271,7 +274,8 @@ def train_epoch(state: TrainState, sequences: list[SensorSequence],
 
 @functools.cache
 def _openblas_thread_count():
-    """The thread-count getter of the OpenBLAS in numpy's wheel, or None."""
+    """(getter, setter) of the thread count of the OpenBLAS in numpy's
+    wheel, or None where numpy runs another BLAS."""
     for path in sorted((Path(np.__file__).parent.parent
                         / "numpy.libs").glob("*openblas*")):
         try:    # already loaded by numpy; do not load a second copy
@@ -282,26 +286,46 @@ def _openblas_thread_count():
                      "openblas_get_num_threads64_",
                      "openblas_get_num_threads"):
             getter = getattr(lib, name, None)
-            if getter is not None:
-                return getter
+            setter = getattr(lib, name.replace("_get_", "_set_"), None)
+            if getter is not None and setter is not None:
+                return getter, setter
     return None
 
 
-def blas_threads() -> int | None:
-    """Threads numpy's BLAS may run one product on; None where it cannot
-    be asked (a BLAS other than the OpenBLAS numpy's wheel ships)."""
-    getter = _openblas_thread_count()
-    return None if getter is None else getter()
+_pin_lock = threading.Lock()
+_pin = {"entries": 0, "threads": None}  # open entries; count before them
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold numpy's OpenBLAS to one thread, so every product is computed
+    the same way whatever its thread setting.  The count from before the
+    first of nested or concurrent entries comes back when the last one
+    leaves.  Nothing is pinned where no setter is found."""
+    controls = _openblas_thread_count()
+    if controls is None:
+        yield
+        return
+    get, set_ = controls
+    with _pin_lock:
+        if _pin["entries"] == 0:
+            _pin["threads"] = get()
+            set_(1)
+        _pin["entries"] += 1
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            _pin["entries"] -= 1
+            if _pin["entries"] == 0:
+                set_(_pin["threads"])
 
 
 def chunk_workers() -> int:
-    """Threads that run one recording's chunks.
-
-    The CPUs this process may run on when numpy's BLAS runs one thread,
-    else one: BLAS's own threads already spread each product over the
-    CPUs, and chunk threads on top of them slow a step down.
-    """
-    if blas_threads() != 1:
+    """Threads that run one recording's chunks: the CPUs this process may
+    run on where `chunk_runner` can pin numpy's BLAS to one thread, else
+    one, as an unpinned BLAS's own threads use the CPUs."""
+    if _openblas_thread_count() is None:
         return 1
     try:
         return len(os.sched_getaffinity(0))
@@ -309,28 +333,20 @@ def chunk_workers() -> int:
         return os.cpu_count() or 1
 
 
-def train_chunk_length() -> int | None:
-    """Most samples one training chunk covers; None for whole recordings.
-
-    Chunks pay for their halo and their extra graphs only when they run
-    in parallel, so a recording is split only where there is more than
-    one chunk worker.
-    """
-    return TRAIN_CHUNK_LENGTH if chunk_workers() > 1 else None
-
-
 @contextlib.contextmanager
 def chunk_runner():
-    """A map over sequences of chunks: on a pool of `chunk_workers()`
-    threads, but on the calling thread for a lone chunk or where there
-    is one worker (then no pool is made)."""
-    workers = chunk_workers()
-    if workers == 1:
-        yield map
-        return
-    with ThreadPoolExecutor(workers) as pool:
-        yield lambda fn, *chunks: (pool.map if len(chunks[0]) > 1
-                                   else map)(fn, *chunks)
+    """A map over sequences of chunks, with numpy's BLAS held to one
+    thread while it is open: on a pool of `chunk_workers()` threads, but
+    on the calling thread for a lone chunk or where there is one worker
+    (then no pool is made)."""
+    with _one_blas_thread():
+        workers = chunk_workers()
+        if workers == 1:
+            yield map
+        else:
+            with ThreadPoolExecutor(workers) as pool:
+                yield lambda fn, *chunks: (pool.map if len(chunks[0]) > 1
+                                           else map)(fn, *chunks)
 
 
 def halo_chunks(length: int, chunk_length: int,

@@ -652,6 +652,21 @@ class TestSubjectSplit:
 
 
 class TestFractionSplit:
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_fractions_outside_unit_interval_with_a_train_layout_exit_1(
+            self, workspace, tmp_path, capsys, command):
+        # a train/ subdirectory fixes the split, and the fractions used
+        # to go unread, so this config trained and exited 0
+        _, config, _ = workspace
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(config.read_text() + "train_fraction = 7\n")
+        out = tmp_path / "run"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: train_fraction, val_fraction and their sum "
+                       "must lie in [0, 1], got 7.0 and 0.1"]
+        assert not out.exists()
+
     def test_shares_above_one_exit_1(self, tmp_path, capsys):
         flat = tmp_path / "flat"
         flat.mkdir()

@@ -7,6 +7,7 @@ import sys
 import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -250,7 +251,7 @@ class TestTrainEpoch:
     @pytest.mark.parametrize("contrast_weight", [0.0, 1.0])
     def test_batch_step_gets_the_mean_sequence_gradient(
             self, monkeypatch, contrast_weight):
-        monkeypatch.setattr(tr, "train_chunk_length", lambda: 40)
+        monkeypatch.setattr(tr, "TRAIN_CHUNK_LENGTH", 40)
         monkeypatch.setattr(tr, "chunk_workers", lambda: 2)
         cfg = TrainConfig(batch_size=2, temperature=0.5, k_per_class=4,
                           contrast_weight=contrast_weight)
@@ -311,7 +312,7 @@ class TestTrainEpoch:
                     assert got[name].tobytes() == expected[name].tobytes()
 
     def test_result_does_not_depend_on_worker_count(self, monkeypatch):
-        monkeypatch.setattr(tr, "train_chunk_length", lambda: 20)  # 5 each
+        monkeypatch.setattr(tr, "TRAIN_CHUNK_LENGTH", 20)  # 5 each
         results = []
         for workers in (1, 3):
             monkeypatch.setattr(tr, "chunk_workers", lambda: workers)
@@ -332,7 +333,7 @@ class TestTrainEpoch:
     def test_one_pool_per_epoch_and_none_without_parallel_chunks(
             self, monkeypatch, workers, length, on_caller):
         monkeypatch.setattr(tr, "chunk_workers", lambda: workers)
-        monkeypatch.setattr(tr, "train_chunk_length", lambda: 20)
+        monkeypatch.setattr(tr, "TRAIN_CHUNK_LENGTH", 20)
         pools, threads = [], set()
         pool, forward = tr.ThreadPoolExecutor, md.mstcn_forward
         monkeypatch.setattr(tr, "ThreadPoolExecutor",
@@ -347,26 +348,106 @@ class TestTrainEpoch:
         assert (threads == {threading.current_thread()}) == on_caller
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "GOTO_NUM_THREADS")
+
+
+def run_python(args, openblas_threads=None):
+    """Python on this package with `args`, OPENBLAS_NUM_THREADS set to
+    `openblas_threads` (unset for None) and no other BLAS thread setting."""
+    env = {name: value for name, value in os.environ.items()
+           if name not in BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = str(Path(tr.__file__).resolve().parents[1])
+    if openblas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas_threads
+    out = subprocess.run([sys.executable, *args], env=env, timeout=300,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
+# Entries of chunk_runner: alone, nested, from two threads at once (the
+# first to leave must not restore), and left by an exception.
+PIN_SCRIPT = """
+import threading
+from tempseg import train
+get, _ = train._openblas_thread_count()
+before = get()
+if before == 1:
+    print("skip")
+    raise SystemExit
+with train.chunk_runner():
+    assert get() == 1
+assert get() == before
+with train.chunk_runner():
+    with train.chunk_runner():
+        assert get() == 1
+    assert get() == 1
+assert get() == before
+start = threading.Barrier(2)
+entered = [threading.Event(), threading.Event()]
+release = [threading.Event(), threading.Event()]
+def hold(i):
+    start.wait(10)
+    with train.chunk_runner():
+        entered[i].set()
+        release[i].wait(10)
+threads = [threading.Thread(target=hold, args=(i,)) for i in (0, 1)]
+for thread in threads:
+    thread.start()
+assert all(event.wait(10) for event in entered)
+release[0].set()
+threads[0].join()
+assert get() == 1
+release[1].set()
+threads[1].join()
+assert get() == before
+try:
+    with train.chunk_runner():
+        raise KeyError
+except KeyError:
+    pass
+assert get() == before
+print("ok")
+"""
+
+
 class TestChunkPlan:
-    @pytest.mark.parametrize("blas, workers", [(1, 5), (2, 1), (None, 1)])
-    def test_chunk_threads_only_beside_a_single_threaded_blas(
-            self, monkeypatch, blas, workers):
-        monkeypatch.setattr(tr, "blas_threads", lambda: blas)
+    @pytest.mark.parametrize("found, workers", [(True, 5), (False, 1)])
+    def test_chunk_threads_wherever_blas_can_be_pinned(
+            self, monkeypatch, found, workers):
+        monkeypatch.setattr(tr, "_openblas_thread_count", lambda: (
+            (lambda: 2, lambda threads: None) if found else None))
         monkeypatch.setattr(tr.os, "sched_getaffinity", lambda pid: range(5),
                             raising=False)
         assert tr.chunk_workers() == workers
-        assert tr.train_chunk_length() == (
-            tr.TRAIN_CHUNK_LENGTH if workers > 1 else None)
 
-    def test_blas_threads_reads_the_library_setting(self):
-        if tr.blas_threads() is None:
-            pytest.skip("numpy's BLAS cannot be asked for its threads")
-        script = ("import sys; sys.path[:0] = {!r}; from tempseg import "
-                  "train; print(train.blas_threads())".format(sys.path))
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
-        out = subprocess.run([sys.executable, "-c", script], env=env,
-                             capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "1"
+    def test_one_blas_thread_while_a_runner_is_open(self):
+        if tr._openblas_thread_count() is None:
+            pytest.skip("numpy's BLAS has no thread setter")
+        out = run_python(["-c", PIN_SCRIPT], openblas_threads="2").strip()
+        if out == "skip":
+            pytest.skip("numpy's BLAS runs one thread at this setting")
+        assert out == "ok"
+
+    def test_checkpoint_does_not_depend_on_the_blas_setting(self, tmp_path):
+        # default model width, one epoch on two 2000-sample recordings;
+        # threaded BLAS used to train one whole graph per recording, and
+        # its checkpoint differed from the pinned, chunked one
+        if tr._openblas_thread_count() is None:
+            pytest.skip("numpy's BLAS has no thread setter")
+        config = tmp_path / "c.cfg"
+        config.write_text(f"data_dir = {tmp_path / 'data'}\nnum_train = 2\n"
+                          "num_val = 0\nnum_test = 0\nepochs = 1\n")
+        run_python(["-m", "tempseg.cli", "generate", "--config", str(config),
+                    "--out", str(tmp_path / "data")])
+        checkpoints = []
+        for threads in (None, "1", "2"):
+            out = tmp_path / f"run_{threads}"
+            run_python(["-m", "tempseg.cli", "train", "--config", str(config),
+                        "--out", str(out)], openblas_threads=threads)
+            checkpoints.append((out / "model.ckpt").read_bytes())
+        assert checkpoints[0] == checkpoints[1] == checkpoints[2]
 
 
 def whole_sequence_gradients(state, seq, cfg, rng):
@@ -568,7 +649,8 @@ class TestFit:
             cfg = TrainConfig(k_per_class=k,
                               include_segments=include_segments)
             graphs.clear()
-            tr._sequence_gradients(state, seq, cfg, np.random.default_rng(0))
+            tr._sequence_gradients(state, seq, cfg, np.random.default_rng(0),
+                                   tr.TRAIN_CHUNK_LENGTH)
             ops = [n._op for graph in graphs for n in graph.nodes]
             assert {op: ops.count(op) for op in want} == {
                 op: 2 * count for op, count in want.items()}, f"k={k}"
@@ -612,7 +694,7 @@ class TestFit:
         cfg = TrainConfig(contrast_weight=contrast_weight, k_per_class=4,
                           include_segments=include_segments)
         tr._sequence_gradients(state, make_dataset(1)[0], cfg,
-                               np.random.default_rng(0))
+                               np.random.default_rng(0), tr.TRAIN_CHUNK_LENGTH)
         assert calls == want
 
     def test_validation_leaves_training_differentiable(self, monkeypatch):
