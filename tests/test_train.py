@@ -413,11 +413,14 @@ print("ok")
 
 
 class TestChunkPlan:
-    @pytest.mark.parametrize("found, workers", [(True, 5), (False, 1)])
-    def test_chunk_threads_wherever_blas_can_be_pinned(
-            self, monkeypatch, found, workers):
+    # blas: the thread count numpy's BLAS reports, None where no setter is
+    # found; chunk_runner pins a found BLAS to one thread, so a threaded
+    # setting gets the pool too, and only an unpinnable BLAS runs one worker
+    @pytest.mark.parametrize("blas, workers", [(1, 5), (2, 5), (None, 1)])
+    def test_chunk_threads_only_beside_a_single_threaded_blas(
+            self, monkeypatch, blas, workers):
         monkeypatch.setattr(tr, "_openblas_thread_count", lambda: (
-            (lambda: 2, lambda threads: None) if found else None))
+            None if blas is None else (lambda: blas, lambda threads: None)))
         monkeypatch.setattr(tr.os, "sched_getaffinity", lambda pid: range(5),
                             raising=False)
         assert tr.chunk_workers() == workers
