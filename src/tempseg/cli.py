@@ -355,8 +355,9 @@ def cmd_train(cfg: ExperimentConfig, out_dir, variant=None) -> int:
 
 
 def _forward_dataset(checkpoint_path, data_path, embed: bool):
-    """A checkpoint's concatenated final-stage outputs over a dataset, with
-    the checkpoint's normalization applied; embeddings only if `embed`."""
+    """A checkpoint's truth, labels (taken per recording), probabilities
+    and embeddings (only if `embed`) over a dataset, each concatenated,
+    with the checkpoint's normalization applied."""
     state = tr.load_checkpoint(checkpoint_path)
     sequences = dt.load_csv_dataset(data_path, state.model_config.input_dim)
     if state.norm_stats is not None:
@@ -364,10 +365,9 @@ def _forward_dataset(checkpoint_path, data_path, embed: bool):
                      for s in sequences]
     probs, embeds = zip(*tr.final_stage_outputs(
         state.params, state.model_config, sequences, embed))
-    probs = np.concatenate(probs)
     return (np.concatenate([s.labels for s in sequences]),
-            np.argmax(probs, axis=1), probs,
-            np.concatenate(embeds) if embed else None)
+            np.concatenate([md.predict_labels(p) for p in probs]),
+            np.concatenate(probs), np.concatenate(embeds) if embed else None)
 
 
 def _names(prefix, matrix) -> list[str]:

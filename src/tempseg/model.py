@@ -184,16 +184,13 @@ def classify(features: Tensor, stage: StageParams) -> Tensor:
                              dilation=1)
 
 
-def _project_raw(features: Tensor, stage: StageParams) -> Tensor:
-    h = ad.relu(ad.conv1d_dilated(features, stage.proj_hidden_w,
-                                  stage.proj_hidden_b, dilation=1))
-    return ad.conv1d_dilated(h, stage.proj_out_w, stage.proj_out_b, dilation=1)
-
-
 def project(features: Tensor, stage: StageParams) -> Tensor:
     """The stage's contrastive embedding: T x P, unit-norm rows (zero rows
     allowed)."""
-    return ad.l2_normalize(_project_raw(features, stage))
+    h = ad.relu(ad.conv1d_dilated(features, stage.proj_hidden_w,
+                                  stage.proj_hidden_b, dilation=1))
+    return ad.l2_normalize(ad.conv1d_dilated(h, stage.proj_out_w,
+                                             stage.proj_out_b, dilation=1))
 
 
 def mstcn_forward(features: np.ndarray, params: ModelParams,
@@ -217,6 +214,8 @@ def mstcn_forward(features: np.ndarray, params: ModelParams,
     return outputs
 
 
-def predict_labels(stage_outputs: list[StageOutput]) -> np.ndarray:
-    """Model prediction: argmax over the final stage's probabilities."""
-    return np.argmax(stage_outputs[-1].probs.values, axis=1)
+def predict_labels(probs: np.ndarray) -> np.ndarray:
+    """One recording's labels from its T x C final-stage probabilities:
+    the argmax of each row.  The one place labels are derived from model
+    outputs."""
+    return np.argmax(probs, axis=1)

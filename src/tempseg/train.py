@@ -152,12 +152,12 @@ def _sequence_gradients(state: TrainState, seq: SensorSequence,
     The recording runs in halo chunks of at most `chunk_length` samples,
     mapped over by `run`, such as a thread pool's map, in three phases:
 
-    - each worker runs its chunk's recorded forward, and the projection
-      heads when contrast is on;
-    - the kept rows of every stage's logits and projections become leaf
-      tensors that cover the whole recording, so example selection,
-      segment pooling and the objective see it whole, and the small loss
-      graph on those leaves is differentiated here;
+    - each worker runs its chunk's recorded forward and returns its
+      heads: every stage's logits, then, with contrast on, projections;
+    - the kept rows of each head (`_kept`) become leaf tensors that cover
+      the whole recording, so example selection, segment pooling and the
+      objective see it whole, and the small loss graph on those leaves is
+      differentiated here;
     - each worker backpropagates its chunk graph from all its heads at
       once, each head's cotangent holding its rows of the leaf gradient
       and zeros on its halo.
@@ -184,24 +184,20 @@ def _sequence_gradients(state: TrainState, seq: SensorSequence,
         if cfg.contrast_weight > 0:
             heads += [md.project(out.features, stage)
                       for out, stage in zip(outs, params.stages)]
-        return heads, [out.probs.values for out in outs]
+        return heads
 
-    def whole(per_chunk):
-        """The kept rows of one output of every chunk, in order."""
-        return np.concatenate([values[keep] for values, (_, _, keep)
-                               in zip(per_chunk, chunks)])
-
-    heads, probs = zip(*run(forward, chunks))
-    leaves = [ad.Tensor(whole([h.values for h in same]))
+    heads = list(run(forward, chunks))
+    leaves = [ad.Tensor(_kept([h.values for h in same], chunks))
               for same in zip(*heads)]
-    probs = [whole(same) for same in zip(*probs)]
     if cfg.contrast_weight > 0:
+        # hard-example mining, not output labels: each stage's own argmax
         sets = [build_example_set(
-                    projected, np.argmax(p, axis=1), seq.labels, rng,
-                    k_per_class=cfg.k_per_class,
+                    projected, np.argmax(logits.values, axis=1), seq.labels,
+                    rng, k_per_class=cfg.k_per_class,
                     boundary_radius=cfg.boundary_radius,
                     include_segments=cfg.include_segments)
-                for projected, p in zip(leaves[n_stages:], probs)]
+                for logits, projected in zip(leaves[:n_stages],
+                                             leaves[n_stages:])]
     else:
         sets = [([], [])] * n_stages
     loss, breakdown = total_objective(leaves[:n_stages], seq.labels, sets,
@@ -371,6 +367,12 @@ def halo_chunks(length: int, chunk_length: int,
     return chunks
 
 
+def _kept(per_chunk, chunks: list[tuple[slice, slice, slice]]) -> np.ndarray:
+    """One output's `keep` rows of every chunk, concatenated in order."""
+    return np.concatenate([values[keep] for values, (_, _, keep)
+                           in zip(per_chunk, chunks)])
+
+
 def final_stage_outputs(params: ModelParams, model_config: ModelConfig,
                         sequences, embed: bool = False) -> list[tuple]:
     """The final stage's (probs, embeddings) values, one pair per sequence.
@@ -387,32 +389,33 @@ def final_stage_outputs(params: ModelParams, model_config: ModelConfig,
     """
     radius = md.receptive_radius(model_config)
 
-    def label(features, read, keep):
+    def label(features, read):
         # entered here, on the worker: a thread starts with recording on
         with ad.no_grad():
             out = md.mstcn_forward(features[read], params, model_config)[-1]
-            embeds = (md.project(out.features, params.stages[-1]).values[keep]
+            embeds = (md.project(out.features, params.stages[-1]).values
                       if embed else None)
-        return out.probs.values[keep], embeds
+        return out.probs.values, embeds
 
     outputs = []
     with chunk_runner() as run:
         for seq in sequences:
             chunks = halo_chunks(len(seq.features), CHUNK_LENGTH, radius)
             probs, embeds = zip(*run(
-                lambda chunk: label(seq.features, *chunk[1:]), chunks))
-            outputs.append((np.concatenate(probs),
-                            np.concatenate(embeds) if embed else None))
+                lambda chunk: label(seq.features, chunk[1]), chunks))
+            outputs.append((_kept(probs, chunks),
+                            _kept(embeds, chunks) if embed else None))
     return outputs
 
 
 def evaluate(params: ModelParams, model_config: ModelConfig,
              sequences: list[SensorSequence]
              ) -> tuple[MetricsReport, list[np.ndarray]]:
-    """Frozen-model metrics over a list of sequences, final stage only."""
+    """Frozen-model metrics over a list of sequences, final stage only,
+    and each sequence's labels, from `md.predict_labels`."""
     probs = [p for p, _ in final_stage_outputs(params, model_config,
                                                sequences)]
-    per_seq = [np.argmax(p, axis=1) for p in probs]
+    per_seq = [md.predict_labels(p) for p in probs]
     truth = np.concatenate([s.labels for s in sequences])
     report = evaluate_predictions(truth, np.concatenate(per_seq),
                                   np.concatenate(probs),

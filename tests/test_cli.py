@@ -350,6 +350,26 @@ class TestEval:
         norms = np.linalg.norm(evals[:, 2:], axis=1)
         np.testing.assert_allclose(norms, 1.0, atol=1e-6)
 
+    def test_scores_as_evaluate_does_recording_by_recording(
+            self, trained, tmp_path):
+        # eval and train.evaluate are the two scoring sites; over several
+        # recordings they must label each one alone and agree to the byte
+        config, data, run = trained
+        out = tmp_path / "eval"
+        assert main(["eval", str(run / "model.ckpt"), str(data / "train"),
+                     "--out", str(out)]) == 0
+        state = load_checkpoint(run / "model.ckpt")
+        sequences = [dataclasses.replace(
+                         s, features=state.norm_stats.apply(s.features))
+                     for s in load_csv_dataset(data / "train")]
+        assert len(sequences) >= 2
+        report, per_seq = tr.evaluate(state.params, state.model_config,
+                                      sequences)
+        assert (out / "metrics.json").read_text() == report.to_json() + "\n"
+        rows = (out / "predictions.csv").read_text().splitlines()[1:]
+        np.testing.assert_array_equal([int(r.split(",")[2]) for r in rows],
+                                      np.concatenate(per_seq))
+
     def test_all_zero_embeddings_leave_only_the_header(
             self, trained, tmp_path, monkeypatch, capsys):
         config, data, run = trained

@@ -286,9 +286,10 @@ class TestMstcnForward:
         x = np.random.default_rng(8).normal(size=(25, 3))
         params = md.init_params(cfg, seed=3)
         outs = md.mstcn_forward(x, params, cfg)
-        base = md.predict_labels(outs)
+        base = md.predict_labels(outs[-1].probs.values)
         params.stages[-1].classifier_b.values[:] += 7.0
-        shifted = md.predict_labels(md.mstcn_forward(x, params, cfg))
+        shifted = md.predict_labels(
+            md.mstcn_forward(x, params, cfg)[-1].probs.values)
         np.testing.assert_array_equal(base, shifted)
 
     def test_frozen_forward_deterministic(self):
