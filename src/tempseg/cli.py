@@ -77,7 +77,6 @@ class ExperimentConfig:
     default_synth_config or split_sequences takes its owner's default.
     """
     # model
-    input_dim: int | None = _key(None, _parse_auto_int, "feature channels; auto = infer from data")
     num_classes: int | None = _key(None, _parse_auto_int, "label count; auto = infer from data")
     num_stages: int = _key(md.ModelConfig.num_stages, int, "refinement stages")
     layers_per_stage: int = _key(md.ModelConfig.layers_per_stage, int, "dilated blocks per stage")
@@ -146,10 +145,11 @@ class ExperimentConfig:
     def train_config(self) -> tr.TrainConfig:
         """The TrainConfig, built after the model keys are checked too, so
         a command that builds it first rejects any bad key before it loads
-        data or writes output.  An `auto` dim is checked at its smallest
-        legal value; the data sets it later."""
-        self.model_config(1 if self.input_dim is None else self.input_dim,
-                          2 if self.num_classes is None else self.num_classes)
+        data or writes output.  The input dim, which the data always sets,
+        and an `auto` class count are checked at their smallest legal
+        values."""
+        self.model_config(1, 2 if self.num_classes is None
+                          else self.num_classes)
         return self._build(tr.TrainConfig)
 
 
@@ -256,10 +256,10 @@ def _load_splits(cfg: ExperimentConfig):
             sub = root / name
             if not sub.is_dir() or not any(sub.glob("*.csv")):
                 return []
-            return dt.load_csv_dataset(sub, cfg.input_dim)
-        return dt.load_csv_dataset(root / "train", cfg.input_dim), \
-            maybe("val"), maybe("test")
-    sequences = dt.load_csv_dataset(root, cfg.input_dim)
+            return dt.load_csv_dataset(sub)
+        return dt.load_csv_dataset(root / "train"), maybe("val"), \
+            maybe("test")
+    sequences = dt.load_csv_dataset(root)
     return dt.split_sequences(sequences, train_fraction=cfg.train_fraction,
                               val_fraction=cfg.val_fraction,
                               val_subjects=cfg.val_subjects,
@@ -379,9 +379,9 @@ def cmd_eval(checkpoint_path, data_path, out_dir) -> int:
     """Score a checkpoint; dropped zero embedding rows warn on stderr."""
     truth, preds, probs, embeds = _forward_dataset(checkpoint_path,
                                                    data_path, embed=True)
+    report = evaluate_predictions(truth, preds, probs, probs.shape[1])
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    report = evaluate_predictions(truth, preds, probs, probs.shape[1])
     (out / "metrics.json").write_text(report.to_json() + "\n")
     index = np.arange(len(preds))
     dt.write_table(out / "predictions.csv",

@@ -22,7 +22,7 @@ from . import sampling as sp
 EPS = 1e-3
 # rejection thresholds for the full-objective instance, and its seed budget
 _RELU_MARGIN = 8e-3
-_NORM_MARGIN = 0.3
+_NORM_MARGIN = 0.35
 _MAX_TRIES = 400
 
 

@@ -26,9 +26,12 @@ and bits can depend on that BLAS's threads.
 
 Checkpoints are a flat binary container: magic, format version, a JSON
 header (model config, normalization statistics, free-form metadata), then
-each parameter tensor as name, shape, and little-endian float64 data.  They
-hold what inference needs and nothing else: no optimizer state, so a
-loaded state starts with zero Adam moments at step 0.
+one block of every parameter's little-endian float64 values in
+`named_parameters()` order.  The header's model config fixes each
+tensor's name, shape and place in the block, so the file states them
+nowhere else.  They hold what inference needs and nothing else: no
+optimizer state, so a loaded state starts with zero Adam moments at
+step 0.
 """
 
 import contextlib
@@ -58,7 +61,7 @@ from .model import ModelConfig, ModelParams
 from .sampling import build_example_set
 
 _MAGIC = b"TSEGCKPT"
-_VERSION = 2
+_VERSION = 3
 
 ADAM_BETAS = (0.9, 0.999)
 ADAM_EPSILON = 1e-8
@@ -458,16 +461,6 @@ def fit(state: TrainState, train_seqs: list[SensorSequence],
     return history
 
 
-def _write_tensor(fh, name: str, values: np.ndarray):
-    encoded = name.encode("utf-8")
-    fh.write(struct.pack("<H", len(encoded)))
-    fh.write(encoded)
-    fh.write(struct.pack("<B", values.ndim))
-    for dim in values.shape:
-        fh.write(struct.pack("<Q", dim))
-    fh.write(values.astype("<f8", copy=False).tobytes())
-
-
 def save_checkpoint(state: TrainState, path, metadata: dict | None = None):
     """Write the parameters, normalization stats, model config and metadata."""
     header = {
@@ -479,36 +472,25 @@ def save_checkpoint(state: TrainState, path, metadata: dict | None = None):
         "metadata": metadata or {},
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    named = list(state.params.named_parameters())
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<I", _VERSION))
         fh.write(struct.pack("<Q", len(header_bytes)))
         fh.write(header_bytes)
-        fh.write(struct.pack("<I", len(named)))
-        for name, tensor in named:
-            _write_tensor(fh, name, tensor.values)
+        for _, tensor in state.params.named_parameters():
+            fh.write(tensor.values.astype("<f8", copy=False).tobytes())
 
 
 def _read_exact(fh, n: int) -> bytes:
-    data = fh.read(min(n, sys.maxsize))  # a corrupt shape can exceed it
+    data = fh.read(min(n, sys.maxsize))  # a corrupt model_config can exceed it
     if len(data) != n:
         raise ValueError("checkpoint truncated")
     return data
 
 
-def _read_tensor(fh) -> tuple[str, np.ndarray]:
-    (name_len,) = struct.unpack("<H", _read_exact(fh, 2))
-    name = _read_exact(fh, name_len).decode("utf-8")
-    (ndim,) = struct.unpack("<B", _read_exact(fh, 1))
-    shape = struct.unpack(f"<{ndim}Q", _read_exact(fh, 8 * ndim))
-    data = np.frombuffer(_read_exact(fh, 8 * math.prod(shape)), dtype="<f8")
-    return name, data.reshape(shape).astype(np.float64)
-
-
 def _read_header(path) -> tuple[dict, io.BytesIO]:
     """Magic, format version and JSON header; the returned stream is left
-    at the tensor count.  The file is read whole first, so no corrupt
+    at the parameter block.  The file is read whole first, so no corrupt
     length field can make a read allocate more than the file holds."""
     fh = io.BytesIO(Path(path).read_bytes())
     if _read_exact(fh, len(_MAGIC)) != _MAGIC:
@@ -555,31 +537,21 @@ def load_checkpoint(path) -> TrainState:
     """
     header, fh = _read_header(path)
     model_config = _header_model_config(header)
-    (n_tensors,) = struct.unpack("<I", _read_exact(fh, 4))
-    tensors = dict(_read_tensor(fh) for _ in range(n_tensors))
+    # Read before anything is built from the header: a corrupt header can
+    # name a model far larger than the file.
+    block = np.frombuffer(
+        _read_exact(fh, 8 * md.parameter_count(model_config)), dtype="<f8")
     if fh.read(1):
         raise ValueError("checkpoint has bytes after its last tensor")
-    # Checked before anything is built from the header: a corrupt header
-    # can name a model far larger than the file.
-    if sum(v.size for v in tensors.values()) != md.parameter_count(
-            model_config):
-        raise ValueError("checkpoint tensor sizes do not match its "
-                         "model_config")
-
     params = md.build_params(model_config,
                              lambda shape: np.broadcast_to(0.0, shape))
-    named = dict(params.named_parameters())
-    if tensors.keys() != named.keys():
-        raise ValueError("checkpoint tensor names do not match its "
-                         "model_config: "
-                         + ", ".join(sorted(tensors.keys() ^ named.keys())))
-    for name, tensor in named.items():
-        if tensors[name].shape != tensor.shape:
-            raise ValueError(f"checkpoint tensor {name} has shape "
-                             f"{tensors[name].shape}, expected {tensor.shape}")
-        if not np.all(np.isfinite(tensors[name])):
+    start = 0
+    for name, tensor in params.named_parameters():
+        values = block[start:start + tensor.values.size]
+        start += values.size
+        if not np.all(np.isfinite(values)):
             raise ValueError(f"checkpoint tensor {name} is not finite")
-        tensor.values = tensors[name]
+        tensor.values = values.reshape(tensor.shape).astype(np.float64)
     state = _fresh_state(params, model_config)
     state.norm_stats = _header_norm_stats(header, model_config.input_dim)
     return state

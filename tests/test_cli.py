@@ -67,7 +67,7 @@ class TestConfigFile:
     def test_defaults_without_file(self):
         cfg = load_experiment_config(None)
         assert cfg.num_stages == 2 and cfg.epochs == 30
-        assert cfg.input_dim is None and cfg.normalize is True
+        assert cfg.num_classes is None and cfg.normalize is True
 
     def test_file_overrides_defaults(self, tmp_path):
         path = tmp_path / "c.cfg"
@@ -83,10 +83,12 @@ class TestConfigFile:
         assert cfg.seed == 9 and cfg.num_stages == 4
 
     def test_unknown_key_rejected_with_location(self, tmp_path):
-        # split_policy was a key: the subject lists now decide the split
+        # split_policy and input_dim were keys: the subject lists decide
+        # the split, and the data the channel count
         path = tmp_path / "c.cfg"
         for key, value in (("lerning_rate", "0.1"),
-                           ("split_policy", "by-subject")):
+                           ("split_policy", "by-subject"),
+                           ("input_dim", "6")):
             path.write_text(f"epochs = 2\n{key} = {value}\n")
             with pytest.raises(ValueError, match=rf"c\.cfg:2.*{key}"):
                 parse_config_file(path)
@@ -126,9 +128,9 @@ class TestConfigFile:
 
     def test_auto_dims_parse(self, tmp_path):
         path = tmp_path / "c.cfg"
-        path.write_text("input_dim = auto\nnum_classes = 4\n")
+        path.write_text("num_classes = auto\nnum_stages = 3\n")
         values = parse_config_file(path)
-        assert values == {"input_dim": None, "num_classes": 4}
+        assert values == {"num_classes": None, "num_stages": 3}
 
 
 class TestVariants:
@@ -401,6 +403,22 @@ class TestEval:
         assert code == 1
         err = capsys.readouterr().err
         assert "3" in err and "4" in err
+
+    def test_label_beyond_the_classes_leaves_no_output(self, trained,
+                                                       tmp_path, capsys):
+        config, data, run = trained
+        source = sorted((data / "test").glob("*.csv"))[0]
+        header, first, *rest = source.read_text().splitlines()
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        (bad / "seq.csv").write_text("\n".join(
+            [header, first.rsplit(",", 1)[0] + ",4", *rest]) + "\n")
+        out = tmp_path / "evalbad"
+        assert main(["eval", str(run / "model.ckpt"), str(bad),
+                     "--out", str(out)]) == 1
+        assert (capsys.readouterr().err
+                == "error: truth labels outside [0, 3)\n")
+        assert not out.exists()
 
     def test_repeat_runs_overwrite_identically(self, trained, tmp_path):
         config, data, run = trained

@@ -835,23 +835,28 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="version 99"):
             load_checkpoint(path)
 
-    def test_format_1_rejected(self, tmp_path):
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_old_format_rejected(self, tmp_path, version):
         path = tmp_path / "model.ckpt"
         save_checkpoint(self.trained_state(tmp_path, epochs=0), path)
         blob = bytearray(path.read_bytes())
-        blob[8:12] = (1).to_bytes(4, "little")
+        blob[8:12] = version.to_bytes(4, "little")
         path.write_bytes(bytes(blob))
         with pytest.raises(ValueError,
-                           match="^unsupported checkpoint version 1$"):
+                           match=f"^unsupported checkpoint version {version}$"):
             load_checkpoint(path)
 
-    def test_unknown_tensor_name_rejected(self, tmp_path):
+    def test_header_then_one_float64_block(self, tmp_path):
+        state = self.trained_state(tmp_path)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(self.trained_state(tmp_path), path)
-        path.write_bytes(path.read_bytes().replace(b"stage0.classifier.w",
-                                                   b"stage0.classifieR.w"))
-        with pytest.raises(ValueError, match="tensor names"):
-            load_checkpoint(path)
+        save_checkpoint(state, path)
+        blob = path.read_bytes()
+        (length,) = struct.unpack("<Q", blob[12:20])
+        count = md.parameter_count(state.model_config)
+        assert len(blob) == 20 + length + 8 * count
+        assert blob[20 + length:] == b"".join(
+            t.values.astype("<f8").tobytes()
+            for _, t in state.params.named_parameters())
 
     def test_non_finite_parameter_rejected(self, tmp_path):
         path = tmp_path / "model.ckpt"
@@ -871,6 +876,7 @@ class TestCheckpoint:
         (("norm_mean",), [0.0]),
         (("norm_std",), [1.0, float("nan"), 1.0]),
         ((), [{}]),
+        (("model_config", "hidden_channels"), 1),   # a smaller model
     ])
     def test_malformed_header_is_a_format_error(self, tmp_path, keys, value):
         path = tmp_path / "model.ckpt"
