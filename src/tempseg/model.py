@@ -193,24 +193,35 @@ def project(features: Tensor, stage: StageParams) -> Tensor:
                                              stage.proj_out_b, dilation=1))
 
 
-def mstcn_forward(features: np.ndarray, params: ModelParams,
-                  config: ModelConfig) -> list[StageOutput]:
-    """Run the full cascade on one sequence of shape T x input_dim."""
+def stage_forward(x: Tensor, stage: StageParams) -> StageOutput:
+    """One stage on a T x c_in input: adapter, dilated residual stack,
+    classifier and softmax."""
+    z = sstcn_forward(x, stage)
+    logits = classify(z, stage)
+    return StageOutput(z, logits, ad.softmax_rows(logits))
+
+
+def checked_features(features, params: ModelParams,
+                     config: ModelConfig) -> np.ndarray:
+    """features as a float64 T x input_dim array; ValueError otherwise, or
+    where params do not have config's stage count."""
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[1] != config.input_dim:
         raise ValueError(
             f"expected T x {config.input_dim} features, got {features.shape}")
     if len(params.stages) != config.num_stages:
         raise ValueError("parameter stage count does not match config")
+    return features
 
+
+def mstcn_forward(features: np.ndarray, params: ModelParams,
+                  config: ModelConfig) -> list[StageOutput]:
+    """Run the full cascade on one sequence of shape T x input_dim."""
+    stage_in = Tensor(checked_features(features, params, config))
     outputs = []
-    stage_in = Tensor(features)
     for stage in params.stages:
-        z = sstcn_forward(stage_in, stage)
-        logits = classify(z, stage)
-        probs = ad.softmax_rows(logits)
-        outputs.append(StageOutput(features=z, logits=logits, probs=probs))
-        stage_in = probs
+        outputs.append(stage_forward(stage_in, stage))
+        stage_in = outputs[-1].probs
     return outputs
 
 

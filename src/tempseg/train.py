@@ -14,7 +14,8 @@ caller-owned generator, on the calling thread.
 
 Inference (`final_stage_outputs`, behind `evaluate`) labels a recording
 in the same kind of chunks, longer ones and without a graph, with the
-same result as one whole-recording forward.
+same result as one whole-recording forward, one stage of one chunk per
+task, with all the recordings of a call on one runner.
 
 While a `chunk_runner` is open, numpy's OpenBLAS runs one thread, and
 so does every other BLAS call in the process; the previous count comes
@@ -40,13 +41,14 @@ import ctypes
 import dataclasses
 import functools
 import io
+import itertools
 import json
 import math
 import os
 import struct
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -337,15 +339,13 @@ def chunk_runner():
     """A map over sequences of chunks, with numpy's BLAS held to one
     thread while it is open: on a pool of `chunk_workers()` threads, but
     on the calling thread for a lone chunk or where there is one worker
-    (then no pool is made)."""
-    with _one_blas_thread():
+    (the pool is made by the first map that uses it)."""
+    with _one_blas_thread(), contextlib.ExitStack() as stack:
         workers = chunk_workers()
-        if workers == 1:
-            yield map
-        else:
-            with ThreadPoolExecutor(workers) as pool:
-                yield lambda fn, *chunks: (pool.map if len(chunks[0]) > 1
-                                           else map)(fn, *chunks)
+        pool = functools.cache(
+            lambda: stack.enter_context(ThreadPoolExecutor(workers)))
+        yield lambda fn, *chunks: (pool().map if workers > 1
+                                   and len(chunks[0]) > 1 else map)(fn, *chunks)
 
 
 def halo_chunks(length: int, chunk_length: int,
@@ -383,31 +383,50 @@ def final_stage_outputs(params: ModelParams, model_config: ModelConfig,
     Embeddings are the final stage's unit-norm projections when `embed`
     is set, else None; no other stage is projected.
 
-    A recording runs in `halo_chunks` of at most CHUNK_LENGTH samples, so
-    every kept output is exact and memory grows with the chunk, not the
-    recording.  The chunks run on `chunk_runner()` (numpy's BLAS releases
-    the GIL); their boundaries depend on the length alone, so the result
-    does not depend on the worker count.  Each forward records no graph;
-    recording is unchanged on return.
+    A recording runs in exact `halo_chunks` of at most CHUNK_LENGTH
+    samples.  A task is one (recording, chunk, stage): `md.stage_forward`
+    under `no_grad` on the chunk's previous-stage probabilities, handing
+    on only those, so a worker holds one stage's activations.  All the
+    recordings' tasks go to one `chunk_runner()` map in stage-major order,
+    started first in, first out, so the task a stage-s task waits for has
+    started and waits for none later.  One chunk in all runs on the
+    caller.  The result does not depend on the worker count.
     """
     radius = md.receptive_radius(model_config)
+    last = model_config.num_stages - 1
+    recordings, chains = [], []     # chains: each chunk's stage inputs
+    for seq in sequences:           # all checked before any task runs
+        features = md.checked_features(seq.features, params, model_config)
+        recordings.append(halo_chunks(len(features), CHUNK_LENGTH, radius))
+        for _, read, _ in recordings[-1]:
+            chains.append([Future() for _ in params.stages])
+            chains[-1][0].set_result(ad.Tensor(features[read]))
 
-    def label(features, read):
+    def run_stage(links, s):
+        x, links[s] = links[s].result(), None   # released once read
         # entered here, on the worker: a thread starts with recording on
         with ad.no_grad():
-            out = md.mstcn_forward(features[read], params, model_config)[-1]
-            embeds = (md.project(out.features, params.stages[-1]).values
-                      if embed else None)
-        return out.probs.values, embeds
+            out = md.stage_forward(x, params.stages[s])
+            if s == last:
+                return out.probs.values, (md.project(out.features,
+                                                     params.stages[s]).values
+                                          if embed else None)
+            links[s + 1].set_result(out.probs)
 
     outputs = []
     with chunk_runner() as run:
-        for seq in sequences:
-            chunks = halo_chunks(len(seq.features), CHUNK_LENGTH, radius)
-            probs, embeds = zip(*run(
-                lambda chunk: label(seq.features, chunk[1]), chunks))
-            outputs.append((_kept(probs, chunks),
-                            _kept(embeds, chunks) if embed else None))
+        try:
+            done = (run if len(chains) > 1 else map)(
+                run_stage, chains * (last + 1),
+                [s for s in range(last + 1) for _ in chains])
+            finals = filter(None, done)     # earlier stages return None
+            for chunks in recordings:
+                probs, embeds = zip(*itertools.islice(finals, len(chunks)))
+                outputs.append((_kept(probs, chunks),
+                                _kept(embeds, chunks) if embed else None))
+        finally:    # wake any task left waiting on a failed or cancelled one
+            for link in filter(None, itertools.chain(*chains)):
+                link.cancel()
     return outputs
 
 

@@ -1,7 +1,11 @@
 """Chunked inference: a recording labelled in halo chunks on several
 threads equals one whole-sequence forward."""
 
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -115,26 +119,25 @@ def test_radius_is_tight(cfg):
 
 def test_every_worker_forward_is_graph_free(monkeypatch):
     calls = []
-    original = md.mstcn_forward
+    original = md.stage_forward
 
     def spy(*args, **kwargs):
         result = original(*args, **kwargs)
         calls.append((threading.current_thread(), result))
         return result
 
-    monkeypatch.setattr(md, "mstcn_forward", spy)
+    monkeypatch.setattr(md, "stage_forward", spy)
     monkeypatch.setattr(tr, "CHUNK_LENGTH", 50)
     monkeypatch.setattr(tr, "chunk_workers", lambda: 2)
     cfg = md.ModelConfig(input_dim=3, num_classes=4, num_stages=2,
                          layers_per_stage=3, hidden_channels=6)
     params = md.init_params(cfg, seed=1)
     chunked(params, cfg, recording(230, cfg.input_dim))
-    assert len(calls) == 5
-    for thread, outs in calls:
+    assert len(calls) == 5 * 2      # chunks x stages
+    for thread, out in calls:
         assert thread is not threading.main_thread()
-        for out in outs:
-            for tensor in (out.features, out.logits, out.probs):
-                assert tensor._parents == () and tensor._vjp is None
+        for tensor in (out.features, out.logits, out.probs):
+            assert tensor._parents == () and tensor._vjp is None
     # the caller's thread records as before
     assert ad.relu(ad.Tensor([[1.0]]))._vjp is not None
 
@@ -171,3 +174,136 @@ def test_only_the_final_stage_is_projected_and_only_on_request(
         assert len(calls) == 3      # one per chunk, final stage only
     else:
         assert embeds is None and calls == []
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_one_call_over_recordings_equals_one_call_each(monkeypatch, workers):
+    monkeypatch.setattr(tr, "CHUNK_LENGTH", 100)
+    monkeypatch.setattr(tr, "chunk_workers", lambda: workers)
+    cfg = md.ModelConfig(input_dim=3, num_classes=4, num_stages=2,
+                         layers_per_stage=3, hidden_channels=6)
+    params = md.init_params(cfg, seed=6)
+    seqs = [recording(length, cfg.input_dim, seed=length)
+            for length in (90, 200, 450, 60)]     # 1, 2, 5 and 1 chunks
+    together = tr.final_stage_outputs(params, cfg, seqs, embed=True)
+    assert len(together) == len(seqs)
+    for seq, (probs, embeds) in zip(seqs, together):
+        want_probs, want_embeds = chunked(params, cfg, seq)
+        assert probs.tobytes() == want_probs.tobytes()
+        assert embeds.tobytes() == want_embeds.tobytes()
+
+
+# Chunked inference on a patched chunk length and worker count, in a
+# fresh process: a deadlocked pool cannot be stopped from its own process,
+# whose exit would wait for it.
+ISOLATED_SCRIPT = """
+import sys
+import time
+import numpy as np
+from tempseg import autodiff as ad, model as md, train as tr
+from tempseg.data import SensorSequence
+case, workers, stages, chunk, lengths = (sys.argv[1], int(sys.argv[2]),
+    int(sys.argv[3]), int(sys.argv[4]), sys.argv[5:])
+tr.CHUNK_LENGTH = chunk
+tr.chunk_workers = lambda: workers
+sys.setswitchinterval(1e-6)     # interleave the workers finely
+cfg = md.ModelConfig(input_dim=2, num_classes=3, num_stages=stages,
+                     layers_per_stage=2, hidden_channels=5)
+params = md.init_params(cfg, seed=9)
+rng = np.random.default_rng(1)
+seqs = [SensorSequence(features=rng.normal(size=(int(n), 2)),
+                       labels=np.zeros(int(n), dtype=np.int64))
+        for n in lengths]
+if case == "late":  # only chunk 0's stage-0 task fails, after a pause in
+    forward = md.stage_forward   # which its stage-1 task starts and waits
+
+    def late(x, stage):
+        if stage is params.stages[0] and x.values[0, 0] == first:
+            time.sleep(0.5)
+            x = ad.Tensor(x.values[:, :1])      # a channel short
+        return forward(x, stage)
+
+    first = seqs[0].features[0, 0]
+    md.stage_forward = late
+    want = lambda: forward(ad.Tensor(seqs[0].features[:, :1]),
+                           params.stages[0])
+elif case.startswith("fail"):  # stage N's adapter reads a channel too many
+    adapter = params.stages[int(case[4:])].adapter_w
+    adapter.values = np.zeros((adapter.shape[0], adapter.shape[1] + 1, 1))
+    want = lambda: md.mstcn_forward(seqs[0].features, params, cfg)
+if case != "exact":
+    messages = []
+    for call in (want, lambda: tr.final_stage_outputs(params, cfg, seqs)):
+        try:
+            call()
+        except ValueError as error:
+            messages.append(str(error))
+    assert len(messages) == 2 and messages[0] == messages[1], messages
+    assert tr._pin["entries"] == 0
+else:
+    got = tr.final_stage_outputs(params, cfg, seqs, embed=True)
+    for seq, (probs, embeds) in zip(seqs, got):
+        out = md.mstcn_forward(seq.features, params, cfg)[-1]
+        want = md.project(out.features, params.stages[-1]).values
+        assert np.max(np.abs(probs - out.probs.values)) <= 1e-12
+        assert np.max(np.abs(embeds - want)) <= 1e-12
+print("ok")
+"""
+
+
+def run_isolated(*args, seconds=30):
+    """ISOLATED_SCRIPT with `args` in a new process, killed after
+    `seconds`, so a deadlock fails fast instead of hanging the suite."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(tr.__file__).resolve().parents[1]))
+    try:
+        out = subprocess.run(
+            [sys.executable, "-c", ISOLATED_SCRIPT, *map(str, args)],
+            env=env, timeout=seconds, capture_output=True, text=True)
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"no result within {seconds} s: a deadlock")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "ok"
+
+
+@pytest.mark.parametrize("lengths", [(100,), (50, 40)],
+                         ids=["one-recording", "two-recordings"])
+@pytest.mark.parametrize("workers", [2, 4])
+def test_more_stages_than_chunks_finishes_and_is_exact(workers, lengths):
+    # 3 stages over 2 chunks in all
+    run_isolated("exact", workers, 3, 60, *lengths)
+
+
+@pytest.mark.parametrize("case", ["fail0", "fail1", "late"])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_failing_task_raises_its_error_and_releases_blas(case, workers):
+    # 5 chunks; every stage-0 or stage-1 task raises a channel-count
+    # ValueError, or only chunk 0's stage-0 task, late
+    run_isolated(case, workers, 2, 50, 230)
+
+
+def test_features_are_checked_before_any_task_runs(monkeypatch):
+    calls = []
+    monkeypatch.setattr(md, "stage_forward",
+                        lambda *args: calls.append(args))
+    cfg = md.ModelConfig(input_dim=3, num_classes=4)
+    params = md.init_params(cfg, seed=3)
+    good, bad = recording(10, 3), recording(10, 2)
+    with pytest.raises(ValueError, match=r"expected T x 3 features"):
+        tr.final_stage_outputs(params, cfg, [good, bad])
+    assert calls == [] and tr._pin["entries"] == 0
+
+
+def test_a_lone_chunk_runs_on_the_caller_without_a_pool(monkeypatch):
+    pools, threads = [], set()
+    pool, forward = tr.ThreadPoolExecutor, md.stage_forward
+    monkeypatch.setattr(tr, "ThreadPoolExecutor",
+                        lambda n: pools.append(n) or pool(n))
+    monkeypatch.setattr(md, "stage_forward", lambda *args: (
+        threads.add(threading.current_thread()) or forward(*args)))
+    monkeypatch.setattr(tr, "chunk_workers", lambda: 2)
+    cfg = md.ModelConfig(input_dim=3, num_classes=4, num_stages=3,
+                         layers_per_stage=2, hidden_channels=6)
+    params = md.init_params(cfg, seed=3)
+    chunked(params, cfg, recording(2000, cfg.input_dim))
+    assert pools == [] and threads == {threading.current_thread()}

@@ -328,7 +328,7 @@ class TestTrainEpoch:
     @pytest.mark.parametrize("workers, length, on_caller", [
         (1, 60, True),      # one worker: chunks run on the calling thread
         (2, 60, False),
-        (2, 20, True),      # a single chunk runs on the calling thread
+        (2, 20, True),      # lone chunks run on the calling thread, no pool
     ])
     def test_one_pool_per_epoch_and_none_without_parallel_chunks(
             self, monkeypatch, workers, length, on_caller):
@@ -344,7 +344,7 @@ class TestTrainEpoch:
         train_epoch(state, make_dataset(3, length=length),
                     TrainConfig(temperature=0.5, k_per_class=4),
                     np.random.default_rng(0))
-        assert pools == ([] if workers == 1 else [workers])
+        assert pools == ([] if on_caller else [workers])
         assert (threads == {threading.current_thread()}) == on_caller
 
 
@@ -531,20 +531,24 @@ class TestEvaluate:
         from tempseg import autodiff as ad
         from tempseg import model as md
         from tempseg.train import final_stage_outputs
-        outputs = []
-        original = md.mstcn_forward
+        calls = []
+        original = md.stage_forward
 
         def spy(*args, **kwargs):
             result = original(*args, **kwargs)
-            outputs.extend(result)
+            calls.append((threading.current_thread(), result))
             return result
 
-        monkeypatch.setattr(md, "mstcn_forward", spy)
-        state = init_train_state(small_config(), seed=4)
+        monkeypatch.setattr(md, "stage_forward", spy)
+        monkeypatch.setattr(tr, "chunk_workers", lambda: 2)
+        state = init_train_state(small_config(num_stages=2), seed=4)
         result = final_stage_outputs(state.params, state.model_config,
                                      make_dataset(2))
         assert len(result) == 2
-        assert outputs and all(out.probs._parents == () for out in outputs)
+        assert len(calls) == 2 * 2      # one chunk each, two stages
+        for thread, out in calls:
+            assert thread is not threading.main_thread()
+            assert out.probs._parents == () and out.probs._vjp is None
         # after the call, the caller records again
         assert ad.relu(ad.Tensor([1.0]))._vjp is not None
 
