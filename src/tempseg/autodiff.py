@@ -7,7 +7,9 @@ pass is a single reverse walk over a topologically ordered graph. There is
 no broadcasting: ``add`` and ``mul`` take operands of one shape, and the
 only other structured case is the conv bias.  ``residual_block`` fuses
 one dilated residual layer of the model into a single node, so a
-recorded forward keeps two arrays per layer instead of four.
+recorded forward keeps two arrays per layer instead of four;
+``projection_head`` fuses a stage's contrastive head the same way, so
+neither of its pre-activations outlives the forward.
 
 Contracts are matrix-only: every op takes and returns 2-D arrays, with no
 vector forms, except that ``tsum`` and ``softmax_cross_entropy`` return
@@ -47,6 +49,7 @@ __all__ = [
     "no_grad",
     "conv1d_dilated",
     "residual_block",
+    "projection_head",
     "relu",
     "add",
     "mul",
@@ -306,11 +309,52 @@ def residual_block(h: Tensor, wd: Tensor, bd: Tensor, wm: Tensor, bm: Tensor,
 
     def vjp(g):
         ga, gwm, gbm = _conv_backward(g, act, wmv, 1)
-        gx, gwd, gbd = _conv_backward(ga * (act > 0), hv, wdv, dilation)
-        return g + gx, gwd, gbd, gwm, gbm
+        ga *= act > 0       # ga and gx are fresh arrays of _conv_backward
+        gx, gwd, gbd = _conv_backward(ga, hv, wdv, dilation)
+        gx += g
+        return gx, gwd, gbd, gwm, gbm
 
     return Tensor(hv + _conv_forward(act, wmv, bm.values, 1),
                   (h, wd, bd, wm, bm), vjp, "residual_block")
+
+
+def projection_head(h: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
+                    b2: Tensor) -> Tensor:
+    """A contrastive projection head,
+    ``l2_normalize(conv1x1(relu(conv1x1(h, w1, b1)), w2, b2))``.
+
+    ``h`` is T x F, ``w1`` M x F x 1, ``w2`` P x M x 1, and the biases
+    have M and P entries.  Values and gradients are bitwise those of the
+    composition of ``conv1d_dilated``, ``relu``, ``conv1d_dilated`` and
+    ``l2_normalize``, zero rows included, but as one graph node that
+    keeps its input, the ReLU output and the normalized rows with their
+    norms alive, not the two pre-activations.
+    """
+    h, w1, b1, w2, b2 = map(_as_tensor, (h, w1, b1, w2, b2))
+    _check_conv(h, w1, b1, 1, "projection_head")
+    mid = w1.shape[0]
+    if (w1.shape[2] != 1 or w2.shape[1:] != (mid, 1)
+            or b2.shape != w2.shape[:1]):
+        raise ValueError(f"projection_head: weights {w1.shape} and "
+                         f"{w2.shape}, bias {b2.shape} are not two 1x1 "
+                         f"convs through {mid} channels")
+    hv, w1v, w2v = h.values, w1.values, w2.values
+    act = _conv_forward(hv, w1v, b1.values, 1)
+    np.maximum(act, 0.0, out=act)
+    raw = _conv_forward(act, w2v, b2.values, 1)
+    norms = np.linalg.norm(raw, axis=1, keepdims=True)
+    safe = np.where(norms > 0, norms, 1.0)
+    out = raw / safe
+
+    def vjp(g):
+        proj = (out * g).sum(axis=1, keepdims=True)
+        graw = np.where(norms > 0, (g - out * proj) / safe, 0.0)
+        ga, gw2, gb2 = _conv_backward(graw, act, w2v, 1)
+        ga *= act > 0
+        gh, gw1, gb1 = _conv_backward(ga, hv, w1v, 1)
+        return gh, gw1, gb1, gw2, gb2
+
+    return Tensor(out, (h, w1, b1, w2, b2), vjp, "projection_head")
 
 
 def relu(x: Tensor) -> Tensor:

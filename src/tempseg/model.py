@@ -186,11 +186,10 @@ def classify(features: Tensor, stage: StageParams) -> Tensor:
 
 def project(features: Tensor, stage: StageParams) -> Tensor:
     """The stage's contrastive embedding: T x P, unit-norm rows (zero rows
-    allowed)."""
-    h = ad.relu(ad.conv1d_dilated(features, stage.proj_hidden_w,
-                                  stage.proj_hidden_b, dilation=1))
-    return ad.l2_normalize(ad.conv1d_dilated(h, stage.proj_out_w,
-                                             stage.proj_out_b, dilation=1))
+    allowed), as one `autodiff.projection_head` graph node."""
+    return ad.projection_head(features, stage.proj_hidden_w,
+                              stage.proj_hidden_b, stage.proj_out_w,
+                              stage.proj_out_b)
 
 
 def stage_forward(x: Tensor, stage: StageParams) -> StageOutput:

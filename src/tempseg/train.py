@@ -159,13 +159,14 @@ def _sequence_gradients(state: TrainState, seq: SensorSequence,
 
     - each worker runs its chunk's recorded forward and returns its
       heads: every stage's logits, then, with contrast on, projections;
-    - the kept rows of each head (`_kept`) become leaf tensors that cover
-      the whole recording, so example selection, segment pooling and the
-      objective see it whole, and the small loss graph on those leaves is
-      differentiated here;
+    - `_loss_phase`: the kept rows of each head (`_kept`) become leaf
+      tensors that cover the whole recording, so example selection,
+      segment pooling and the objective see it whole; the small loss
+      graph on those leaves is differentiated here, and each head's
+      cotangent is built from its rows of the leaf gradient, with zeros
+      on its halo;
     - each worker backpropagates its chunk graph from all its heads at
-      once, each head's cotangent holding its rows of the leaf gradient
-      and zeros on its halo.
+      once.
 
     A chunk's kept outputs are the same functions of the parameters as in
     a whole-sequence forward, so the gradients equal the whole-sequence
@@ -174,11 +175,13 @@ def _sequence_gradients(state: TrainState, seq: SensorSequence,
     depend on `run`.  A parameter no graph reaches gets zeros.
 
     Chunks do not bound memory: every chunk's recorded graph stays alive
-    until the loss has been differentiated, so a step holds at least one
-    whole-recording graph, and smaller chunks add their halos.
+    until its backward ends, so a step holds at least one whole-recording
+    graph, and smaller chunks add their halos.  The loss phase is gone by
+    then: while the chunks backpropagate, the step holds their graphs,
+    their heads' cotangents and the gradients built so far, but none of
+    the leaves, their gradients, the loss graph or the example pools.
     """
     params, config = state.params, state.model_config
-    n_stages = config.num_stages
     length = len(seq.features)
     chunks = halo_chunks(length, chunk_length, md.receptive_radius(config))
 
@@ -191,7 +194,27 @@ def _sequence_gradients(state: TrainState, seq: SensorSequence,
                       for out, stage in zip(outs, params.stages)]
         return heads
 
-    heads = list(run(forward, chunks))
+    cotangents, breakdown = _loss_phase(list(run(forward, chunks)), chunks,
+                                        seq, cfg, rng, config.num_stages)
+    parts = list(run(lambda seeds: ad.backward(seeds, params.tensors()),
+                     cotangents))
+    grads = {}
+    for name, t in params.named_parameters():
+        reached = [part[t] for part in parts if t in part]
+        grads[name] = (functools.reduce(np.add, reached) if reached
+                       else np.zeros_like(t.values))
+    return grads, breakdown
+
+
+def _loss_phase(heads, chunks, seq: SensorSequence, cfg: TrainConfig, rng,
+                n_stages: int) -> tuple[list[dict], LossBreakdown]:
+    """The middle phase of `_sequence_gradients`: the loss terms of the
+    chunks' `heads`, and each chunk's cotangents, {head: array}.
+
+    Its own function so that the leaves, their gradients, the loss graph
+    and the example pools are all freed on return, before any chunk
+    backpropagates.
+    """
     leaves = [ad.Tensor(_kept([h.values for h in same], chunks))
               for same in zip(*heads)]
     if cfg.contrast_weight > 0:
@@ -208,24 +231,13 @@ def _sequence_gradients(state: TrainState, seq: SensorSequence,
     loss, breakdown = total_objective(leaves[:n_stages], seq.labels, sets,
                                       cfg.contrast_weight, cfg.temperature)
     leaf_grads = ad.backward({loss: 1.0}, leaves)
-
-    def backward(chunk_heads, chunk):
-        rows, _, keep = chunk
-        cotangents = {}
+    cotangents = [{} for _ in chunks]
+    for chunk_heads, (rows, _, keep), seeds in zip(heads, chunks, cotangents):
         for head, leaf in zip(chunk_heads, leaves):
             if leaf in leaf_grads:
-                cotangent = np.zeros_like(head.values)
-                cotangent[keep] = leaf_grads[leaf][rows]
-                cotangents[head] = cotangent
-        return ad.backward(cotangents, params.tensors())
-
-    parts = list(run(backward, heads, chunks))
-    grads = {}
-    for name, t in params.named_parameters():
-        reached = [part[t] for part in parts if t in part]
-        grads[name] = (functools.reduce(np.add, reached) if reached
-                       else np.zeros_like(t.values))
-    return grads, breakdown
+                seeds[head] = np.zeros_like(head.values)
+                seeds[head][keep] = leaf_grads[leaf][rows]
+    return cotangents, breakdown
 
 
 def train_epoch(state: TrainState, sequences: list[SensorSequence],

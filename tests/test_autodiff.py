@@ -201,6 +201,51 @@ class TestResidualBlock:
                               ad.Tensor(np.zeros(3)), 1)
 
 
+def unfused_projection_head(h, w1, b1, w2, b2):
+    """The composition that ad.projection_head fuses (oracle)."""
+    hidden = ad.relu(ad.conv1d_dilated(h, w1, b1, 1))
+    return ad.l2_normalize(ad.conv1d_dilated(hidden, w2, b2, 1))
+
+
+class TestProjectionHead:
+    @settings(max_examples=150, deadline=None)
+    @given(t_len=st.integers(1, 40), width=st.integers(1, 5),
+           mid=st.integers(1, 5), dim=st.integers(1, 4),
+           zero_rows=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_composition_bitwise(self, t_len, width, mid, dim,
+                                             zero_rows, seed):
+        r = np.random.default_rng(seed)
+        inputs = [ad.Tensor(r.normal(size=shape)) for shape in
+                  ((t_len, width), (mid, width, 1), (mid,), (dim, mid, 1),
+                   (dim,))]
+        if zero_rows:   # every output row zero: the normalization's guard
+            inputs[3].values[:] = 0.0
+            inputs[4].values[:] = 0.0
+        g = r.normal(size=(t_len, dim))
+        fused = ad.projection_head(*inputs)
+        oracle = unfused_projection_head(*inputs)
+        assert fused._op == "projection_head"
+        assert fused.values.tobytes() == oracle.values.tobytes()
+        got = ad.backward({fused: g}, inputs)
+        want = ad.backward({oracle: g}, inputs)
+        for tensor in inputs:
+            assert got[tensor].tobytes() == want[tensor].tobytes()
+
+    def test_weights_must_be_two_1x1_convs_through_one_width(self, rng):
+        h = ad.Tensor(rng.normal(size=(5, 3)))
+        w1, b1 = ad.Tensor(np.zeros((4, 3, 1))), ad.Tensor(np.zeros(4))
+        w2, b2 = ad.Tensor(np.zeros((2, 4, 1))), ad.Tensor(np.zeros(2))
+        assert ad.projection_head(h, w1, b1, w2, b2).shape == (5, 2)
+        for bad in ((h, ad.Tensor(np.zeros((4, 3, 3))), b1, w2, b2),
+                    (h, w1, b1, ad.Tensor(np.zeros((2, 3, 1))), b2),
+                    (h, w1, b1, ad.Tensor(np.zeros((2, 4, 3))), b2),
+                    (h, w1, b1, w2, ad.Tensor(np.zeros(3)))):
+            with pytest.raises(ValueError, match="projection_head"):
+                ad.projection_head(*bad)
+        with pytest.raises(ValueError, match="channel mismatch"):
+            ad.projection_head(h, ad.Tensor(np.zeros((4, 2, 1))), b1, w2, b2)
+
+
 class TestElementwiseOps:
     def test_relu(self):
         out = ad.relu(ad.Tensor([-1.0, 0.0, 2.0]))

@@ -160,9 +160,10 @@ def test_output_does_not_depend_on_worker_count(monkeypatch):
 def test_only_the_final_stage_is_projected_and_only_on_request(
         monkeypatch, embed):
     calls = []
-    original = ad.l2_normalize
-    monkeypatch.setattr(ad, "l2_normalize",
-                        lambda x: calls.append(x.shape) or original(x))
+    original = ad.projection_head
+    monkeypatch.setattr(ad, "projection_head",
+                        lambda h, *weights: calls.append(h.shape)
+                        or original(h, *weights))
     monkeypatch.setattr(tr, "CHUNK_LENGTH", 100)
     cfg = md.ModelConfig(input_dim=3, num_classes=4, num_stages=3,
                          layers_per_stage=2, hidden_channels=6)

@@ -6,6 +6,7 @@ import pytest
 from tempseg import autodiff as ad
 from tempseg import losses as ls
 from tempseg import model as md
+from test_autodiff import unfused_projection_head
 
 
 def naive_supervised_contrast(embeddings, labels, tau):
@@ -335,25 +336,51 @@ class TestKinkSearch:
         assert (gs._graph_kink_margins(fused, inst["params"])
                 == gs._graph_kink_margins(unfused, inst["params"]))
 
+    def test_sees_the_relus_and_norms_inside_projection_heads(
+            self, monkeypatch):
+        # a fused head hides a relu and a normalization; recomputed from
+        # its parents, they give the margins of the four-op head
+        from tempseg import gradcheck_suite as gs
+        inst = gs.build_full_objective_instance(0)
+        args = (inst["cfg"], inst["params"], inst["x"], inst["labels"],
+                inst["plans"])
+        fused, _ = gs._build_objective_loss(*args)
+        monkeypatch.setattr(md, "project", lambda features, stage:
+                            unfused_projection_head(
+                                features, stage.proj_hidden_w,
+                                stage.proj_hidden_b, stage.proj_out_w,
+                                stage.proj_out_b))
+        unfused, _ = gs._build_objective_loss(*args)
+        assert "projection_head" in {
+            n._op for n in ad.CompGraph.from_output(fused).nodes}
+        assert "projection_head" not in {
+            n._op for n in ad.CompGraph.from_output(unfused).nodes}
+        assert fused.values.tobytes() == unfused.values.tobytes()
+        assert (gs._graph_kink_margins(fused, inst["params"])
+                == gs._graph_kink_margins(unfused, inst["params"]))
+
     # seed_starts 0..200 accept seeds 21, 57, 110 (from 58 and from 98)
     # and 200
     @pytest.mark.parametrize("seed_start", [0, 22, 58, 98, 111])
     def test_accepted_rows_and_runs_clear_the_norm_margin(self, seed_start):
-        # the graph check alone keeps every raw projection row and every
-        # segment mean off the normalization kink
+        # the graph check alone keeps every raw projection row (recomputed
+        # inside each head) and every segment mean off the normalization
+        # kink
         from tempseg import gradcheck_suite as gs
         inst = gs.build_full_objective_instance(seed_start)
         loss, _ = gs._build_objective_loss(inst["cfg"], inst["params"],
                                            inst["x"], inst["labels"],
                                            inst["plans"])
-        raw = [node._parents[0] for node
-               in ad.CompGraph.from_output(loss).nodes
-               if node._op == "l2_normalize"]
+        nodes = ad.CompGraph.from_output(loss).nodes
+        heads = [gs._head_preactivations(node)[1] for node in nodes
+                 if node._op == "projection_head"]
+        means = [node._parents[0] for node in nodes
+                 if node._op == "l2_normalize"]
         stages = inst["cfg"].num_stages
-        assert sorted(r._op for r in raw) == (["conv1d_dilated"] * stages
-                                              + ["mean_rows"] * stages)
-        for r in raw:
-            assert np.linalg.norm(r.values, axis=1).min() > gs._NORM_MARGIN
+        assert len(heads) == stages
+        assert [m._op for m in means] == ["mean_rows"] * stages
+        for raw in heads + [m.values for m in means]:
+            assert np.linalg.norm(raw, axis=1).min() > gs._NORM_MARGIN
 
     # seed 97 (norm margin 0.307) differences with error 6.4e-4, falling
     # as EPS^2, so truncation; a _NORM_MARGIN of 0.35 rejects it

@@ -189,6 +189,25 @@ class TestSstcnForward:
         assert outs[-1].probs._parents
         assert held <= 32 * 1126 * cfg.hidden_channels * 8
 
+    def test_recorded_head_holds_its_relu_output_and_rows(self):
+        # default config, T=1126: the head keeps the T x 32 relu output,
+        # the T x 16 normalized rows and two T x 1 norm columns; the four
+        # ops it fuses also kept both pre-activations, 48 more columns
+        cfg = md.ModelConfig(input_dim=6, num_classes=5)
+        stage = md.init_params(cfg, seed=0).stages[0]
+        t_len = 1126
+        h = ad.Tensor(np.random.default_rng(0).normal(
+            size=(t_len, cfg.hidden_channels)))
+        tracemalloc.start()
+        try:
+            out = md.project(h, stage)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out._parents
+        kept = t_len * (cfg.hidden_channels + cfg.projection_dim) * 8
+        assert held <= kept + 2 * t_len * 8 + 8192
+
 
 class TestHeads:
     def test_classify_zero_weights(self):

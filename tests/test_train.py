@@ -5,6 +5,7 @@ import struct
 import subprocess
 import sys
 import threading
+import weakref
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -643,14 +644,14 @@ class TestFit:
     @pytest.mark.parametrize("include_segments", [True, False])
     def test_contrast_graph_size_does_not_grow_with_k(self, monkeypatch,
                                                       include_segments):
-        # per stage: one gathered sample pool, one pooled segment matrix
-        # (only with segments), one stack and one row permutation, counted
-        # over every graph a step differentiates
+        # per stage: one projection head, one gathered sample pool, one
+        # pooled segment matrix (only with segments), one stack and one
+        # row permutation, counted over every graph a step differentiates
         graphs = capture_graphs(monkeypatch)
         seq = make_dataset(1)[0]
-        want = {"row": 2, "stack_rows": 1,
+        want = {"row": 2, "stack_rows": 1, "projection_head": 1,
                 "mean_rows": int(include_segments),
-                "l2_normalize": 1 + int(include_segments)}
+                "l2_normalize": int(include_segments)}
         for k in (2, 4, 8, 16):
             state = init_train_state(small_config(num_stages=2), seed=1)
             cfg = TrainConfig(k_per_class=k,
@@ -665,7 +666,7 @@ class TestFit:
     def test_chunk_graphs_hold_the_forward_and_nothing_else(self,
                                                            monkeypatch):
         # default config, T=2000: two chunks of 1000 samples; per stage 3
-        # adapter, 6 x 5 block, 3 classifier and 8 projection nodes, plus
+        # adapter, 6 x 5 block, 3 classifier and 5 projection nodes, plus
         # the input and the softmax that feeds stage 2: no seeding ops
         graphs = capture_graphs(monkeypatch)
         seq = synthesize_sequence(default_synth_config())
@@ -674,16 +675,41 @@ class TestFit:
                                np.random.default_rng(0),
                                tr.TRAIN_CHUNK_LENGTH)
         chunk_graphs = graphs[1:]   # the first is the loss graph's
-        assert [len(g.nodes) for g in chunk_graphs] == [90, 90]
+        assert [len(g.nodes) for g in chunk_graphs] == [84, 84]
         for graph in chunk_graphs:
             assert Counter(n._op for n in graph.nodes) == {
-                "leaf": 65, "conv1d_dilated": 8, "residual_block": 12,
-                "relu": 2, "l2_normalize": 2, "softmax_rows": 1}
+                "leaf": 65, "conv1d_dilated": 4, "residual_block": 12,
+                "projection_head": 2, "softmax_rows": 1}
+
+    def test_the_loss_phase_is_freed_before_the_chunks_backpropagate(
+            self, monkeypatch):
+        # the first backward differentiates the loss graph on the leaves;
+        # once the leaves' values are unreachable, so are the leaves, the
+        # leaf gradients, the loss graph and the pools built on them
+        leaf_values, alive = [], []
+        original = ad.backward
+
+        def spy(cotangents, wrt):
+            if leaf_values:
+                alive.append([ref() is not None for ref in leaf_values])
+            else:
+                leaf_values.extend(weakref.ref(leaf.values) for leaf in wrt)
+            return original(cotangents, wrt)
+
+        monkeypatch.setattr(ad, "backward", spy)
+        state = init_train_state(small_config(num_stages=2), seed=1)
+        tr._sequence_gradients(state, make_dataset(1)[0], TrainConfig(),
+                               np.random.default_rng(0), 40)
+        assert len(leaf_values) == 4    # logits and projections per stage
+        assert alive == [[False] * 4] * 3   # one backward per chunk
 
     @pytest.mark.parametrize("contrast_weight, include_segments, want", [
-        (0.0, True, {"l2_normalize": 0, "mean_rows": 0}),
-        (1.0, False, {"l2_normalize": 2, "mean_rows": 0}),
-        (1.0, True, {"l2_normalize": 4, "mean_rows": 2}),
+        (0.0, True, {"projection_head": 0, "l2_normalize": 0,
+                     "mean_rows": 0}),
+        (1.0, False, {"projection_head": 2, "l2_normalize": 0,
+                      "mean_rows": 0}),
+        (1.0, True, {"projection_head": 2, "l2_normalize": 2,
+                     "mean_rows": 2}),
     ])
     def test_step_runs_only_the_heads_and_pools_it_reads(
             self, monkeypatch, contrast_weight, include_segments, want):
