@@ -40,29 +40,35 @@ def select_hard_examples(predictions, labels, k_per_class: int,
     if k_per_class < 2 or k_per_class % 2 != 0:
         raise ValueError("k_per_class must be an even integer >= 2")
 
+    # [b - radius, b + radius) around every label change b, clipped, as
+    # +1 where a zone opens and -1 where it closes
+    n = len(labels)
     _, starts, _ = label_runs(labels)
-    near_boundary = np.zeros(len(labels), dtype=bool)
-    for b in starts[1:]:
-        lo = max(0, b - boundary_radius)
-        near_boundary[lo:b + boundary_radius] = True
+    edges = (np.bincount(np.maximum(starts[1:] - boundary_radius, 0),
+                         minlength=n + 1)
+             - np.bincount(np.minimum(starts[1:] + boundary_radius, n),
+                           minlength=n + 1))
+    near_boundary = np.cumsum(edges[:-1]) > 0
 
     half = k_per_class // 2
+    taken = np.zeros(n, dtype=bool)
     plan: dict[int, np.ndarray] = {}
     for c in np.unique(labels):
-        members = np.nonzero(labels == c)[0]
+        members = np.flatnonzero(labels == c)
         wrong = members[predictions[members] != c]
-        chosen = list(wrong if len(wrong) <= half
-                      else rng.choice(wrong, size=half, replace=False))
-        if len(chosen) < half:
-            pool = np.setdiff1d(members[near_boundary[members]], chosen)
-            take = min(half - len(chosen), len(pool))
-            if take:
-                chosen.extend(rng.choice(pool, size=take, replace=False))
-        pool = np.setdiff1d(members, chosen)
-        take = min(k_per_class - len(chosen), len(pool))
-        if take:
-            chosen.extend(rng.choice(pool, size=take, replace=False))
-        plan[int(c)] = np.sort(np.asarray(chosen, dtype=int))
+        if len(wrong) > half:
+            wrong = rng.choice(wrong, size=half, replace=False)
+        taken[wrong] = True
+        count = len(wrong)
+        # pools in ascending order, as the draws index into them
+        for budget, zone in ((half, members[near_boundary[members]]),
+                             (k_per_class, members)):
+            pool = zone[~taken[zone]]
+            take = min(budget - count, len(pool))
+            if take > 0:
+                taken[rng.choice(pool, size=take, replace=False)] = True
+                count += take
+        plan[int(c)] = members[taken[members]]
     return plan
 
 

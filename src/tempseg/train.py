@@ -6,6 +6,8 @@ model's receptive radius, on `chunk_runner`'s threads: each chunk's
 forward and backward run on a worker, and the loss, which needs the
 whole sequence (example selection and segment pooling), runs between
 them on leaf copies of the chunks' kept outputs (`_sequence_gradients`).
+The forward records only the last stage; the backward re-runs each
+earlier stage recorded, so a worker holds one stage's graph at a time.
 The gradients equal a whole-sequence graph's up to rounding.
 `train_epoch` steps the optimizer once per batch of batch_size whole
 sequences, not windows, with the mean of their gradients; a parameter
@@ -157,47 +159,95 @@ def _sequence_gradients(state: TrainState, seq: SensorSequence,
     The recording runs in halo chunks of at most `chunk_length` samples,
     mapped over by `run`, such as a thread pool's map, in three phases:
 
-    - each worker runs its chunk's recorded forward and returns its
-      heads: every stage's logits, then, with contrast on, projections;
+    - each worker runs its chunk's stages, all but the last under
+      `no_grad`, and the last recorded on its input, a leaf; it saves each
+      stage's input and returns its heads: every stage's logits, then,
+      with contrast on, projections;
     - `_loss_phase`: the kept rows of each head (`_kept`) become leaf
       tensors that cover the whole recording, so example selection,
       segment pooling and the objective see it whole; the small loss
       graph on those leaves is differentiated here, and each head's
       cotangent is built from its rows of the leaf gradient, with zeros
       on its halo;
-    - each worker backpropagates its chunk graph from all its heads at
-      once.
+    - each worker backpropagates its chunk stage by stage from the last:
+      the last on its forward graph, every earlier one re-run recorded
+      from its saved input and seeded with its heads' cotangents and, at
+      its probabilities, the next stage's input gradient.
 
     A chunk's kept outputs are the same functions of the parameters as in
     a whole-sequence forward, so the gradients equal the whole-sequence
     ones up to rounding.  They are summed in chunk order, and the chunks
     depend on the length and `chunk_length` alone, so the result does not
-    depend on `run`.  A parameter no graph reaches gets zeros.
+    depend on `run`.  A parameter no graph reaches gets zeros.  The bits
+    are those of one backward over a chunk's whole recorded cascade: each
+    parameter is read by one node, a stage's logits take their head's
+    cotangent before the softmax's term, and stage features, read by the
+    classifier and the projection head, sum two terms in either order.
 
-    Chunks do not bound memory: every chunk's recorded graph stays alive
-    until its backward ends, so a step holds at least one whole-recording
-    graph, and smaller chunks add their halos.  The loss phase is gone by
-    then: while the chunks backpropagate, the step holds their graphs,
-    their heads' cotangents and the gradients built so far, but none of
-    the leaves, their gradients, the loss graph or the example pools.
+    Memory: a worker holds one stage's graph of one chunk at a time, and
+    the recompute costs one more forward of every stage but the last.
+    The last stage's graphs of all the chunks are alive from the forward
+    until each chunk's backward starts, so a step still holds one stage's
+    graph over the whole recording, plus the halos.  While the chunks
+    backpropagate, none of the loss phase's leaves, their gradients, the
+    loss graph or the example pools is alive.
     """
     params, config = state.params, state.model_config
-    length = len(seq.features)
-    chunks = halo_chunks(length, chunk_length, md.receptive_radius(config))
+    features = md.checked_features(seq.features, params, config)
+    chunks = halo_chunks(len(features), chunk_length,
+                         md.receptive_radius(config))
+    last = config.num_stages - 1
 
-    def forward(chunk):
-        _, read, _ = chunk
-        outs = md.mstcn_forward(seq.features[read], params, config)
-        heads = [out.logits for out in outs]
-        if cfg.contrast_weight > 0:
-            heads += [md.project(out.features, stage)
-                      for out, stage in zip(outs, params.stages)]
-        return heads
+    def stage_heads(x, s):
+        """Stage s on input x: its probabilities and its heads."""
+        out = md.stage_forward(x, params.stages[s])
+        return out.probs, [out.logits] + (
+            [md.project(out.features, params.stages[s])]
+            if cfg.contrast_weight > 0 else [])
 
-    cotangents, breakdown = _loss_phase(list(run(forward, chunks)), chunks,
-                                        seq, cfg, rng, config.num_stages)
-    parts = list(run(lambda seeds: ad.backward(seeds, params.tensors()),
-                     cotangents))
+    def forward(chunk, saved):
+        """The chunk's heads, in `_loss_phase`'s order; appends each
+        stage's (input, heads) to `saved`."""
+        x = ad.Tensor(features[chunk[1]])
+        with ad.no_grad():  # entered on the worker
+            for s in range(last):
+                probs, heads = stage_heads(x, s)
+                saved.append((x, heads))
+                x = probs
+        saved.append((x, stage_heads(x, last)[1]))
+        return [head for kind in zip(*(heads for _, heads in saved))
+                for head in kind]
+
+    def stage_backward(s, x, heads, seeds, g):
+        """Stage s's parameter gradients and its input's gradient, from
+        the cotangents in `seeds` of its forward `heads`, which it pops,
+        and `g`, its probabilities' gradient (None for the last stage).
+        Its own function so that the stage's graph dies on return."""
+        recorded = heads
+        if s < last:    # ran graph-free: re-run it recorded
+            probs, recorded = stage_heads(x, s)
+        cotangents = {new: seeds.pop(old)
+                      for new, old in zip(recorded, heads) if old in seeds}
+        if g is not None:
+            cotangents[probs] = g
+        grads = ad.backward(cotangents, [x, *params.tensors()])
+        g_in = grads.pop(x, None)
+        return grads, g_in
+
+    def backprop(seeds, saved):
+        """The chunk's parameter gradients; empties `seeds` and `saved`
+        stage by stage, so no stage's graph outlives its backward."""
+        grads, g = {}, None
+        while saved:
+            part, g = stage_backward(len(saved) - 1, *saved.pop(), seeds, g)
+            grads.update(part)
+        return grads
+
+    saved = [[] for _ in chunks]    # per chunk, each stage's (input, heads)
+    cotangents, breakdown = _loss_phase(list(run(forward, chunks, saved)),
+                                        chunks, seq, cfg, rng,
+                                        config.num_stages)
+    parts = list(run(backprop, cotangents, saved))
     grads = {}
     for name, t in params.named_parameters():
         reached = [part[t] for part in parts if t in part]

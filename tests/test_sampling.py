@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tempseg import autodiff as ad
 from tempseg import sampling as sp
@@ -130,6 +130,74 @@ class TestSelectHardExamples:
             wrong = np.nonzero((labels == c) & (predictions != c))[0]
             if len(wrong) <= half:
                 assert set(wrong.tolist()) <= set(idx.tolist())
+
+
+def setdiff_select_hard_examples(predictions, labels, k_per_class,
+                                 boundary_radius, rng):
+    """Oracle: the selection as first written, with a loop over the label
+    changes for the boundary zone and `np.setdiff1d` for each pool."""
+    _, starts, _ = sp.label_runs(labels)
+    near_boundary = np.zeros(len(labels), dtype=bool)
+    for b in starts[1:]:
+        lo = max(0, b - boundary_radius)
+        near_boundary[lo:b + boundary_radius] = True
+
+    half = k_per_class // 2
+    plan = {}
+    for c in np.unique(labels):
+        members = np.nonzero(labels == c)[0]
+        wrong = members[predictions[members] != c]
+        chosen = list(wrong if len(wrong) <= half
+                      else rng.choice(wrong, size=half, replace=False))
+        if len(chosen) < half:
+            pool = np.setdiff1d(members[near_boundary[members]], chosen)
+            take = min(half - len(chosen), len(pool))
+            if take:
+                chosen.extend(rng.choice(pool, size=take, replace=False))
+        pool = np.setdiff1d(members, chosen)
+        take = min(k_per_class - len(chosen), len(pool))
+        if take:
+            chosen.extend(rng.choice(pool, size=take, replace=False))
+        plan[int(c)] = np.sort(np.asarray(chosen, dtype=int))
+    return plan
+
+
+@st.composite
+def selection_cases(draw):
+    """(predictions, labels, k_per_class, boundary_radius, seed): label runs
+    of up to 4 classes, each class predicted right everywhere, wrong
+    everywhere or wrong on a drawn subset; budgets from 2 to 40, so
+    boundary pools are often shorter than half of one."""
+    runs = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(1, 15)),
+                         min_size=1, max_size=12))
+    labels = np.repeat([c for c, _ in runs], [n for _, n in runs])
+    modes = np.array(draw(st.lists(st.sampled_from(["right", "wrong",
+                                                    "some"]),
+                                   min_size=4, max_size=4)))[labels]
+    flips = np.array(draw(st.lists(st.booleans(), min_size=len(labels),
+                                   max_size=len(labels))))
+    wrong = (modes == "wrong") | ((modes == "some") & flips)
+    predictions = np.where(wrong, (labels + 1) % 4, labels)
+    return (predictions, labels, 2 * draw(st.integers(1, 20)),
+            draw(st.integers(0, 5)), draw(st.integers(0, 2 ** 32 - 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(selection_cases())
+@example((np.array([0] * 6 + [0] * 6), np.array([0] * 6 + [1] * 6),
+          8, 0, 0))      # radius 0; class 1 all wrong, class 0 all right
+def test_selection_equals_the_setdiff_oracle(case):
+    predictions, labels, k_per_class, radius, seed = case
+    rngs = [np.random.default_rng(seed) for _ in range(2)]
+    got = sp.select_hard_examples(predictions, labels, k_per_class, radius,
+                                  rngs[0])
+    want = setdiff_select_hard_examples(predictions, labels, k_per_class,
+                                        radius, rngs[1])
+    assert list(got) == list(want)
+    for c in want:
+        assert got[c].dtype == want[c].dtype
+        np.testing.assert_array_equal(got[c], want[c])
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
 
 
 def graph_ops(tensor):

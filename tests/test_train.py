@@ -5,6 +5,7 @@ import struct
 import subprocess
 import sys
 import threading
+import tracemalloc
 import weakref
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -336,10 +337,10 @@ class TestTrainEpoch:
         monkeypatch.setattr(tr, "chunk_workers", lambda: workers)
         monkeypatch.setattr(tr, "TRAIN_CHUNK_LENGTH", 20)
         pools, threads = [], set()
-        pool, forward = tr.ThreadPoolExecutor, md.mstcn_forward
+        pool, forward = tr.ThreadPoolExecutor, md.stage_forward
         monkeypatch.setattr(tr, "ThreadPoolExecutor",
                             lambda n: pools.append(n) or pool(n))
-        monkeypatch.setattr(md, "mstcn_forward", lambda *args: (
+        monkeypatch.setattr(md, "stage_forward", lambda *args: (
             threads.add(threading.current_thread()) or forward(*args)))
         state = init_train_state(small_config(), seed=5)
         train_epoch(state, make_dataset(3, length=length),
@@ -505,6 +506,62 @@ def test_chunked_step_equals_whole_sequence(stages, kernel, contrast, chunk,
     assert got_terms.total == pytest.approx(want_terms.total, rel=1e-12)
 
 
+def recorded_cascade_gradients(state, seq, cfg, rng, chunk_length, run=map):
+    """Oracle: the step with every stage of a chunk recorded in one graph,
+    kept through the loss phase and differentiated by one backward per
+    chunk."""
+    params, config = state.params, state.model_config
+    chunks = tr.halo_chunks(len(seq.features), chunk_length,
+                            md.receptive_radius(config))
+
+    def forward(chunk):
+        _, read, _ = chunk
+        outs = md.mstcn_forward(seq.features[read], params, config)
+        heads = [out.logits for out in outs]
+        if cfg.contrast_weight > 0:
+            heads += [md.project(out.features, stage)
+                      for out, stage in zip(outs, params.stages)]
+        return heads
+
+    cotangents, breakdown = tr._loss_phase(list(run(forward, chunks)),
+                                           chunks, seq, cfg, rng,
+                                           config.num_stages)
+    parts = list(run(lambda seeds: ad.backward(seeds, params.tensors()),
+                     cotangents))
+    grads = {}
+    for name, t in params.named_parameters():
+        reached = [part[t] for part in parts if t in part]
+        grads[name] = (functools.reduce(np.add, reached) if reached
+                       else np.zeros_like(t.values))
+    return grads, breakdown
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("chunk_length", [90, 25])     # 1 chunk, 4 chunks
+@pytest.mark.parametrize("contrast_weight, include_segments",
+                         [(0.0, True), (1.0, False), (1.0, True)])
+@pytest.mark.parametrize("stages", [1, 2, 3])
+def test_stagewise_recompute_equals_the_recorded_cascade_bitwise(
+        stages, contrast_weight, include_segments, chunk_length, workers):
+    cfg = small_config(num_classes=3, num_stages=stages)
+    rng = np.random.default_rng(stages)
+    seq = SensorSequence(features=rng.normal(size=(90, cfg.input_dim)),
+                         labels=np.arange(90) // 7 % cfg.num_classes)
+    state = init_train_state(cfg, seed=stages)
+    train_cfg = TrainConfig(contrast_weight=contrast_weight, temperature=0.5,
+                            k_per_class=4, include_segments=include_segments)
+    results = []
+    with ThreadPoolExecutor(workers) as pool:
+        run = map if workers == 1 else pool.map
+        for step in (recorded_cascade_gradients, tr._sequence_gradients):
+            step_rng = np.random.default_rng(11)
+            grads, terms = step(state, seq, train_cfg, step_rng,
+                                chunk_length, run)
+            results.append(({name: (g.dtype, g.tobytes())
+                              for name, g in grads.items()},
+                             terms, step_rng.bit_generator.state))
+    assert results[1] == results[0]
+
 class TestEvaluate:
     def test_does_not_mutate_parameters(self):
         state = init_train_state(small_config(), seed=4)
@@ -665,21 +722,46 @@ class TestFit:
 
     def test_chunk_graphs_hold_the_forward_and_nothing_else(self,
                                                            monkeypatch):
-        # default config, T=2000: two chunks of 1000 samples; per stage 3
-        # adapter, 6 x 5 block, 3 classifier and 5 projection nodes, plus
-        # the input and the softmax that feeds stage 2: no seeding ops
+        # default config, T=2000: two chunks of 1000 samples, each
+        # differentiated one stage at a time, the last stage first; a
+        # stage graph holds its input, 3 adapter, 6 x 5 block, 3
+        # classifier and 5 projection nodes, and the recomputed first
+        # stage also the softmax that feeds stage 2: no seeding ops.
+        # Stage 2's input is stage 1's graph-free softmax output, a leaf
         graphs = capture_graphs(monkeypatch)
         seq = synthesize_sequence(default_synth_config())
         state = init_train_state(ModelConfig(input_dim=6, num_classes=5), 0)
         tr._sequence_gradients(state, seq, TrainConfig(),
                                np.random.default_rng(0),
                                tr.TRAIN_CHUNK_LENGTH)
-        chunk_graphs = graphs[1:]   # the first is the loss graph's
-        assert [len(g.nodes) for g in chunk_graphs] == [84, 84]
-        for graph in chunk_graphs:
+        stage_graphs = graphs[1:]   # the first is the loss graph's
+        assert [len(g.nodes) for g in stage_graphs] == [42, 43, 42, 43]
+        for graph, recomputed in zip(stage_graphs, [False, True] * 2):
             assert Counter(n._op for n in graph.nodes) == {
-                "leaf": 65, "conv1d_dilated": 4, "residual_block": 12,
-                "projection_head": 2, "softmax_rows": 1}
+                "leaf": 32 + recomputed, "conv1d_dilated": 2,
+                "residual_block": 6, "projection_head": 1, "softmax_rows": 1}
+            [softmax] = [n for n in graph.nodes if n._op == "softmax_rows"]
+            assert bool(softmax._parents) == recomputed
+
+    def test_a_step_holds_one_stage_graph_per_worker(self, monkeypatch):
+        # default config, T=2000, two chunks on two workers: one stage's
+        # graph per chunk is about 20 arrays of 1126 x 32 float64s (a
+        # chunk with its halo by the hidden width); keeping every stage
+        # recorded through the loss phase peaks at about 73, and keeping
+        # one chunk's last-stage graph alive through the backward at about 58
+        monkeypatch.setattr(tr, "chunk_workers", lambda: 2)
+        seq = synthesize_sequence(default_synth_config())
+        state = init_train_state(ModelConfig(input_dim=6, num_classes=5), 0)
+        with tr.chunk_runner() as run:
+            tracemalloc.start()
+            try:
+                tr._sequence_gradients(state, seq, TrainConfig(),
+                                       np.random.default_rng(0),
+                                       tr.TRAIN_CHUNK_LENGTH, run)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < 52 * 1126 * 32 * 8
 
     def test_the_loss_phase_is_freed_before_the_chunks_backpropagate(
             self, monkeypatch):
@@ -701,20 +783,21 @@ class TestFit:
         tr._sequence_gradients(state, make_dataset(1)[0], TrainConfig(),
                                np.random.default_rng(0), 40)
         assert len(leaf_values) == 4    # logits and projections per stage
-        assert alive == [[False] * 4] * 3   # one backward per chunk
+        assert alive == [[False] * 4] * 6   # one backward per chunk and stage
 
     @pytest.mark.parametrize("contrast_weight, include_segments, want", [
         (0.0, True, {"projection_head": 0, "l2_normalize": 0,
                      "mean_rows": 0}),
-        (1.0, False, {"projection_head": 2, "l2_normalize": 0,
+        (1.0, False, {"projection_head": 3, "l2_normalize": 0,
                       "mean_rows": 0}),
-        (1.0, True, {"projection_head": 2, "l2_normalize": 2,
+        (1.0, True, {"projection_head": 3, "l2_normalize": 2,
                      "mean_rows": 2}),
     ])
     def test_step_runs_only_the_heads_and_pools_it_reads(
             self, monkeypatch, contrast_weight, include_segments, want):
         # forward calls, recorded or not: a projection head per stage only
-        # with contrast, a segment pool per stage only with segments
+        # with contrast, and once more for the first stage, which the
+        # backward re-runs; a segment pool per stage only with segments
         from tempseg import autodiff as ad
         from tempseg import train as tr
         calls = {op: 0 for op in want}
