@@ -19,9 +19,9 @@ pools R row ranges into R rows, and ``stack_rows`` joins matrices, one
 graph node each.
 
 Inside ``with no_grad():`` the same ops record nothing: each output is a
-leaf, so a forward pass keeps no intermediate array alive.  The switch is
-a context variable, so it holds for the current thread (or asyncio task)
-only; another thread keeps recording.
+leaf, named so, and a forward pass keeps no intermediate array alive.
+The switch is a context variable, so it holds for the current thread
+(or asyncio task) only; another thread keeps recording.
 
 No op and no backward pass writes a tensor: ``backward`` returns the
 gradients of the tensors it is asked for in a dict of its own.  So
@@ -101,7 +101,7 @@ class Tensor:
 
     def __init__(self, values, _parents=(), _vjp=None, _op="leaf"):
         if _parents and not _recording.get():
-            _parents, _vjp = (), None
+            _parents, _vjp, _op = (), None, "leaf"
         self.values = np.asarray(values, dtype=np.float64)
         self._parents: tuple = _parents
         self._vjp: Optional[Callable] = _vjp

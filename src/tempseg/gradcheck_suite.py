@@ -228,8 +228,7 @@ def _graph_kink_margins(loss: ad.Tensor,
                  for i, blk in enumerate(stage.blocks)}
     kinks = [node for node in ad.CompGraph.from_output(loss).nodes
              if node._op in ("relu", "residual_block", "projection_head",
-                             "l2_normalize")
-             and node._parents]
+                             "l2_normalize")]
     grads = ad.backward({loss: 1.0}, kinks)
     relus, norms = [], []   # (input, gradient of the output) per kink
     for node in kinks:

@@ -13,9 +13,15 @@ whole cascade.
 Every op after the dilated stack is per-sample, so an output sample
 depends only on the inputs within `receptive_radius` of it; that is what
 lets inference label a long recording in overlapping chunks exactly.
+
+The parameters' storage is one float64 array, `ModelParams.block`: each
+tensor's `values` views its slice, in `named_parameters()` order, and
+nothing rebinds it.  `parameter_views` alone computes the offsets.
 """
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, fields
+from itertools import accumulate, islice
 
 import numpy as np
 
@@ -81,27 +87,34 @@ class StageParams:
 @dataclass
 class ModelParams:
     stages: list[StageParams]
+    block: np.ndarray   # the storage that every tensor views
 
     def named_parameters(self):
-        """Yield (name, tensor) pairs in a stable order."""
+        """(name, tensor) pairs in field order, the block's: "stage{s}.", in
+        a block "block{l}.", then the field name with its last "_" as "."."""
+        def walk(prefix, params):
+            for field in fields(params):
+                value = getattr(params, field.name)
+                if field.name == "blocks":
+                    for l, blk in enumerate(value):
+                        yield from walk(f"{prefix}block{l}.", blk)
+                else:
+                    yield prefix + ".".join(field.name.rsplit("_", 1)), value
         for s, stage in enumerate(self.stages):
-            prefix = f"stage{s}"
-            yield f"{prefix}.adapter.w", stage.adapter_w
-            yield f"{prefix}.adapter.b", stage.adapter_b
-            for l, blk in enumerate(stage.blocks):
-                yield f"{prefix}.block{l}.dilated.w", blk.dilated_w
-                yield f"{prefix}.block{l}.dilated.b", blk.dilated_b
-                yield f"{prefix}.block{l}.mix.w", blk.mix_w
-                yield f"{prefix}.block{l}.mix.b", blk.mix_b
-            yield f"{prefix}.classifier.w", stage.classifier_w
-            yield f"{prefix}.classifier.b", stage.classifier_b
-            yield f"{prefix}.proj_hidden.w", stage.proj_hidden_w
-            yield f"{prefix}.proj_hidden.b", stage.proj_hidden_b
-            yield f"{prefix}.proj_out.w", stage.proj_out_w
-            yield f"{prefix}.proj_out.b", stage.proj_out_b
+            yield from walk(f"stage{s}.", stage)
 
     def tensors(self) -> list[Tensor]:
         return [t for _, t in self.named_parameters()]
+
+    def split(self, flat: np.ndarray) -> list[np.ndarray]:
+        """`flat`, laid out as `block`, as one view per tensor."""
+        return parameter_views(flat, [t.shape for t in self.tensors()])
+
+    def first_non_finite(self, flat: np.ndarray) -> str:
+        """The first tensor whose slice of `flat` is not finite, by name."""
+        return next(name for (name, _), part
+                    in zip(self.named_parameters(), self.split(flat))
+                    if not np.isfinite(part).all())
 
 
 @dataclass
@@ -111,58 +124,56 @@ class StageOutput:
     probs: Tensor       # T x C, rows sum to 1
 
 
-def build_params(config: ModelConfig, make) -> ModelParams:
-    """ModelParams whose every tensor of shape `shape` holds make(shape).
+def parameter_views(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Consecutive slices of the 1-D `flat`, reshaped one to each shape:
+    views where `flat` is contiguous."""
+    ends = list(accumulate(map(math.prod, shapes), initial=0))
+    return [flat[start:end].reshape(shape)
+            for start, end, shape in zip(ends, ends[1:], shapes)]
 
-    make is called once per tensor, in a fixed order: per stage, every
-    block's dilated and mix tensors, then the adapter, classifier and
-    projection tensors.  That order is init_params' draw order; tensor
-    names live only in `ModelParams.named_parameters`.
-    """
-    f = config.hidden_channels
-    k = config.kernel_size
-    c = config.num_classes
 
-    def tensor(*shape):
-        return Tensor(make(shape))
-
-    stages = []
+def build_params(config: ModelConfig, values) -> ModelParams:
+    """ModelParams over a new float64 block, a copy of `values`; tensors
+    take consecutive slices in named_parameters() order, which is the
+    order of `shapes` and of the StageParams and BlockParams fields."""
+    block = np.array(np.reshape(values, parameter_count(config)),
+                     dtype=np.float64)
+    f, c, p = config.hidden_channels, config.num_classes, config.projection_dim
+    k, layers = config.kernel_size, config.layers_per_stage
+    shapes = []
     for s in range(config.num_stages):
         c_in = config.input_dim if s == 0 else c
-        blocks = [BlockParams(dilated_w=tensor(f, f, k), dilated_b=tensor(f),
-                              mix_w=tensor(f, f, 1), mix_b=tensor(f))
-                  for _ in range(config.layers_per_stage)]
-        stages.append(StageParams(
-            adapter_w=tensor(f, c_in, 1), adapter_b=tensor(f),
-            blocks=blocks,
-            classifier_w=tensor(c, f, 1), classifier_b=tensor(c),
-            proj_hidden_w=tensor(f, f, 1), proj_hidden_b=tensor(f),
-            proj_out_w=tensor(config.projection_dim, f, 1),
-            proj_out_b=tensor(config.projection_dim),
-        ))
-    return ModelParams(stages=stages)
+        shapes += ([(f, c_in, 1), (f,)]
+                   + [(f, f, k), (f,), (f, f, 1), (f,)] * layers
+                   + [(c, f, 1), (c,), (f, f, 1), (f,), (p, f, 1), (p,)])
+    tensors = map(Tensor, parameter_views(block, shapes))
+    stages = [StageParams(*islice(tensors, 2),
+                          [BlockParams(*islice(tensors, 4))
+                           for _ in range(layers)], *islice(tensors, 6))
+              for _ in range(config.num_stages)]
+    return ModelParams(stages=stages, block=block)
 
 
 def init_params(config: ModelConfig, seed: int) -> ModelParams:
     """Uniform init scaled by fan-in; biases start at zero.
 
-    A single generator seeded once makes the draw order, and therefore the
-    parameters, fully reproducible.
+    A single generator seeded once draws the weights, per stage: each
+    block's dilated then mix weight, then the adapter, classifier and
+    projection weights; so the parameters are fully reproducible.
     """
     rng = np.random.default_rng(seed)
-
-    def draw(shape):
-        if len(shape) == 1:
-            return np.zeros(shape)
-        _, c_in, k = shape
-        bound = np.sqrt(6.0 / (c_in * k))
-        return rng.uniform(-bound, bound, size=shape)
-
-    return build_params(config, draw)
+    params = build_params(config, np.zeros(parameter_count(config)))
+    for stage in params.stages:
+        blocks = [w for blk in stage.blocks for w in (blk.dilated_w, blk.mix_w)]
+        for w in blocks + [stage.adapter_w, stage.classifier_w,
+                           stage.proj_hidden_w, stage.proj_out_w]:
+            bound = np.sqrt(6.0 / (w.shape[1] * w.shape[2]))    # fan-in
+            w.values[...] = rng.uniform(-bound, bound, size=w.shape)
+    return params
 
 
 def parameter_count(config: ModelConfig) -> int:
-    """Scalars that init_params allocates for config, without allocating."""
+    """The size of config's parameter block, without allocating it."""
     f, c, p = config.hidden_channels, config.num_classes, config.projection_dim
     block = f * f * (config.kernel_size + 1) + 2 * f
     stage = config.layers_per_stage * block + (c + f + p) * f + c + 2 * f + p

@@ -10,8 +10,11 @@ The forward records only the last stage; the backward re-runs each
 earlier stage recorded, so a worker holds one stage's graph at a time.
 The gradients equal a whole-sequence graph's up to rounding.
 `train_epoch` steps the optimizer once per batch of batch_size whole
-sequences, not windows, with the mean of their gradients; a parameter
-no graph reached gets a zero gradient.  All randomness flows through one
+sequences, not windows, with the mean of their gradients.  A step's
+gradient, that mean, Adam's moments and the best snapshot are flat
+arrays laid out as `ModelParams.block`, each made, updated or copied
+whole, with zeros for a parameter no graph reached; tensor names serve
+only to name a non-finite tensor.  All randomness flows through one
 caller-owned generator, on the calling thread.
 
 Inference (`final_stage_outputs`, behind `evaluate`) labels a recording
@@ -29,16 +32,14 @@ and bits can depend on that BLAS's threads.
 
 Checkpoints are a flat binary container: magic, format version, a JSON
 header (model config, normalization statistics, free-form metadata), then
-one block of every parameter's little-endian float64 values in
-`named_parameters()` order.  The header's model config fixes each
-tensor's name, shape and place in the block, so the file states them
-nowhere else.  They hold what inference needs and nothing else: no
-optimizer state, so a loaded state starts with zero Adam moments at
-step 0.
+`ModelParams.block` as little-endian float64.  The header's model
+config fixes each tensor's name, shape and place in the block, so the
+file states them nowhere else.  They hold what inference needs and
+nothing else: no optimizer state, so a loaded state starts with zero
+Adam moments at step 0.
 """
 
 import contextlib
-import copy
 import ctypes
 import dataclasses
 import functools
@@ -110,51 +111,47 @@ class TrainConfig:
 class TrainState:
     params: ModelParams
     model_config: ModelConfig
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
     step: int = 0
     norm_stats: NormStats | None = None
     best_params: ModelParams | None = None
     best_metric: float | None = None    # None: no validation ran
     best_epoch: int = -1
+    m: np.ndarray = dataclasses.field(init=False)   # Adam's moments, laid
+    v: np.ndarray = dataclasses.field(init=False)   # out as params.block
+
+    def __post_init__(self):
+        self.m = np.zeros_like(self.params.block)
+        self.v = np.zeros_like(self.params.block)
 
 
 def init_train_state(model_config: ModelConfig, seed: int) -> TrainState:
-    return _fresh_state(md.init_params(model_config, seed), model_config)
+    return TrainState(md.init_params(model_config, seed), model_config)
 
 
-def _fresh_state(params: ModelParams, model_config: ModelConfig) -> TrainState:
-    """A state at step 0 with zero Adam moments."""
-    m = {name: np.zeros_like(t.values) for name, t in params.named_parameters()}
-    v = {name: np.zeros_like(t.values) for name, t in params.named_parameters()}
-    return TrainState(params=params, model_config=model_config, m=m, v=v)
-
-
-def adam_step(state: TrainState, gradients: dict[str, np.ndarray],
+def adam_step(state: TrainState, gradient: np.ndarray,
               lr: float) -> TrainState:
-    """Bias-corrected adaptive-moment update, in place on state.params,
-    with ADAM_BETAS and ADAM_EPSILON."""
-    named = list(state.params.named_parameters())
-    for name, _ in named:   # all checked before any state changes
-        if not np.all(np.isfinite(gradients[name])):
-            raise FloatingPointError(f"non-finite gradient for {name}")
+    """Bias-corrected adaptive-moment update with ADAM_BETAS and
+    ADAM_EPSILON, in place on the moments and the block; a non-finite
+    gradient changes nothing and raises, naming its first bad tensor."""
+    if not np.isfinite(gradient).all():
+        raise FloatingPointError("non-finite gradient for "
+                                 + state.params.first_non_finite(gradient))
     b1, b2 = ADAM_BETAS
     state.step += 1
     t = state.step
-    for name, tensor in named:
-        g = gradients[name]
-        state.m[name] = b1 * state.m[name] + (1 - b1) * g
-        state.v[name] = b2 * state.v[name] + (1 - b2) * g * g
-        m_hat = state.m[name] / (1 - b1 ** t)
-        v_hat = state.v[name] / (1 - b2 ** t)
-        tensor.values -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
+    state.m *= b1
+    state.m += (1 - b1) * gradient
+    state.v *= b2
+    state.v += (1 - b2) * gradient * gradient
+    state.params.block -= (lr * (state.m / (1 - b1 ** t))
+                           / (np.sqrt(state.v / (1 - b2 ** t)) + ADAM_EPSILON))
     return state
 
 
 def _sequence_gradients(state: TrainState, seq: SensorSequence,
                         cfg: TrainConfig, rng, chunk_length: int, run=map
-                        ) -> tuple[dict[str, np.ndarray], LossBreakdown]:
-    """One recording's parameter gradients, by name, and its loss terms.
+                        ) -> tuple[np.ndarray, LossBreakdown]:
+    """One recording's gradient, laid out as the block, and loss terms.
 
     The recording runs in halo chunks of at most `chunk_length` samples,
     mapped over by `run`, such as a thread pool's map, in three phases:
@@ -248,12 +245,12 @@ def _sequence_gradients(state: TrainState, seq: SensorSequence,
                                         chunks, seq, cfg, rng,
                                         config.num_stages)
     parts = list(run(backprop, cotangents, saved))
-    grads = {}
-    for name, t in params.named_parameters():
+    gradient = np.zeros_like(params.block)
+    for t, slot in zip(params.tensors(), params.split(gradient)):
         reached = [part[t] for part in parts if t in part]
-        grads[name] = (functools.reduce(np.add, reached) if reached
-                       else np.zeros_like(t.values))
-    return grads, breakdown
+        if reached:     # a lone part is copied as it is, -0.0s included
+            slot[...] = functools.reduce(np.add, reached)
+    return gradient, breakdown
 
 
 def _loss_phase(heads, chunks, seq: SensorSequence, cfg: TrainConfig, rng,
@@ -310,18 +307,15 @@ def train_epoch(state: TrainState, sequences: list[SensorSequence],
     with chunk_runner() as run:
         for batch in batches:
             for i, idx in enumerate(batch):
-                grads, breakdown = _sequence_gradients(
+                gradient, breakdown = _sequence_gradients(
                     state, sequences[int(idx)], cfg, rng, TRAIN_CHUNK_LENGTH,
                     run)
                 if not np.isfinite(breakdown.total):
                     raise FloatingPointError(
                         f"non-finite loss on sequence {int(idx)}")
                 breakdowns.append(breakdown)
-                summed = grads if i == 0 else {
-                    name: summed[name] + g for name, g in grads.items()}
-            adam_step(state, {name: g / len(batch)
-                              for name, g in summed.items()},
-                      cfg.learning_rate)
+                summed = gradient if i == 0 else summed + gradient
+            adam_step(state, summed / len(batch), cfg.learning_rate)
 
     record = {}
     for field in dataclasses.fields(LossBreakdown):
@@ -534,7 +528,8 @@ def fit(state: TrainState, train_seqs: list[SensorSequence],
             record["val_jaccard"] = report.jaccard
             if (state.best_metric is None
                     or report.macro_f1 > state.best_metric):
-                state.best_params = copy.deepcopy(state.params)
+                state.best_params = md.build_params(    # over a copy
+                    state.model_config, state.params.block)
                 state.best_metric, state.best_epoch = report.macro_f1, epoch
         history.append(record)
         if log_fn is not None:
@@ -558,8 +553,7 @@ def save_checkpoint(state: TrainState, path, metadata: dict | None = None):
         fh.write(struct.pack("<I", _VERSION))
         fh.write(struct.pack("<Q", len(header_bytes)))
         fh.write(header_bytes)
-        for _, tensor in state.params.named_parameters():
-            fh.write(tensor.values.astype("<f8", copy=False).tobytes())
+        fh.write(state.params.block.astype("<f8", copy=False).tobytes())
 
 
 def _read_exact(fh, n: int) -> bytes:
@@ -624,15 +618,10 @@ def load_checkpoint(path) -> TrainState:
         _read_exact(fh, 8 * md.parameter_count(model_config)), dtype="<f8")
     if fh.read(1):
         raise ValueError("checkpoint has bytes after its last tensor")
-    params = md.build_params(model_config,
-                             lambda shape: np.broadcast_to(0.0, shape))
-    start = 0
-    for name, tensor in params.named_parameters():
-        values = block[start:start + tensor.values.size]
-        start += values.size
-        if not np.all(np.isfinite(values)):
-            raise ValueError(f"checkpoint tensor {name} is not finite")
-        tensor.values = values.reshape(tensor.shape).astype(np.float64)
-    state = _fresh_state(params, model_config)
+    params = md.build_params(model_config, block)
+    if not np.isfinite(params.block).all():
+        name = params.first_non_finite(params.block)
+        raise ValueError(f"checkpoint tensor {name} is not finite")
+    state = TrainState(params, model_config)
     state.norm_stats = _header_norm_stats(header, model_config.input_dim)
     return state

@@ -655,6 +655,13 @@ class TestNoGrad:
                 assert getattr(out, field)._vjp is None
             assert rec.probs._parents != ()
 
+    @pytest.mark.parametrize("op", [ad.softmax_rows, ad.l2_normalize,
+                                    ad.relu])
+    def test_outputs_are_leaves_by_name_too(self, op, rng):
+        with ad.no_grad():
+            out = op(ad.Tensor(rng.normal(size=(4, 3))))
+        assert (out._op, out._parents, out._vjp) == ("leaf", (), None)
+
     def test_recording_restored_after_exception(self):
         with pytest.raises(RuntimeError):
             with ad.no_grad():

@@ -7,6 +7,22 @@ from tempseg import autodiff as ad
 from tempseg import model as md
 
 
+def assert_block_backs_every_tensor(params, config):
+    """params.block is C-contiguous float64 of parameter_count(config)
+    scalars, and every tensor's values view it at the tensor's offset in
+    named_parameters() order."""
+    block = params.block
+    assert block.dtype == np.float64 and block.flags.c_contiguous
+    assert block.shape == (md.parameter_count(config),)
+    offset = 0
+    for name, t in params.named_parameters():
+        assert t.values.base is block, name
+        assert t.values.ctypes.data == block.ctypes.data + 8 * offset, name
+        assert t.values.flags.c_contiguous, name
+        offset += t.values.size
+    assert offset == block.size
+
+
 def small_config(**over):
     base = dict(input_dim=3, num_classes=4, num_stages=2, layers_per_stage=2,
                 hidden_channels=8, projection_dim=5, kernel_size=3)
@@ -80,6 +96,24 @@ class TestInitParams:
         params = md.init_params(cfg, seed=0)
         assert md.parameter_count(cfg) == sum(t.values.size
                                               for t in params.tensors())
+        assert_block_backs_every_tensor(params, cfg)
+
+    @pytest.mark.parametrize("values", [
+        np.arange(md.parameter_count(small_config()), dtype=np.float32),
+        np.arange(2 * md.parameter_count(small_config()))[::2],
+    ])
+    def test_build_params_binds_a_float64_copy(self, values):
+        cfg = small_config()
+        params = md.build_params(cfg, values)
+        assert_block_backs_every_tensor(params, cfg)
+        assert not np.shares_memory(params.block, values)
+        np.testing.assert_array_equal(params.block, values)
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_build_params_needs_the_configs_size(self, extra):
+        cfg = small_config()
+        with pytest.raises(ValueError):
+            md.build_params(cfg, np.zeros(md.parameter_count(cfg) + extra))
 
     def test_draws_follow_the_documented_order(self):
         cfg = small_config(kernel_size=5)

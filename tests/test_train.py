@@ -1,6 +1,7 @@
 import functools
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -27,6 +28,8 @@ from tempseg.train import (TrainConfig, adam_step, evaluate, fit,
                            init_train_state, load_checkpoint,
                            save_checkpoint, train_epoch)
 
+from test_model import assert_block_backs_every_tensor
+
 
 def reference_adam(w0, grads, lr, b1, b2, eps):
     """Scalar-loop oracle for the bias-corrected update."""
@@ -41,6 +44,25 @@ def reference_adam(w0, grads, lr, b1, b2, eps):
     return w
 
 
+def per_tensor_adam_step(values, m, v, gradients, t, lr):
+    """The update adam_step made tensor by tensor, on dicts by name, before
+    the parameters shared one block: its bitwise oracle."""
+    b1, b2 = tr.ADAM_BETAS
+    for name in values:
+        g = gradients[name]
+        m[name] = b1 * m[name] + (1 - b1) * g
+        v[name] = b2 * v[name] + (1 - b2) * g * g
+        m_hat = m[name] / (1 - b1 ** t)
+        v_hat = v[name] / (1 - b2 ** t)
+        values[name] -= lr * m_hat / (np.sqrt(v_hat) + tr.ADAM_EPSILON)
+
+
+def by_name(params, flat):
+    """A flat array laid out as params.block, as {name: view}."""
+    return {name: part for (name, _), part
+            in zip(params.named_parameters(), params.split(flat))}
+
+
 def small_config(**overrides):
     base = dict(input_dim=3, num_classes=2, num_stages=1,
                 layers_per_stage=2, hidden_channels=6, projection_dim=4)
@@ -49,8 +71,7 @@ def small_config(**overrides):
 
 
 def constant_gradients(state, value):
-    return {name: np.full_like(t.values, value)
-            for name, t in state.params.named_parameters()}
+    return np.full_like(state.params.block, value)
 
 
 def blocky_sequence(rng, length=96, num_classes=2, dim=3, run=16):
@@ -80,70 +101,109 @@ def make_dataset(n_sequences=4, seed=0, **seq_kwargs):
 class TestAdamStep:
     def test_first_step_is_signed_learning_rate(self):
         state = init_train_state(small_config(), seed=0)
-        before = {n: t.values.copy()
-                  for n, t in state.params.named_parameters()}
+        before = state.params.block.copy()
         adam_step(state, constant_gradients(state, 2.0), lr=0.001)
-        for name, tensor in state.params.named_parameters():
-            np.testing.assert_allclose(before[name] - tensor.values,
-                                       0.001, atol=1e-9)
+        np.testing.assert_allclose(before - state.params.block, 0.001,
+                                   atol=1e-9)
 
     def test_matches_scalar_oracle_over_five_steps(self):
         state = init_train_state(small_config(), seed=3)
         rng = np.random.default_rng(11)
-        name0, tensor0 = next(iter(state.params.named_parameters()))
+        _, tensor0 = next(iter(state.params.named_parameters()))
         w0 = tensor0.values.flat[0]
         grad_history = []
         for _ in range(5):
-            grads = {n: rng.normal(size=t.values.shape)
-                     for n, t in state.params.named_parameters()}
-            grad_history.append(grads[name0].flat[0])
-            adam_step(state, grads, lr=0.01)
+            gradient = rng.normal(size=state.params.block.shape)
+            grad_history.append(gradient[0])
+            adam_step(state, gradient, lr=0.01)
         expected = reference_adam(w0, grad_history, 0.01, 0.9, 0.999, 1e-8)
         assert tensor0.values.flat[0] == pytest.approx(expected, abs=1e-14)
 
+    def test_equals_the_per_tensor_update_bitwise(self):
+        state = init_train_state(small_config(num_stages=2), seed=4)
+        values = {n: t.values.copy()
+                  for n, t in state.params.named_parameters()}
+        m = {n: np.zeros_like(a) for n, a in values.items()}
+        v = {n: np.zeros_like(a) for n, a in values.items()}
+        rng = np.random.default_rng(5)
+        size = state.params.block.size
+        for t in range(1, 7):
+            gradient = (rng.normal(size=size)
+                        * 10.0 ** rng.integers(-8, 9, size=size))
+            gradient[rng.random(size) < 0.1] = 0.0
+            gradient[rng.random(size) < 0.1] = -0.0
+            gradient[:4] = [1e150, -1e150, 1e-300, -0.0]
+            named = by_name(state.params, gradient)
+            named["stage0.adapter.b"][...] = -0.0   # a whole tensor
+            named["stage1.proj_out.w"][...] = 0.0
+            per_tensor_adam_step(values, m, v,
+                                 {n: g.copy() for n, g in named.items()},
+                                 t, lr=0.01)
+            adam_step(state, gradient, lr=0.01)
+            for flat, want in ((state.params.block, values), (state.m, m),
+                               (state.v, v)):
+                assert flat.tobytes() == b"".join(
+                    want[name].tobytes() for name in values), t
+
     def test_zero_gradient_leaves_values_unchanged(self):
         state = init_train_state(small_config(), seed=0)
-        before = {n: t.values.copy()
-                  for n, t in state.params.named_parameters()}
+        before = state.params.block.copy()
         adam_step(state, constant_gradients(state, 0.0), lr=0.1)
-        for name, tensor in state.params.named_parameters():
-            np.testing.assert_array_equal(tensor.values, before[name])
+        np.testing.assert_array_equal(state.params.block, before)
 
     def test_repeated_gradient_step_does_not_grow(self):
         state = init_train_state(small_config(), seed=0)
         grads = constant_gradients(state, -0.7)
-        snap = {n: t.values.copy() for n, t in state.params.named_parameters()}
+        snap = state.params.block.copy()
         adam_step(state, grads, lr=0.001)
-        mid = {n: t.values.copy() for n, t in state.params.named_parameters()}
+        mid = state.params.block.copy()
         adam_step(state, grads, lr=0.001)
-        for name, tensor in state.params.named_parameters():
-            first = np.abs(mid[name] - snap[name])
-            second = np.abs(tensor.values - mid[name])
-            assert np.all(second <= first + 1e-12)
+        first = np.abs(mid - snap)
+        second = np.abs(state.params.block - mid)
+        assert np.all(second <= first + 1e-12)
 
-    def test_non_finite_gradient_names_the_parameter(self):
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_non_finite_gradient_names_the_parameter(self, where):
         state = init_train_state(small_config(), seed=0)
         adam_step(state, constant_gradients(state, 0.5), lr=0.001)
-        grads = constant_gradients(state, 1.0)
-        bad = sorted(grads)[2]   # the 4th tensor in named_parameters order
-        grads[bad][...] = np.nan
-        before = {n: (t.values.copy(), state.m[n].copy(), state.v[n].copy())
-                  for n, t in state.params.named_parameters()}
-        with pytest.raises(FloatingPointError, match=bad.replace(".", r"\.")):
-            adam_step(state, grads, lr=0.001)
+        gradient = constant_gradients(state, 1.0)
+        names = list(by_name(state.params, gradient))
+        index = {"first": 0, "middle": len(names) // 2,
+                 "last": len(names) - 1}[where]
+        parts = state.params.split(gradient)
+        parts[index].flat[-1] = np.nan
+        parts[-1].flat[0] = np.inf if index < len(names) - 1 else np.nan
+        before = [a.copy() for a in (state.params.block, state.m, state.v)]
+        with pytest.raises(FloatingPointError,
+                           match=f"for {re.escape(names[index])}$"):
+            adam_step(state, gradient, lr=0.001)
         # nothing of the failed step was applied
         assert state.step == 1
-        for name, tensor in state.params.named_parameters():
-            values, m, v = before[name]
-            assert tensor.values.tobytes() == values.tobytes(), name
-            assert state.m[name].tobytes() == m.tobytes(), name
-            assert state.v[name].tobytes() == v.tobytes(), name
+        for got, want in zip((state.params.block, state.m, state.v), before):
+            assert got.tobytes() == want.tobytes()
 
     def test_step_counter_advances(self):
         state = init_train_state(small_config(), seed=0)
         assert state.step == 0
         adam_step(state, constant_gradients(state, 1.0), lr=0.001)
         assert state.step == 1
+
+
+def test_every_tensor_views_the_parameter_block(tmp_path):
+    config = small_config(num_stages=2)
+    state = init_train_state(config, seed=3)
+    assert_block_backs_every_tensor(state.params, config)
+    adam_step(state, constant_gradients(state, 0.5), lr=0.01)
+    assert_block_backs_every_tensor(state.params, config)
+    save_checkpoint(state, tmp_path / "model.ckpt")
+    loaded = load_checkpoint(tmp_path / "model.ckpt")
+    assert_block_backs_every_tensor(loaded.params, config)
+    assert loaded.params.block.flags.writeable
+    fit(state, make_dataset(2), make_dataset(1, seed=9),
+        TrainConfig(epochs=2, batch_size=1, contrast_weight=0.0))
+    assert state.best_params is not state.params
+    assert_block_backs_every_tensor(state.best_params, config)
+    assert not np.shares_memory(state.best_params.block, state.params.block)
 
 
 class TestTrainConfig:
@@ -272,12 +332,10 @@ class TestTrainEpoch:
             stats = train_epoch(state, data, cfg, np.random.default_rng(8))
             assert stats["optimizer_steps"] == len(received) == len(batches)
             for g, batch in zip(received, batches):
-                assert g.keys() == {
-                    name for name, _ in state.params.named_parameters()}
-                for name, mean in g.items():
-                    summed = functools.reduce(
-                        np.add, [per_sequence[i][name] for i in batch])
-                    np.testing.assert_array_equal(mean, summed / len(batch))
+                summed = functools.reduce(
+                    np.add, [per_sequence[i] for i in batch])
+                assert g.tobytes() == (summed / len(batch)).tobytes()
+                for name, mean in by_name(state.params, g).items():
                     if ".proj_" in name:
                         assert np.any(mean != 0.0) == (contrast_weight > 0)
 
@@ -309,9 +367,7 @@ class TestTrainEpoch:
             sys.setswitchinterval(switch)
         for concurrent in rounds:
             for expected, got in zip(serial, concurrent):
-                assert expected.keys() == got.keys()
-                for name in expected:
-                    assert got[name].tobytes() == expected[name].tobytes()
+                assert got.tobytes() == expected.tobytes()
 
     def test_result_does_not_depend_on_worker_count(self, monkeypatch):
         monkeypatch.setattr(tr, "TRAIN_CHUNK_LENGTH", 20)  # 5 each
@@ -495,8 +551,9 @@ def test_chunked_step_equals_whole_sequence(stages, kernel, contrast, chunk,
     want, want_terms = whole_sequence_gradients(state, seq, train_cfg,
                                                 np.random.default_rng(0))
     with ThreadPoolExecutor(2) as pool:
-        got, got_terms = tr._sequence_gradients(
+        gradient, got_terms = tr._sequence_gradients(
             state, seq, train_cfg, np.random.default_rng(0), chunk, pool.map)
+    got = by_name(state.params, gradient)
     assert got.keys() == want.keys()
     for name in want:
         scale = np.max(np.abs(want[name]))
@@ -509,7 +566,7 @@ def test_chunked_step_equals_whole_sequence(stages, kernel, contrast, chunk,
 def recorded_cascade_gradients(state, seq, cfg, rng, chunk_length, run=map):
     """Oracle: the step with every stage of a chunk recorded in one graph,
     kept through the loss phase and differentiated by one backward per
-    chunk."""
+    chunk; its gradients summed per tensor, then laid out flat."""
     params, config = state.params, state.model_config
     chunks = tr.halo_chunks(len(seq.features), chunk_length,
                             md.receptive_radius(config))
@@ -528,12 +585,12 @@ def recorded_cascade_gradients(state, seq, cfg, rng, chunk_length, run=map):
                                            config.num_stages)
     parts = list(run(lambda seeds: ad.backward(seeds, params.tensors()),
                      cotangents))
-    grads = {}
-    for name, t in params.named_parameters():
+    grads = []
+    for t in params.tensors():
         reached = [part[t] for part in parts if t in part]
-        grads[name] = (functools.reduce(np.add, reached) if reached
-                       else np.zeros_like(t.values))
-    return grads, breakdown
+        grads.append(functools.reduce(np.add, reached) if reached
+                     else np.zeros_like(t.values))
+    return np.concatenate([g.ravel() for g in grads]), breakdown
 
 
 @pytest.mark.parametrize("workers", [1, 3])
@@ -557,10 +614,30 @@ def test_stagewise_recompute_equals_the_recorded_cascade_bitwise(
             step_rng = np.random.default_rng(11)
             grads, terms = step(state, seq, train_cfg, step_rng,
                                 chunk_length, run)
-            results.append(({name: (g.dtype, g.tobytes())
-                              for name, g in grads.items()},
-                             terms, step_rng.bit_generator.state))
+            results.append((grads.dtype, grads.tobytes(), terms,
+                            step_rng.bit_generator.state))
     assert results[1] == results[0]
+
+@pytest.mark.parametrize("chunk_length", [90, 25])     # 1 chunk, 4 chunks
+def test_a_slice_sums_the_parts_that_reached_it_and_keeps_their_zeros(
+        monkeypatch, chunk_length):
+    # every backward turns its gradients into -0.0s: a tensor's slice must
+    # be its chunks' parts summed (-0.0 + -0.0 is -0.0), not added to a
+    # zero (0.0 + -0.0 is 0.0); projections, unread without contrast, get
+    # 0.0
+    backward = ad.backward
+    monkeypatch.setattr(ad, "backward", lambda cotangents, wrt: {
+        t: np.full(g.shape, -0.0)
+        for t, g in backward(cotangents, wrt).items()})
+    state = init_train_state(small_config(num_stages=2), seed=1)
+    seq = make_dataset(1, length=90)[0]
+    gradient, _ = tr._sequence_gradients(
+        state, seq, TrainConfig(contrast_weight=0.0), np.random.default_rng(0),
+        chunk_length)
+    for name, part in by_name(state.params, gradient).items():
+        assert np.all(np.signbit(part)) == (".proj_" not in name), name
+        assert not np.any(part)
+
 
 class TestEvaluate:
     def test_does_not_mutate_parameters(self):
@@ -728,6 +805,7 @@ class TestFit:
         # classifier and 5 projection nodes, and the recomputed first
         # stage also the softmax that feeds stage 2: no seeding ops.
         # Stage 2's input is stage 1's graph-free softmax output, a leaf
+        # by name too
         graphs = capture_graphs(monkeypatch)
         seq = synthesize_sequence(default_synth_config())
         state = init_train_state(ModelConfig(input_dim=6, num_classes=5), 0)
@@ -737,11 +815,10 @@ class TestFit:
         stage_graphs = graphs[1:]   # the first is the loss graph's
         assert [len(g.nodes) for g in stage_graphs] == [42, 43, 42, 43]
         for graph, recomputed in zip(stage_graphs, [False, True] * 2):
-            assert Counter(n._op for n in graph.nodes) == {
-                "leaf": 32 + recomputed, "conv1d_dilated": 2,
-                "residual_block": 6, "projection_head": 1, "softmax_rows": 1}
-            [softmax] = [n for n in graph.nodes if n._op == "softmax_rows"]
-            assert bool(softmax._parents) == recomputed
+            assert Counter(n._op for n in graph.nodes) == Counter({
+                "leaf": 33, "conv1d_dilated": 2, "residual_block": 6,
+                "projection_head": 1, "softmax_rows": recomputed})
+            assert all(n._parents for n in graph.nodes if n._op != "leaf")
 
     def test_a_step_holds_one_stage_graph_per_worker(self, monkeypatch):
         # default config, T=2000, two chunks on two workers: one stage's
@@ -820,9 +897,11 @@ class TestFit:
         nonzero = []
         original = tr.adam_step
 
-        def spy(state, gradients, *args, **kwargs):
-            nonzero.append({n for n, g in gradients.items() if np.any(g)})
-            return original(state, gradients, *args, **kwargs)
+        def spy(state, gradient, *args, **kwargs):
+            nonzero.append({n for n, g in by_name(state.params,
+                                                  gradient).items()
+                            if np.any(g)})
+            return original(state, gradient, *args, **kwargs)
 
         monkeypatch.setattr(tr, "adam_step", spy)
         state = init_train_state(small_config(), seed=6)
@@ -870,7 +949,8 @@ class TestCheckpoint:
         for name, tensor in state.params.named_parameters():
             restored = dict(loaded.params.named_parameters())[name]
             np.testing.assert_array_equal(restored.values, tensor.values)
-            assert not loaded.m[name].any() and not loaded.v[name].any()
+        assert loaded.m.shape == loaded.v.shape == loaded.params.block.shape
+        assert not loaded.m.any() and not loaded.v.any()
         np.testing.assert_array_equal(loaded.norm_stats.mean,
                                       state.norm_stats.mean)
         np.testing.assert_array_equal(loaded.norm_stats.std,
@@ -893,8 +973,8 @@ class TestCheckpoint:
         for (name, a), (_, b) in zip(saved, restored):
             assert b.values.dtype == np.float64
             assert b.values.tobytes() == a.values.tobytes(), name
-            assert loaded.m[name].shape == a.shape
-            assert not loaded.m[name].any() and not loaded.v[name].any()
+        assert loaded.m.shape == loaded.v.shape == loaded.params.block.shape
+        assert not loaded.m.any() and not loaded.v.any()
 
     def test_save_after_load_is_byte_identical(self, tmp_path):
         state = self.trained_state(tmp_path)
@@ -971,12 +1051,25 @@ class TestCheckpoint:
             t.values.astype("<f8").tobytes()
             for _, t in state.params.named_parameters())
 
-    def test_non_finite_parameter_rejected(self, tmp_path):
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_non_finite_parameter_rejected(self, tmp_path, where):
+        state = self.trained_state(tmp_path, epochs=0)
+        names = [name for name, _ in state.params.named_parameters()]
+        index = {"first": 0, "middle": len(names) // 2,
+                 "last": len(names) - 1}[where]
+        # an inf as the block's last scalar, then a nan as the tensor's last
+        end = sum(t.values.size for t in state.params.tensors()[:index + 1])
         path = tmp_path / "model.ckpt"
-        save_checkpoint(self.trained_state(tmp_path), path)
-        blob = path.read_bytes()
-        path.write_bytes(blob[:-8] + struct.pack("<d", float("nan")))
-        with pytest.raises(ValueError, match="not finite"):
+        save_checkpoint(state, path)
+        blob = bytearray(path.read_bytes())
+        start = len(blob) - 8 * state.params.block.size
+        for at, value in ((state.params.block.size, float("inf")),
+                          (end, float("nan"))):
+            blob[start + 8 * (at - 1):start + 8 * at] = struct.pack("<d",
+                                                                    value)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match=f"checkpoint tensor "
+                           f"{re.escape(names[index])} is not finite$"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("keys, value", [
