@@ -19,7 +19,7 @@ caller-owned generator, on the calling thread.
 
 Inference (`final_stage_outputs`, behind `evaluate`) labels a recording
 in the same kind of chunks, longer ones and without a graph, with the
-same result as one whole-recording forward, one stage of one chunk per
+same result as one whole-recording forward, one chunk's cascade per
 task, with all the recordings of a call on one runner.
 
 While a `chunk_runner` is open, numpy's OpenBLAS runs one thread, and
@@ -51,7 +51,7 @@ import os
 import struct
 import sys
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -440,49 +440,36 @@ def final_stage_outputs(params: ModelParams, model_config: ModelConfig,
     is set, else None; no other stage is projected.
 
     A recording runs in exact `halo_chunks` of at most CHUNK_LENGTH
-    samples.  A task is one (recording, chunk, stage): `md.stage_forward`
-    under `no_grad` on the chunk's previous-stage probabilities, handing
-    on only those, so a worker holds one stage's activations.  All the
-    recordings' tasks go to one `chunk_runner()` map in stage-major order,
-    started first in, first out, so the task a stage-s task waits for has
-    started and waits for none later.  One chunk in all runs on the
-    caller.  The result does not depend on the worker count.
+    samples.  A task is one (recording, chunk): its whole cascade under
+    `no_grad`, each stage handing on only its probabilities, so a worker
+    holds one stage's activations.  All the recordings' chunks go to one
+    `chunk_runner()` map, in order; one chunk in all runs on the caller.
+    The result does not depend on the worker count.
     """
     radius = md.receptive_radius(model_config)
-    last = model_config.num_stages - 1
-    recordings, chains = [], []     # chains: each chunk's stage inputs
+    recordings, inputs = [], []
     for seq in sequences:           # all checked before any task runs
         features = md.checked_features(seq.features, params, model_config)
         recordings.append(halo_chunks(len(features), CHUNK_LENGTH, radius))
-        for _, read, _ in recordings[-1]:
-            chains.append([Future() for _ in params.stages])
-            chains[-1][0].set_result(ad.Tensor(features[read]))
+        inputs += [ad.Tensor(features[read]) for _, read, _ in recordings[-1]]
 
-    def run_stage(links, s):
-        x, links[s] = links[s].result(), None   # released once read
+    def cascade(x):
         # entered here, on the worker: a thread starts with recording on
         with ad.no_grad():
-            out = md.stage_forward(x, params.stages[s])
-            if s == last:
-                return out.probs.values, (md.project(out.features,
-                                                     params.stages[s]).values
-                                          if embed else None)
-            links[s + 1].set_result(out.probs)
+            for stage in params.stages[:-1]:
+                x = md.stage_forward(x, stage).probs
+            out = md.stage_forward(x, params.stages[-1])
+            return out.probs.values, (md.project(out.features,
+                                                 params.stages[-1]).values
+                                      if embed else None)
 
     outputs = []
     with chunk_runner() as run:
-        try:
-            done = (run if len(chains) > 1 else map)(
-                run_stage, chains * (last + 1),
-                [s for s in range(last + 1) for _ in chains])
-            finals = filter(None, done)     # earlier stages return None
-            for chunks in recordings:
-                probs, embeds = zip(*itertools.islice(finals, len(chunks)))
-                outputs.append((_kept(probs, chunks),
-                                _kept(embeds, chunks) if embed else None))
-        finally:    # wake any task left waiting on a failed or cancelled one
-            for link in filter(None, itertools.chain(*chains)):
-                link.cancel()
+        finals = run(cascade, inputs)
+        for chunks in recordings:
+            probs, embeds = zip(*itertools.islice(finals, len(chunks)))
+            outputs.append((_kept(probs, chunks),
+                            _kept(embeds, chunks) if embed else None))
     return outputs
 
 

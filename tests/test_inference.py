@@ -1,10 +1,12 @@
 """Chunked inference: a recording labelled in halo chunks on several
 threads equals one whole-sequence forward."""
 
+import contextlib
 import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -142,6 +144,63 @@ def test_every_worker_forward_is_graph_free(monkeypatch):
     assert ad.relu(ad.Tensor([[1.0]]))._vjp is not None
 
 
+def test_a_task_is_one_chunk_whose_stages_run_in_order_on_one_thread(
+        monkeypatch):
+    mapped, calls = [], []
+    runner, forward = tr.chunk_runner, md.stage_forward
+
+    @contextlib.contextmanager
+    def counting_runner():
+        with runner() as run:
+            yield lambda fn, *items: mapped.append(len(items[0])) or run(
+                fn, *items)
+
+    def spy(x, stage):
+        out = forward(x, stage)
+        calls.append((threading.current_thread(), x, stage, out.probs))
+        return out
+
+    monkeypatch.setattr(tr, "chunk_runner", counting_runner)
+    monkeypatch.setattr(md, "stage_forward", spy)
+    monkeypatch.setattr(tr, "CHUNK_LENGTH", 50)
+    monkeypatch.setattr(tr, "chunk_workers", lambda: 2)
+    cfg = md.ModelConfig(input_dim=3, num_classes=4, num_stages=2,
+                         layers_per_stage=3, hidden_channels=6)
+    params = md.init_params(cfg, seed=1)
+    chunked(params, cfg, recording(230, cfg.input_dim))
+    assert mapped == [5]            # one task per chunk, not per stage
+    assert len(calls) == 5 * 2
+    for thread in {thread for thread, *_ in calls}:
+        mine = [call for call in calls if call[0] is thread]
+        # each chunk's stages back to back, each on the previous output
+        assert [stage for _, _, stage, _ in mine] == (
+            params.stages * (len(mine) // 2))
+        for (_, _, _, probs), (_, x, _, _) in zip(mine[::2], mine[1::2]):
+            assert x is probs
+
+
+@pytest.mark.parametrize("embed, bound", [(False, 7.7), (True, 9.4)])
+def test_a_worker_holds_one_stage_of_a_chunk(monkeypatch, embed, bound):
+    # default model, one 10k-sample recording: 5 chunks of 2252 samples
+    # with their halos, on 2 workers.  The peak, in arrays of 2252 x 32
+    # float64s (a chunk's hidden features), is about 6.9 without
+    # embeddings and 8.6 with them; keeping every stage's outputs of a
+    # chunk until its cascade ends (an `md.mstcn_forward` per chunk)
+    # peaks at about 9.1 and 10.1
+    monkeypatch.setattr(tr, "chunk_workers", lambda: 2)
+    cfg = md.ModelConfig(input_dim=6, num_classes=5)
+    params = md.init_params(cfg, seed=0)
+    seq = recording(10_000, cfg.input_dim)
+    tr.final_stage_outputs(params, cfg, [seq], embed)     # warm
+    tracemalloc.start()
+    try:
+        tr.final_stage_outputs(params, cfg, [seq], embed)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound * 2252 * 32 * 8
+
+
 def test_output_does_not_depend_on_worker_count(monkeypatch):
     cfg = md.ModelConfig(input_dim=3, num_classes=4, num_stages=2,
                          layers_per_stage=4, hidden_channels=8)
@@ -195,7 +254,8 @@ def test_one_call_over_recordings_equals_one_call_each(monkeypatch, workers):
 
 
 # Chunked inference on a patched chunk length and worker count, in a
-# fresh process: a deadlocked pool cannot be stopped from its own process,
+# fresh process, so that a task made to wait on another task's result
+# fails by timeout: a hung pool cannot be stopped from its own process,
 # whose exit would wait for it.
 ISOLATED_SCRIPT = """
 import sys
@@ -215,8 +275,8 @@ rng = np.random.default_rng(1)
 seqs = [SensorSequence(features=rng.normal(size=(int(n), 2)),
                        labels=np.zeros(int(n), dtype=np.int64))
         for n in lengths]
-if case == "late":  # only chunk 0's stage-0 task fails, after a pause in
-    forward = md.stage_forward   # which its stage-1 task starts and waits
+if case == "late":  # only chunk 0's stage 0 fails, after a pause in
+    forward = md.stage_forward   # which the other chunks' tasks run
 
     def late(x, stage):
         if stage is params.stages[0] and x.values[0, 0] == first:
@@ -271,15 +331,16 @@ def run_isolated(*args, seconds=30):
                          ids=["one-recording", "two-recordings"])
 @pytest.mark.parametrize("workers", [2, 4])
 def test_more_stages_than_chunks_finishes_and_is_exact(workers, lengths):
-    # 3 stages over 2 chunks in all
+    # 3 stages over 2 chunks in all: each chunk's cascade is one task,
+    # so the call finishes whatever the worker count, and is exact
     run_isolated("exact", workers, 3, 60, *lengths)
 
 
 @pytest.mark.parametrize("case", ["fail0", "fail1", "late"])
 @pytest.mark.parametrize("workers", [1, 2])
 def test_a_failing_task_raises_its_error_and_releases_blas(case, workers):
-    # 5 chunks; every stage-0 or stage-1 task raises a channel-count
-    # ValueError, or only chunk 0's stage-0 task, late
+    # 5 chunks; every chunk's stage 0 or stage 1 raises a channel-count
+    # ValueError, or only chunk 0's stage 0, late
     run_isolated(case, workers, 2, 50, 230)
 
 
