@@ -18,9 +18,10 @@ only to name a non-finite tensor.  All randomness flows through one
 caller-owned generator, on the calling thread.
 
 Inference (`final_stage_outputs`, behind `evaluate`) labels a recording
-in the same kind of chunks, longer ones and without a graph, with the
-same result as one whole-recording forward, one chunk's cascade per
-task, with all the recordings of a call on one runner.
+in the same kind of chunks, longer ones, in an even count where there is
+more than one, and without a graph, with the same result as one
+whole-recording forward, one chunk's cascade per task, with all the
+recordings of a call on one runner.
 
 While a `chunk_runner` is open, numpy's OpenBLAS runs one thread, and
 so does every other BLAS call in the process; the previous count comes
@@ -404,19 +405,23 @@ def chunk_runner():
                                    and len(chunks[0]) > 1 else map)(fn, *chunks)
 
 
-def halo_chunks(length: int, chunk_length: int,
-                radius: int) -> list[tuple[slice, slice, slice]]:
+def halo_chunks(length: int, chunk_length: int, radius: int,
+                paired: bool = False) -> list[tuple[slice, slice, slice]]:
     """(rows, read, keep) per chunk, in order.
 
     `rows` are the recording rows the chunk labels: near-equal spans, none
     longer than chunk_length, that cover range(length) (one empty chunk
-    for length 0).  `read` are those it reads
+    for length 0), as few as fit; with `paired`, a recording longer than
+    chunk_length gets the fewest of an even count, so that two workers
+    finish together.  `read` are those it reads
     (`radius` more on each side, where the recording has them), and
     `keep` the rows of its output that belong to `rows`.  With the
     model's receptive radius, every kept output sees exactly the inputs
     it sees in a whole-sequence forward.
     """
     count = max(1, -(-length // chunk_length))
+    if paired and count > 1:
+        count += count % 2
     bounds = [length * i // count for i in range(count + 1)]
     chunks = []
     for start, end in zip(bounds[:-1], bounds[1:]):
@@ -440,7 +445,9 @@ def final_stage_outputs(params: ModelParams, model_config: ModelConfig,
     is set, else None; no other stage is projected.
 
     A recording runs in exact `halo_chunks` of at most CHUNK_LENGTH
-    samples.  A task is one (recording, chunk): its whole cascade under
+    samples, paired: one chunk up to CHUNK_LENGTH, else the least even
+    count, so that on two workers no lone last chunk runs while the other
+    idles.  A task is one (recording, chunk): its whole cascade under
     `no_grad`, each stage handing on only its probabilities, so a worker
     holds one stage's activations.  All the recordings' chunks go to one
     `chunk_runner()` map, in order; one chunk in all runs on the caller.
@@ -450,7 +457,8 @@ def final_stage_outputs(params: ModelParams, model_config: ModelConfig,
     recordings, inputs = [], []
     for seq in sequences:           # all checked before any task runs
         features = md.checked_features(seq.features, params, model_config)
-        recordings.append(halo_chunks(len(features), CHUNK_LENGTH, radius))
+        recordings.append(halo_chunks(len(features), CHUNK_LENGTH, radius,
+                                      paired=True))
         inputs += [ad.Tensor(features[read]) for _, read, _ in recordings[-1]]
 
     def cascade(x):

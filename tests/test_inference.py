@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tempseg import autodiff as ad
 from tempseg import model as md
@@ -37,10 +37,15 @@ def chunked(params, cfg, seq, embed=True):
     return result
 
 
-def spans(length, chunk):
+def spans(length, chunk, paired=False):
     """[start, end) of each chunk's labelled rows, in order."""
     return [(rows.start, rows.stop)
-            for rows, _, _ in tr.halo_chunks(length, chunk, 0)]
+            for rows, _, _ in tr.halo_chunks(length, chunk, 0, paired)]
+
+
+def inference_chunks(length):
+    """How many chunks `final_stage_outputs` cuts `length` samples into."""
+    return len(spans(length, tr.CHUNK_LENGTH, paired=True))
 
 
 def test_default_radius():
@@ -69,6 +74,26 @@ def test_chunk_spans_cover_in_near_equal_pieces(length, chunk):
     assert all(a[1] == b[0] for a, b in zip(pieces, pieces[1:]))
     assert len(pieces) == -(-length // chunk)
     assert max(sizes) <= chunk and max(sizes) - min(sizes) <= 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(length=st.integers(0, 2 * 10 ** 7))
+@example(length=0)
+@example(length=tr.CHUNK_LENGTH)
+@example(length=tr.CHUNK_LENGTH + 1)
+@example(length=8_388_609)  # a chunk length of ceil(T / 4098) gives 4097
+@example(length=10 ** 7)    # and here 4883 chunks, not 4884
+def test_inference_plan_is_the_least_even_count_that_fits(length):
+    chunk = tr.CHUNK_LENGTH
+    pieces = spans(length, chunk, paired=True)
+    count, sizes = len(pieces), [end - start for start, end in pieces]
+    assert (count == 1) == (length <= chunk)
+    if count > 1:
+        assert count % 2 == 0
+        assert (count - 2) * chunk < length     # two fewer would not fit
+    assert max(sizes) <= chunk and max(sizes) - min(sizes) <= 1
+    assert pieces[0][0] == 0 and pieces[-1][1] == length
+    assert all(a[1] == b[0] for a, b in zip(pieces, pieces[1:]))
 
 
 @settings(max_examples=40, deadline=None)
@@ -135,7 +160,7 @@ def test_every_worker_forward_is_graph_free(monkeypatch):
                          layers_per_stage=3, hidden_channels=6)
     params = md.init_params(cfg, seed=1)
     chunked(params, cfg, recording(230, cfg.input_dim))
-    assert len(calls) == 5 * 2      # chunks x stages
+    assert len(calls) == inference_chunks(230) * 2      # chunks x stages
     for thread, out in calls:
         assert thread is not threading.main_thread()
         for tensor in (out.features, out.logits, out.probs):
@@ -168,8 +193,9 @@ def test_a_task_is_one_chunk_whose_stages_run_in_order_on_one_thread(
                          layers_per_stage=3, hidden_channels=6)
     params = md.init_params(cfg, seed=1)
     chunked(params, cfg, recording(230, cfg.input_dim))
-    assert mapped == [5]            # one task per chunk, not per stage
-    assert len(calls) == 5 * 2
+    chunks = inference_chunks(230)
+    assert mapped == [chunks]       # one task per chunk, not per stage
+    assert len(calls) == chunks * 2
     for thread in {thread for thread, *_ in calls}:
         mine = [call for call in calls if call[0] is thread]
         # each chunk's stages back to back, each on the previous output
@@ -179,14 +205,15 @@ def test_a_task_is_one_chunk_whose_stages_run_in_order_on_one_thread(
             assert x is probs
 
 
-@pytest.mark.parametrize("embed, bound", [(False, 7.7), (True, 9.4)])
+@pytest.mark.parametrize("embed, bound", [(False, 6.4), (True, 9.4)])
 def test_a_worker_holds_one_stage_of_a_chunk(monkeypatch, embed, bound):
-    # default model, one 10k-sample recording: 5 chunks of 2252 samples
-    # with their halos, on 2 workers.  The peak, in arrays of 2252 x 32
-    # float64s (a chunk's hidden features), is about 6.9 without
-    # embeddings and 8.6 with them; keeping every stage's outputs of a
-    # chunk until its cascade ends (an `md.mstcn_forward` per chunk)
-    # peaks at about 9.1 and 10.1
+    # default model, one 10k-sample recording: 6 chunks of at most 1919
+    # samples with their halos, 3 on each of 2 workers.  The peak, in
+    # arrays of 2252 x 32 float64s (the hidden features of a chunk of the
+    # odd 5-chunk plan), is about 5.9-6.0 without embeddings and 7.6-8.3
+    # with them; the 5-chunk plan peaks at about 6.6-6.9 and 8.1-8.5, and
+    # keeping every stage's outputs of a chunk until its cascade ends (an
+    # `md.mstcn_forward` per chunk) at about 7.3-7.9 and 8.6-9.6
     monkeypatch.setattr(tr, "chunk_workers", lambda: 2)
     cfg = md.ModelConfig(input_dim=6, num_classes=5)
     params = md.init_params(cfg, seed=0)
@@ -231,7 +258,8 @@ def test_only_the_final_stage_is_projected_and_only_on_request(
     assert probs.shape == (300, 4)
     if embed:
         assert embeds.shape == (300, cfg.projection_dim)
-        assert len(calls) == 3      # one per chunk, final stage only
+        # one per chunk, final stage only
+        assert len(calls) == inference_chunks(300)
     else:
         assert embeds is None and calls == []
 
@@ -244,7 +272,7 @@ def test_one_call_over_recordings_equals_one_call_each(monkeypatch, workers):
                          layers_per_stage=3, hidden_channels=6)
     params = md.init_params(cfg, seed=6)
     seqs = [recording(length, cfg.input_dim, seed=length)
-            for length in (90, 200, 450, 60)]     # 1, 2, 5 and 1 chunks
+            for length in (90, 200, 450, 60)]     # 1, 2, 6 and 1 chunks
     together = tr.final_stage_outputs(params, cfg, seqs, embed=True)
     assert len(together) == len(seqs)
     for seq, (probs, embeds) in zip(seqs, together):
@@ -339,7 +367,7 @@ def test_more_stages_than_chunks_finishes_and_is_exact(workers, lengths):
 @pytest.mark.parametrize("case", ["fail0", "fail1", "late"])
 @pytest.mark.parametrize("workers", [1, 2])
 def test_a_failing_task_raises_its_error_and_releases_blas(case, workers):
-    # 5 chunks; every chunk's stage 0 or stage 1 raises a channel-count
+    # 6 chunks; every chunk's stage 0 or stage 1 raises a channel-count
     # ValueError, or only chunk 0's stage 0, late
     run_isolated(case, workers, 2, 50, 230)
 
