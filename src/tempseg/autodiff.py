@@ -23,13 +23,17 @@ leaf, named so, and a forward pass keeps no intermediate array alive.
 The switch is a context variable, so it holds for the current thread
 (or asyncio task) only; another thread keeps recording.
 
-No op and no backward pass writes a tensor: ``backward`` returns the
-gradients of the tensors it is asked for in a dict of its own.  So
-threads may build and differentiate separate graphs over the same
-parameters at once, as long as nothing writes the parameter values
-meanwhile (an optimizer step, or the perturbations of ``grad_check``).
-Every other gradient is dropped once it has been passed on, so a
-backward pass holds little more than the graph itself.
+No op and no backward pass writes a tensor's values: ``backward``
+returns the gradients of the tensors it is asked for in a dict of its
+own.  It consumes the graph it walks, freeing each node's saved arrays
+once its vjp has run, so a graph is differentiated once; leaves are
+never touched.  So threads may build and differentiate separate graphs
+over the same parameters at once, as long as nothing writes the
+parameter values meanwhile (an optimizer step, or the perturbations of
+``grad_check``), and outputs whose graphs share a node that is not a
+leaf go to one ``backward`` call.  Every other gradient is dropped once
+it has been passed on, so a backward pass holds little more than the
+part of the graph it has yet to walk.
 """
 
 from __future__ import annotations
@@ -172,6 +176,9 @@ def backward(cotangents: dict, wrt: Sequence[Tensor]) -> dict:
     and no cotangent is ever written to.  Every node of the walked graph
     is an ancestor of a seeded output, and every vjp returns one array per
     parent, so each node has its gradient by the time the walk reaches it.
+    Once a node's vjp has run, the node drops it and its parents, so what
+    they kept is freed as the walk goes on: read a graph before its
+    backward, since a walk that reaches a consumed node raises ValueError.
     """
     pending = {out: np.asarray(c, dtype=np.float64)
                for out, c in cotangents.items()}
@@ -181,13 +188,19 @@ def backward(cotangents: dict, wrt: Sequence[Tensor]) -> dict:
                              f"of shape {out.shape}")
     wanted = set(wrt)
     grads = {}
-    for node in reversed(CompGraph.from_output(*cotangents).nodes):
+    order = CompGraph.from_output(*cotangents).nodes
+    while order:
+        node = order.pop()
         g = pending.pop(node)
         if node in wanted:
             grads[node] = g
-        if node._vjp is None:
-            continue
-        for parent, pg in zip(node._parents, node._vjp(g)):
+        vjp, parents = node._vjp, node._parents
+        if vjp is None:
+            if node._op == "leaf":
+                continue
+            raise ValueError(f"a {node._op} node was differentiated already")
+        node._vjp, node._parents = None, ()
+        for parent, pg in zip(parents, vjp(g)):
             prev = pending.get(parent)
             pending[parent] = pg if prev is None else prev + pg
     return grads

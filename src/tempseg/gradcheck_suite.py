@@ -181,7 +181,7 @@ def check_projection_head(rng) -> float:
     while True:
         tensors = [ad.Tensor(rng.normal(size=shape)) for shape in
                    ((6, 3), (4, 3, 1), (4,), (2, 4, 1), (2,))]
-        hidden, raw = _head_preactivations(ad.projection_head(*tensors))
+        hidden, raw = _head_preactivations(*tensors)
         if (np.abs(hidden).min() > 0.05
                 and np.linalg.norm(raw, axis=1).min() > 2.0):
             break
@@ -198,10 +198,9 @@ def check_softmax_cross_entropy(rng) -> float:
         lambda p: ad.softmax_cross_entropy(p[0], labels), [logits], eps=EPS)
 
 
-def _head_preactivations(node: ad.Tensor) -> tuple[np.ndarray, np.ndarray]:
-    """A projection_head node's hidden relu pre-activation and its
-    pre-normalization rows, recomputed from the node's parents."""
-    h, w1, b1, w2, b2 = node._parents
+def _head_preactivations(h, w1, b1, w2, b2) -> tuple[np.ndarray, np.ndarray]:
+    """A projection head's hidden relu pre-activation and its
+    pre-normalization rows, recomputed from the head's inputs."""
     with ad.no_grad():
         hidden = ad.conv1d_dilated(h, w1, b1, 1).values
         raw = ad.conv1d_dilated(np.maximum(hidden, 0.0), w2, b2, 1).values
@@ -212,7 +211,8 @@ def _graph_kink_margins(loss: ad.Tensor,
                         params: md.ModelParams) -> tuple[float, float]:
     """Distance of the built graph from its nearest kinks.
 
-    Walks the loss graph after a backward pass.  For every relu, entries
+    Reads each kink's op and parents, then differentiates the loss graph,
+    which the backward pass consumes.  For every relu, entries
     whose output gradient is nonzero must sit away from zero input; for
     every l2 normalization, rows that carry gradient must have a healthy
     pre-normalization norm.  Entries with zero output-gradient cannot move
@@ -226,28 +226,28 @@ def _graph_kink_margins(loss: ad.Tensor,
     """
     dilations = {id(blk.dilated_w): 2 ** i for stage in params.stages
                  for i, blk in enumerate(stage.blocks)}
-    kinks = [node for node in ad.CompGraph.from_output(loss).nodes
+    kinks = [(node, node._op, node._parents)
+             for node in ad.CompGraph.from_output(loss).nodes
              if node._op in ("relu", "residual_block", "projection_head",
                              "l2_normalize")]
-    grads = ad.backward({loss: 1.0}, kinks)
+    grads = ad.backward({loss: 1.0}, [node for node, _, _ in kinks])
     relus, norms = [], []   # (input, gradient of the output) per kink
-    for node in kinks:
+    for node, op, parents in kinks:
         g = grads[node]
-        if node._op == "l2_normalize":
-            norms.append((node._parents[0].values, g))
-        elif node._op == "relu":
-            relus.append((node._parents[0].values, g))
-        elif node._op == "residual_block":
-            h, wd, bd, wm, _ = node._parents
+        if op == "l2_normalize":
+            norms.append((parents[0].values, g))
+        elif op == "relu":
+            relus.append((parents[0].values, g))
+        elif op == "residual_block":
+            h, wd, bd, wm, _ = parents
             with ad.no_grad():
                 pre = ad.conv1d_dilated(h, wd, bd, dilations[id(wd)]).values
             relus.append((pre, g @ wm.values[:, :, 0]))
         else:
-            hidden, raw = _head_preactivations(node)
+            hidden, raw = _head_preactivations(*parents)
             norms.append((raw, g))
             graw = ad.l2_normalize(raw)._vjp(g)[0]
-            w2 = node._parents[3].values
-            relus.append((hidden, graw @ w2[:, :, 0]))
+            relus.append((hidden, graw @ parents[3].values[:, :, 0]))
     relu_margin = norm_margin = np.inf
     for pre, g in relus:
         relevant = np.abs(g) > 1e-12

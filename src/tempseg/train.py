@@ -185,10 +185,11 @@ def _sequence_gradients(state: TrainState, seq: SensorSequence,
     Memory: a worker holds one stage's graph of one chunk at a time, and
     the recompute costs one more forward of every stage but the last.
     The last stage's graphs of all the chunks are alive from the forward
-    until each chunk's backward starts, so a step still holds one stage's
-    graph over the whole recording, plus the halos.  While the chunks
-    backpropagate, none of the loss phase's leaves, their gradients, the
-    loss graph or the example pools is alive.
+    until each chunk's backward walks them, freeing each node as it
+    passes (the loss graph's backward does so too), so a step still
+    holds one stage's graph over the whole recording, plus the halos.
+    While the chunks backpropagate, none of the loss phase's leaves,
+    their gradients, the loss graph or the example pools is alive.
     """
     params, config = state.params, state.model_config
     features = md.checked_features(seq.features, params, config)

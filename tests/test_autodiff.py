@@ -490,17 +490,49 @@ class TestBackward:
 
     def test_returns_exactly_the_reached_tensors_of_wrt(self, rng):
         x = ad.Tensor(rng.normal(size=(4, 3)))
-        hidden = ad.relu(x)
-        scaled = ad.scale(hidden, 3.0)
-        loss = ad.tsum(scaled)
+
+        def build():
+            hidden = ad.relu(x)
+            return hidden, ad.tsum(ad.scale(hidden, 3.0))
+
+        hidden, loss = build()
         unreached = ad.relu(ad.Tensor(rng.normal(size=2)))
         grads = ad.backward({loss: 1.0}, [loss, hidden, x, unreached])
         assert set(map(id, grads)) == {id(loss), id(hidden), id(x)}
         assert grads[loss] == 1.0
         np.testing.assert_array_equal(grads[hidden], np.full((4, 3), 3.0))
         np.testing.assert_array_equal(grads[x], 3.0 * (x.values > 0))
-        # every node of the graph is reached, and none is asked for here
-        assert ad.backward({loss: 1.0}, []) == {}
+        # every node of the graph, built again since a backward consumes
+        # it, is reached, and none is asked for here
+        assert ad.backward({build()[1]: 1.0}, []) == {}
+
+    def test_the_walk_frees_each_node_it_has_differentiated(self):
+        # a deep chain held only through its output: 40 relus over 100
+        # rows that ``row`` gathers from a leaf of 40 x 100 rows.  The
+        # gather's vjp, the walk's last, makes a gradient as tall as the
+        # leaf; by then every relu is differentiated and freed, so the
+        # walk adds a few blocks of 100 rows to what it started with,
+        # not the graph's 40
+        depth, rows = 40, np.arange(100)
+        tall = ad.Tensor(np.ones((depth * len(rows), 500)))
+        block = tall.values.nbytes // depth
+        tracemalloc.start()
+        try:
+            h = ad.row(tall, rows)
+            for _ in range(depth):
+                h = ad.relu(h)
+            loss = ad.tsum(h)
+            del h
+            graph, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            grads = ad.backward({loss: 1.0}, [tall])
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(grads[tall][rows], 1.0)
+        assert graph > depth * block
+        assert peak - graph < 4 * block
+        assert held - grads[tall].nbytes < block    # the graph is gone
 
     def test_no_interior_gradient_outlives_its_use(self):
         # a deep chain of one array per node: the walk may hold a few
@@ -530,41 +562,73 @@ class TestBackward:
         np.testing.assert_array_equal(grads[y], np.ones((2, 2)))
         np.testing.assert_array_equal(grads[x], np.full((2, 2), 2.0))
 
-    def test_repeated_backward_leaves_the_graph_unchanged(self, rng):
+    def test_a_graph_is_differentiated_once(self, rng):
+        # the walk consumes the graph but writes no tensor: its gradients
+        # are fresh arrays, bitwise those of an identical graph built
+        # again, and a second walk over it raises, naming the op
         w = ad.Tensor(rng.normal(size=(3, 2)))
-        loss = ad.tsum(ad.mul(ad.relu(w), w))
-        first, second = (ad.backward({loss: 1.0}, [w]) for _ in range(2))
-        assert first[w] is not second[w]
-        np.testing.assert_array_equal(first[w], second[w])
+
+        def build():
+            product = ad.mul(ad.relu(w), w)
+            return product, ad.tsum(product)
+
+        product, loss = build()
+        tensors = ad.CompGraph.from_output(loss).nodes
+        before = [t.values.copy() for t in tensors]
+        first = ad.backward({loss: 1.0}, [w])
+        rebuilt = ad.backward({build()[1]: 1.0}, [w])
+        assert first[w] is not rebuilt[w]
+        assert first[w].tobytes() == rebuilt[w].tobytes()
+        assert not any(np.shares_memory(first[w], t.values) for t in tensors)
+        for t, values in zip(tensors, before):
+            assert t.values.tobytes() == values.tobytes()
+        assert w._op == "leaf"
+        with pytest.raises(ValueError, match="tsum"):
+            ad.backward({loss: 1.0}, [w])
+        # a new output over consumed nodes raises at the first of them
+        with pytest.raises(ValueError, match="mul"):
+            ad.backward({ad.tsum(ad.add(product, w)): 1.0}, [w])
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
     def test_cotangents_equal_the_surrogate_loss_bitwise(self, data):
         # random graphs over n x n matrices; the outputs always include
         # the last node and one of its parents, so one output is an
-        # ancestor of another, and outputs share the three leaves
+        # ancestor of another, and outputs share the three leaves.  A
+        # backward consumes its graph, so the surrogate is differentiated
+        # on a second graph built from the same draws
         n = data.draw(st.integers(1, 3))
-        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
-        nodes = [ad.Tensor(rng.normal(size=(n, n))) for _ in range(3)]
-        for _ in range(data.draw(st.integers(1, 8))):
+        seed = data.draw(st.integers(0, 2 ** 16))
+        steps = []
+        for i in range(data.draw(st.integers(1, 8))):
             op, arity = data.draw(st.sampled_from(SHAPE_KEEPING_OPS))
-            args = [nodes[data.draw(st.integers(0, len(nodes) - 1))]
-                    for _ in range(arity)]
-            nodes.append(op(*args))
+            steps.append((op, [data.draw(st.integers(0, 2 + i))
+                               for _ in range(arity)]))
+
+        def build():
+            rng = np.random.default_rng(seed)
+            nodes = [ad.Tensor(rng.normal(size=(n, n))) for _ in range(3)]
+            for op, args in steps:
+                nodes.append(op(*(nodes[a] for a in args)))
+            return nodes, rng
+
+        nodes, rng = build()
         picked = data.draw(st.sets(st.integers(0, len(nodes) - 1),
                                    max_size=3))
         picked |= {len(nodes) - 1, nodes.index(nodes[-1]._parents[0])}
         # in the order they were made, as a training chunk's heads are
-        cotangents = {nodes[i]: rng.normal(size=(n, n))
-                      for i in sorted(picked)}
-        got = ad.backward(cotangents, nodes)
+        seeds = {i: rng.normal(size=(n, n)) for i in sorted(picked)}
+        got = ad.backward({nodes[i]: c for i, c in seeds.items()}, nodes)
+        twins, _ = build()
         surrogate = functools.reduce(ad.add, [
-            ad.tsum(ad.mul(out, ad.Tensor(c)))
-            for out, c in cotangents.items()])
-        want = ad.backward({surrogate: 1.0}, nodes)
-        assert got.keys() == want.keys()
-        for node, g in want.items():
-            assert got[node].tobytes() == g.tobytes()
+            ad.tsum(ad.mul(twins[i], ad.Tensor(c)))
+            for i, c in seeds.items()])
+        want = ad.backward({surrogate: 1.0}, twins)
+        assert ([i for i, node in enumerate(nodes) if node in got]
+                == [i for i, twin in enumerate(twins) if twin in want])
+        for node, twin in zip(nodes, twins):
+            if twin in want:
+                assert got[node].tobytes() == want[twin].tobytes()
 
     def test_graph_topologically_ordered(self, rng):
         x = ad.Tensor(rng.normal(size=(5, 2)))

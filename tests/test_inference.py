@@ -205,19 +205,25 @@ def test_a_task_is_one_chunk_whose_stages_run_in_order_on_one_thread(
             assert x is probs
 
 
-@pytest.mark.parametrize("embed, bound", [(False, 6.4), (True, 9.4)])
-def test_a_worker_holds_one_stage_of_a_chunk(monkeypatch, embed, bound):
-    # default model, one 10k-sample recording: 6 chunks of at most 1919
-    # samples with their halos, 3 on each of 2 workers.  The peak, in
-    # arrays of 2252 x 32 float64s (the hidden features of a chunk of the
-    # odd 5-chunk plan), is about 5.9-6.0 without embeddings and 7.6-8.3
-    # with them; the 5-chunk plan peaks at about 6.6-6.9 and 8.1-8.5, and
-    # keeping every stage's outputs of a chunk until its cascade ends (an
-    # `md.mstcn_forward` per chunk) at about 7.3-7.9 and 8.6-9.6
-    monkeypatch.setattr(tr, "chunk_workers", lambda: 2)
+@pytest.mark.parametrize("embed, workers, length, bound", [
+    (False, 2, 10_000, 6.4), (True, 1, 4000, 4.4)])
+def test_a_worker_holds_one_stage_of_a_chunk(monkeypatch, embed, workers,
+                                             length, bound):
+    # default model.  The peak is in arrays of 2252 x 32 float64s (the
+    # hidden features of a chunk of the odd 5-chunk plan at 10k samples).
+    # Without embeddings, 10k samples are 6 chunks of at most 1919
+    # samples with their halos, 3 on each of 2 workers: the peak is about
+    # 5.9-6.0, the 5-chunk plan's 6.6-6.9, and keeping every stage's
+    # outputs of a chunk until its cascade ends (an `md.mstcn_forward`
+    # per chunk) 7.3-7.9.  With them, on 2 workers, the interleaving moves
+    # the peak by 0.7 between runs, and at 10k samples the chunks'
+    # outputs, joined at the end, set it; so 4000 samples, 2 chunks, run
+    # on one worker, in a fixed order: 4.08 in 10 of 10 runs, and 4.82
+    # with an `md.mstcn_forward` per chunk, also in 10 of 10
+    monkeypatch.setattr(tr, "chunk_workers", lambda: workers)
     cfg = md.ModelConfig(input_dim=6, num_classes=5)
     params = md.init_params(cfg, seed=0)
-    seq = recording(10_000, cfg.input_dim)
+    seq = recording(length, cfg.input_dim)
     tr.final_stage_outputs(params, cfg, [seq], embed)     # warm
     tracemalloc.start()
     try:

@@ -372,7 +372,7 @@ class TestKinkSearch:
                                            inst["x"], inst["labels"],
                                            inst["plans"])
         nodes = ad.CompGraph.from_output(loss).nodes
-        heads = [gs._head_preactivations(node)[1] for node in nodes
+        heads = [gs._head_preactivations(*node._parents)[1] for node in nodes
                  if node._op == "projection_head"]
         means = [node._parents[0] for node in nodes
                  if node._op == "l2_normalize"]
