@@ -12,7 +12,7 @@ of unit-norm embedding rows plus one class label per row.
 import numpy as np
 
 from tempseg import (ModelConfig, build_example_set, default_synth_config,
-                     init_params, label_runs, mstcn_forward, project,
+                     init_params, label_runs, mstcn_forward,
                      select_hard_examples, supervised_contrast,
                      synthesize_sequence)
 
@@ -24,7 +24,7 @@ model_cfg = ModelConfig(input_dim=4, num_classes=3, num_stages=1,
                         layers_per_stage=3, hidden_channels=12,
                         projection_dim=6)
 params = init_params(model_cfg, seed=0)
-outputs = mstcn_forward(sequence.features, params, model_cfg)
+outputs = mstcn_forward(sequence.features, params, model_cfg, project=True)
 predictions = np.argmax(outputs[-1].probs.values, axis=1)
 
 _, starts, _ = label_runs(sequence.labels)
@@ -47,8 +47,7 @@ for cls, indices in sorted(plan.items()):
 # The full example set is two pools drawn from the stage's projection
 # head: the hard samples gathered as one matrix, and one pooled,
 # re-normalized embedding per contiguous run of a class.
-projected = project(outputs[-1].features, params.stages[-1])
-samples, segments = build_example_set(projected, predictions,
+samples, segments = build_example_set(outputs[-1].projected, predictions,
                                       sequence.labels, rng, k_per_class=8,
                                       boundary_radius=2,
                                       include_segments=True)

@@ -263,12 +263,10 @@ def _graph_kink_margins(loss: ad.Tensor,
 
 def _build_objective_loss(cfg, params, x, labels, plans):
     """Assemble the training loss from frozen example plans."""
-    outs = md.mstcn_forward(x, params, cfg)
-    sets = []
-    for out, stage, plan in zip(outs, params.stages, plans):
-        projected = md.project(out.features, stage)
-        sets.append((sp.sample_pool(projected, plan),
-                     sp.segment_pool(projected, labels)))
+    outs = md.mstcn_forward(x, params, cfg, project=True)
+    sets = [(sp.sample_pool(out.projected, plan),
+             sp.segment_pool(out.projected, labels))
+            for out, plan in zip(outs, plans)]
     loss, breakdown = ls.total_objective([out.logits for out in outs],
                                          labels, sets,
                                          contrast_weight=0.5, temperature=0.5)
@@ -297,7 +295,7 @@ def build_full_objective_instance(seed_start: int = 0):
         if len(np.unique(labels)) < 2:
             continue
         params = md.init_params(cfg, seed + 1000)
-        outs = md.mstcn_forward(x, params, cfg)
+        outs = md.mstcn_forward(x, params, cfg, record_from=cfg.num_stages)
         predictions = md.predict_labels(outs[-1].probs.values)
         plans = [sp.select_hard_examples(predictions, labels, 4, 2,
                                          np.random.default_rng(seed))

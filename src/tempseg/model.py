@@ -2,13 +2,12 @@
 
 A stage maps its input channels to a hidden width with a 1x1 adapter, runs a
 stack of dilated residual blocks (dilation doubling per layer, one
-`autodiff.residual_block` graph node each), and exposes
-two views of the result: hidden features and per-sample class logits.  The
-unit-normalized projection for contrastive training is computed from the
-features on demand (`project`), only where something reads it.  Stage
-n >= 2 consumes the previous stage's per-sample class probabilities, so
-later stages refine earlier predictions and gradients flow through the
-whole cascade.
+`autodiff.residual_block` graph node each), and reads two heads off the
+hidden features, which die inside it: per-sample class logits and, on
+request, the unit-normalized projection for contrastive training.  In
+`mstcn_forward`, the one loop that chains the stages, stage n >= 2
+consumes the previous stage's class probabilities, so later stages
+refine earlier predictions and gradients flow through the whole cascade.
 
 Every op after the dilated stack is per-sample, so an output sample
 depends only on the inputs within `receptive_radius` of it; that is what
@@ -19,6 +18,7 @@ tensor's `values` views its slice, in `named_parameters()` order, and
 nothing rebinds it.  `parameter_views` alone computes the offsets.
 """
 
+import contextlib
 import math
 from dataclasses import dataclass, fields
 from itertools import accumulate, islice
@@ -119,9 +119,9 @@ class ModelParams:
 
 @dataclass
 class StageOutput:
-    features: Tensor    # T x F hidden features
-    logits: Tensor      # T x C, pre-softmax
-    probs: Tensor       # T x C, rows sum to 1
+    logits: Tensor              # T x C, pre-softmax
+    probs: Tensor               # T x C, rows sum to 1
+    projected: Tensor | None    # T x P unit-norm rows, None unless asked
 
 
 def parameter_views(flat: np.ndarray, shapes) -> list[np.ndarray]:
@@ -203,12 +203,13 @@ def project(features: Tensor, stage: StageParams) -> Tensor:
                               stage.proj_out_b)
 
 
-def stage_forward(x: Tensor, stage: StageParams) -> StageOutput:
+def stage_forward(x: Tensor, stage: StageParams, proj: bool) -> StageOutput:
     """One stage on a T x c_in input: adapter, dilated residual stack,
-    classifier and softmax."""
+    classifier and softmax, and the projection if `proj`."""
     z = sstcn_forward(x, stage)
     logits = classify(z, stage)
-    return StageOutput(z, logits, ad.softmax_rows(logits))
+    return StageOutput(logits, ad.softmax_rows(logits),
+                       project(z, stage) if proj else None)
 
 
 def checked_features(features, params: ModelParams,
@@ -225,13 +226,21 @@ def checked_features(features, params: ModelParams,
 
 
 def mstcn_forward(features: np.ndarray, params: ModelParams,
-                  config: ModelConfig) -> list[StageOutput]:
-    """Run the full cascade on one sequence of shape T x input_dim."""
-    stage_in = Tensor(checked_features(features, params, config))
+                  config: ModelConfig, *, record_from: int = 0,
+                  kept_from: int = 0, project: bool = False
+                  ) -> list[StageOutput]:
+    """The one loop that chains the stages, on a T x input_dim sequence.
+    Stages before `record_from` run under `no_grad`, entered here; those
+    from `kept_from` on are returned, projected if `project`."""
+    x = Tensor(checked_features(features, params, config))
     outputs = []
-    for stage in params.stages:
-        outputs.append(stage_forward(stage_in, stage))
-        stage_in = outputs[-1].probs
+    for s, stage in enumerate(params.stages):
+        with ad.no_grad() if s < record_from else contextlib.nullcontext():
+            out = stage_forward(x, stage, project and s >= kept_from)
+        if s >= kept_from:
+            outputs.append(out)
+        x = out.probs
+        del out     # an unkept stage's logits die before the next runs
     return outputs
 
 

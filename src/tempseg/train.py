@@ -18,10 +18,10 @@ only to name a non-finite tensor.  All randomness flows through one
 caller-owned generator, on the calling thread.
 
 Inference (`final_stage_outputs`, behind `evaluate`) labels a recording
-in the same kind of chunks, longer ones, in an even count where there is
-more than one, and without a graph, with the same result as one
-whole-recording forward, one chunk's cascade per task, with all the
-recordings of a call on one runner.
+in the same kind of chunks, longer ones.  Where there is more than one,
+their count is even.  A task is one chunk's `md.mstcn_forward`, without
+a graph.  All the recordings of a call share one runner.  The result
+equals one whole-recording forward's.
 
 While a `chunk_runner` is open, numpy's OpenBLAS runs one thread, and
 so does every other BLAS call in the process; the previous count comes
@@ -157,10 +157,9 @@ def _sequence_gradients(state: TrainState, seq: SensorSequence,
     The recording runs in halo chunks of at most `chunk_length` samples,
     mapped over by `run`, such as a thread pool's map, in three phases:
 
-    - each worker runs its chunk's stages, all but the last under
-      `no_grad`, and the last recorded on its input, a leaf; it saves each
-      stage's input and returns its heads: every stage's logits, then,
-      with contrast on, projections;
+    - each worker runs its chunk's `md.mstcn_forward` with `record_from`
+      the last stage and `project` set with contrast on; it saves each
+      stage's input and returns every stage's logits, then projections;
     - `_loss_phase`: the kept rows of each head (`_kept`) become leaf
       tensors that cover the whole recording, so example selection,
       segment pooling and the objective see it whole; the small loss
@@ -196,24 +195,19 @@ def _sequence_gradients(state: TrainState, seq: SensorSequence,
     chunks = halo_chunks(len(features), chunk_length,
                          md.receptive_radius(config))
     last = config.num_stages - 1
+    project = cfg.contrast_weight > 0
 
-    def stage_heads(x, s):
-        """Stage s on input x: its probabilities and its heads."""
-        out = md.stage_forward(x, params.stages[s])
-        return out.probs, [out.logits] + (
-            [md.project(out.features, params.stages[s])]
-            if cfg.contrast_weight > 0 else [])
+    def heads_of(out):
+        return [out.logits] + ([out.projected] if project else [])
 
     def forward(chunk, saved):
         """The chunk's heads, in `_loss_phase`'s order; appends each
         stage's (input, heads) to `saved`."""
-        x = ad.Tensor(features[chunk[1]])
-        with ad.no_grad():  # entered on the worker
-            for s in range(last):
-                probs, heads = stage_heads(x, s)
-                saved.append((x, heads))
-                x = probs
-        saved.append((x, stage_heads(x, last)[1]))
+        read = features[chunk[1]]
+        outs = md.mstcn_forward(read, params, config, record_from=last,
+                                project=project)
+        inputs = [ad.Tensor(read)] + [out.probs for out in outs[:-1]]
+        saved += [(x, heads_of(out)) for x, out in zip(inputs, outs)]
         return [head for kind in zip(*(heads for _, heads in saved))
                 for head in kind]
 
@@ -224,7 +218,8 @@ def _sequence_gradients(state: TrainState, seq: SensorSequence,
         Its own function so that the stage's graph dies on return."""
         recorded = heads
         if s < last:    # ran graph-free: re-run it recorded
-            probs, recorded = stage_heads(x, s)
+            out = md.stage_forward(x, params.stages[s], project)
+            probs, recorded = out.probs, heads_of(out)
         cotangents = {new: seeds.pop(old)
                       for new, old in zip(recorded, heads) if old in seeds}
         if g is not None:
@@ -448,33 +443,30 @@ def final_stage_outputs(params: ModelParams, model_config: ModelConfig,
     A recording runs in exact `halo_chunks` of at most CHUNK_LENGTH
     samples, paired: one chunk up to CHUNK_LENGTH, else the least even
     count, so that on two workers no lone last chunk runs while the other
-    idles.  A task is one (recording, chunk): its whole cascade under
-    `no_grad`, each stage handing on only its probabilities, so a worker
+    idles.  A task is one (recording, chunk): its `md.mstcn_forward`
+    without a graph, which returns the final stage alone, so a worker
     holds one stage's activations.  All the recordings' chunks go to one
     `chunk_runner()` map, in order; one chunk in all runs on the caller.
     The result does not depend on the worker count.
     """
     radius = md.receptive_radius(model_config)
+    stages = model_config.num_stages
     recordings, inputs = [], []
     for seq in sequences:           # all checked before any task runs
         features = md.checked_features(seq.features, params, model_config)
         recordings.append(halo_chunks(len(features), CHUNK_LENGTH, radius,
                                       paired=True))
-        inputs += [ad.Tensor(features[read]) for _, read, _ in recordings[-1]]
+        inputs += [features[read] for _, read, _ in recordings[-1]]
 
-    def cascade(x):
-        # entered here, on the worker: a thread starts with recording on
-        with ad.no_grad():
-            for stage in params.stages[:-1]:
-                x = md.stage_forward(x, stage).probs
-            out = md.stage_forward(x, params.stages[-1])
-            return out.probs.values, (md.project(out.features,
-                                                 params.stages[-1]).values
-                                      if embed else None)
+    def task(x):
+        (out,) = md.mstcn_forward(x, params, model_config,
+                                  record_from=stages, kept_from=stages - 1,
+                                  project=embed)
+        return out.probs.values, embed and out.projected.values
 
     outputs = []
     with chunk_runner() as run:
-        finals = run(cascade, inputs)
+        finals = run(task, inputs)
         for chunks in recordings:
             probs, embeds = zip(*itertools.islice(finals, len(chunks)))
             outputs.append((_kept(probs, chunks),

@@ -703,21 +703,37 @@ class TestGradCheck:
 
 class TestNoGrad:
     def test_forward_is_bitwise_equal_and_records_nothing(self, rng):
-        cfg = md.ModelConfig(input_dim=3, num_classes=4, num_stages=2,
+        # every record_from and kept_from of a 3-stage cascade, projected
+        # or not, against the all-recorded run; and a caller's no_grad
+        # records no stage
+        cfg = md.ModelConfig(input_dim=3, num_classes=4, num_stages=3,
                              layers_per_stage=3, hidden_channels=8,
                              projection_dim=5)
         params = md.init_params(cfg, seed=7)
         x = rng.normal(size=(37, 3))
-        recorded = md.mstcn_forward(x, params, cfg)
-        with ad.no_grad():
-            free = md.mstcn_forward(x, params, cfg)
-        for rec, out in zip(recorded, free, strict=True):
-            for field in ("features", "logits", "probs"):
-                np.testing.assert_array_equal(getattr(out, field).values,
-                                              getattr(rec, field).values)
-                assert getattr(out, field)._parents == ()
-                assert getattr(out, field)._vjp is None
-            assert rec.probs._parents != ()
+        stages = range(cfg.num_stages)
+        for project in (False, True):
+            recorded = md.mstcn_forward(x, params, cfg, project=project)
+            with ad.no_grad():
+                free = md.mstcn_forward(x, params, cfg, project=project)
+            runs = [(free, cfg.num_stages, 0)] + [
+                (md.mstcn_forward(x, params, cfg, record_from=record_from,
+                                  kept_from=kept_from, project=project),
+                 record_from, kept_from)
+                for record_from in range(cfg.num_stages + 1)
+                for kept_from in range(cfg.num_stages + 1)]
+            for outs, record_from, kept_from in runs:
+                assert len(outs) == cfg.num_stages - kept_from
+                for s, out, rec in zip(stages[kept_from:], outs,
+                                       recorded[kept_from:], strict=True):
+                    assert (out.projected is None) == (not project)
+                    for field in ("logits", "probs", "projected"):
+                        got, want = getattr(out, field), getattr(rec, field)
+                        if got is None:
+                            continue
+                        assert got.values.tobytes() == want.values.tobytes()
+                        assert bool(got._parents) == (s >= record_from)
+                        assert (got._vjp is None) == (s < record_from)
 
     @pytest.mark.parametrize("op", [ad.softmax_rows, ad.l2_normalize,
                                     ad.relu])

@@ -27,9 +27,8 @@ def recording(length, dim, seed=0):
 
 
 def whole_sequence(params, cfg, features):
-    out = md.mstcn_forward(features, params, cfg)[-1]
-    return (out.probs.values,
-            md.project(out.features, params.stages[-1]).values)
+    out = md.mstcn_forward(features, params, cfg, project=True)[-1]
+    return out.probs.values, out.projected.values
 
 
 def chunked(params, cfg, seq, embed=True):
@@ -163,8 +162,9 @@ def test_every_worker_forward_is_graph_free(monkeypatch):
     assert len(calls) == inference_chunks(230) * 2      # chunks x stages
     for thread, out in calls:
         assert thread is not threading.main_thread()
-        for tensor in (out.features, out.logits, out.probs):
-            assert tensor._parents == () and tensor._vjp is None
+        for tensor in (out.logits, out.probs, out.projected):
+            assert tensor is None or (tensor._parents == ()
+                                      and tensor._vjp is None)
     # the caller's thread records as before
     assert ad.relu(ad.Tensor([[1.0]]))._vjp is not None
 
@@ -180,8 +180,8 @@ def test_a_task_is_one_chunk_whose_stages_run_in_order_on_one_thread(
             yield lambda fn, *items: mapped.append(len(items[0])) or run(
                 fn, *items)
 
-    def spy(x, stage):
-        out = forward(x, stage)
+    def spy(x, stage, project):
+        out = forward(x, stage, project)
         calls.append((threading.current_thread(), x, stage, out.probs))
         return out
 
@@ -206,20 +206,23 @@ def test_a_task_is_one_chunk_whose_stages_run_in_order_on_one_thread(
 
 
 @pytest.mark.parametrize("embed, workers, length, bound", [
-    (False, 2, 10_000, 6.4), (True, 1, 4000, 4.4)])
+    (False, 2, 10_000, 6.4), (True, 1, 4000, 4.15)])
 def test_a_worker_holds_one_stage_of_a_chunk(monkeypatch, embed, workers,
                                              length, bound):
     # default model.  The peak is in arrays of 2252 x 32 float64s (the
     # hidden features of a chunk of the odd 5-chunk plan at 10k samples).
+    # The mutation guarded against is a cascade that keeps every stage's
+    # outputs of a chunk until its task ends, returning only the last.
     # Without embeddings, 10k samples are 6 chunks of at most 1919
-    # samples with their halos, 3 on each of 2 workers: the peak is about
-    # 5.9-6.0, the 5-chunk plan's 6.6-6.9, and keeping every stage's
-    # outputs of a chunk until its cascade ends (an `md.mstcn_forward`
-    # per chunk) 7.3-7.9.  With them, on 2 workers, the interleaving moves
-    # the peak by 0.7 between runs, and at 10k samples the chunks'
-    # outputs, joined at the end, set it; so 4000 samples, 2 chunks, run
-    # on one worker, in a fixed order: 4.08 in 10 of 10 runs, and 4.82
-    # with an `md.mstcn_forward` per chunk, also in 10 of 10
+    # samples with their halos, 3 on each of 2 workers: the peak is
+    # 5.80-6.04 in 10 runs, and 6.07-6.31 with that mutation.  The two
+    # workers' interleaving moves both by more than the gap between
+    # them, so this case keeps 6.4, which the 5-chunk plan's 6.6-6.9
+    # exceeds, and cannot catch the mutation.  With embeddings, on 2 workers,
+    # the interleaving moves the peak by 0.7 between runs, and at 10k
+    # samples the chunks' outputs, joined at the end, set it; so 4000
+    # samples, 2 chunks, run on one worker, in a fixed order: 4.08 in 10
+    # of 10 runs, and 4.23 with the mutation, also in 10 of 10
     monkeypatch.setattr(tr, "chunk_workers", lambda: workers)
     cfg = md.ModelConfig(input_dim=6, num_classes=5)
     params = md.init_params(cfg, seed=0)
@@ -312,16 +315,16 @@ seqs = [SensorSequence(features=rng.normal(size=(int(n), 2)),
 if case == "late":  # only chunk 0's stage 0 fails, after a pause in
     forward = md.stage_forward   # which the other chunks' tasks run
 
-    def late(x, stage):
+    def late(x, stage, project):
         if stage is params.stages[0] and x.values[0, 0] == first:
             time.sleep(0.5)
             x = ad.Tensor(x.values[:, :1])      # a channel short
-        return forward(x, stage)
+        return forward(x, stage, project)
 
     first = seqs[0].features[0, 0]
     md.stage_forward = late
     want = lambda: forward(ad.Tensor(seqs[0].features[:, :1]),
-                           params.stages[0])
+                           params.stages[0], False)
 elif case.startswith("fail"):  # stage N's adapter reads a channel too many
     adapter = params.stages[int(case[4:])].adapter_w
     adapter.values = np.zeros((adapter.shape[0], adapter.shape[1] + 1, 1))
@@ -338,10 +341,9 @@ if case != "exact":
 else:
     got = tr.final_stage_outputs(params, cfg, seqs, embed=True)
     for seq, (probs, embeds) in zip(seqs, got):
-        out = md.mstcn_forward(seq.features, params, cfg)[-1]
-        want = md.project(out.features, params.stages[-1]).values
+        out = md.mstcn_forward(seq.features, params, cfg, project=True)[-1]
         assert np.max(np.abs(probs - out.probs.values)) <= 1e-12
-        assert np.max(np.abs(embeds - want)) <= 1e-12
+        assert np.max(np.abs(embeds - out.projected.values)) <= 1e-12
 print("ok")
 """
 

@@ -246,10 +246,10 @@ class TestMultilevelContrast:
 
 
 def forward_with_examples(cfg, params, x, labels, rng):
-    outs = md.mstcn_forward(x, params, cfg)
+    outs = md.mstcn_forward(x, params, cfg, project=True)
     sets = []
-    for out, stage in zip(outs, params.stages):
-        normed = md.project(out.features, stage)
+    for out in outs:
+        normed = out.projected
         idx = np.array([i for i in range(0, len(labels), 3)
                         if np.linalg.norm(normed.values[i]) > 0.5])
         sets.append((ls.ContrastPool(ad.row(normed, idx), labels[idx]), []))

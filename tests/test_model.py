@@ -313,14 +313,12 @@ class TestMstcnForward:
         cfg = small_config(num_stages=2, num_classes=5, input_dim=4)
         params = md.init_params(cfg, seed=1)
         x = np.random.default_rng(5).normal(size=(100, 4))
-        outs = md.mstcn_forward(x, params, cfg)
+        outs = md.mstcn_forward(x, params, cfg, project=True)
         assert len(outs) == 2
-        for out, stage in zip(outs, params.stages):
+        for out in outs:
             assert out.logits.shape == (100, 5)
             assert out.probs.shape == (100, 5)
-            assert out.features.shape == (100, cfg.hidden_channels)
-            assert md.project(out.features, stage).shape == (
-                100, cfg.projection_dim)
+            assert out.projected.shape == (100, cfg.projection_dim)
             np.testing.assert_allclose(out.probs.values.sum(axis=1), 1.0,
                                        atol=1e-9)
 

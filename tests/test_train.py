@@ -520,15 +520,16 @@ class TestChunkPlan:
 def whole_sequence_gradients(state, seq, cfg, rng):
     """Oracle: one recorded graph over the whole sequence, from forward
     through example selection and the objective to backward."""
-    outs = md.mstcn_forward(seq.features, state.params, state.model_config)
+    outs = md.mstcn_forward(seq.features, state.params, state.model_config,
+                            project=cfg.contrast_weight > 0)
     if cfg.contrast_weight > 0:
         sets = [build_example_set(
-                    md.project(out.features, stage),
+                    out.projected,
                     np.argmax(out.probs.values, axis=1), seq.labels, rng,
                     k_per_class=cfg.k_per_class,
                     boundary_radius=cfg.boundary_radius,
                     include_segments=cfg.include_segments)
-                for out, stage in zip(outs, state.params.stages)]
+                for out in outs]
     else:
         sets = [([], [])] * len(outs)
     loss, breakdown = total_objective([out.logits for out in outs],
@@ -579,11 +580,11 @@ def recorded_cascade_gradients(state, seq, cfg, rng, chunk_length, run=map):
 
     def forward(chunk):
         _, read, _ = chunk
-        outs = md.mstcn_forward(seq.features[read], params, config)
+        outs = md.mstcn_forward(seq.features[read], params, config,
+                                project=cfg.contrast_weight > 0)
         heads = [out.logits for out in outs]
         if cfg.contrast_weight > 0:
-            heads += [md.project(out.features, stage)
-                      for out, stage in zip(outs, params.stages)]
+            heads += [out.projected for out in outs]
         return heads
 
     cotangents, breakdown = tr._loss_phase(list(run(forward, chunks)),
