@@ -18,7 +18,10 @@ and makes its output directory only once its inputs pass their checks.
 Seeds must be >= 0.
 Every CSV it writes (datasets, predictions, embeddings, ablation tables)
 goes through `data.write_table`: floats print with %.17g, integers
-exactly, lines end in LF.
+exactly, lines end in LF.  It formats blocks of rows with numpy array
+operations, byte for byte as `%` would; a float next to a 17-digit
+rounding tie, a non-finite or extreme float and an object column's ints
+go through `%` itself.
 
 Ablation variants:
     1  single stage, no contrast        2  multi-stage, no contrast

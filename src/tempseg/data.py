@@ -4,8 +4,12 @@ generator.
 The canonical on-disk form is one CSV per recording: header exactly
 ``ch_0,...,ch_{D-1},label[,subject]``, one sample per row at a fixed
 implicit rate.  `write_table` writes every CSV the package produces,
-datasets and the CLI's exports alike, with LF line endings, formatting
-blocks of rows at once.  The loader also reads CRLF files.  It parses
+datasets and the CLI's exports alike, with LF line endings: floats as
+%.17g, integers exactly.  It formats blocks of rows with numpy array
+operations, and leaves to `%` alone the cells whose digits those cannot
+decide exactly: a float next to a 17-digit rounding tie, a non-finite
+float, one of magnitude below 1e-280 or from 1e280 up, and an object
+column's ints.  The loader also reads CRLF files.  It parses
 all rows of a file with one `numpy.loadtxt` call into a structured
 array and checks the arrays; only a file that fails goes through the
 per-line error path, which names the first bad line and why.  Cells
@@ -18,6 +22,7 @@ activities.
 """
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -150,30 +155,274 @@ def synthesize_sequence(config: SynthConfig) -> SensorSequence:
     return SensorSequence(features=features, labels=labels)
 
 
-# Rows per `%` in write_table: a block's text is held at once, the file's never.
-WRITE_BLOCK_ROWS = 4096
+# Rows formatted at once by write_table: a block's text and arrays are
+# held at once, the file's never.
+WRITE_BLOCK_ROWS = 1024
+
+# write_table's cell formatter.  A float becomes a sign, an exact 17-digit
+# integer m and a decimal exponent x, with |value| = m * 10**(x - 16)
+# rounded to 17 digits.  m is |value| * 10**(16 - x), a float64 pair from
+# Dekker's exact product against a hi + lo table of the power; the pair
+# is within 1e-14 of the exact product, so a cell further than _TIE from
+# a rounding tie rounds exactly.  Cells within it (every exact tie among
+# them), non-finite cells and magnitudes outside [1e-280, 1e280) are left
+# to '%.17g' % value.
+#
+# The text of a number is cut from its digit string, the magnitude's
+# 21-digit zero-padded decimal ('0000' and the 17 digits of m for a
+# float).  Body slot j holds char j of it before the point, '.' at slot
+# b and char j - 1 after it, and a cell keeps slots a <= j < end.  A cell
+# is laid out in 32 bytes, as four little-endian words, and the block's
+# NUL bytes are dropped:
+#   byte 0       '-' for a negative number, else NUL;
+#   bytes 1-23   body slots 0-22, NUL where not kept;
+#   bytes 24-30  an exponent suffix such as 'e-05', NUL-padded;
+#   byte 31      ',' or '\n'.
+# A float's layout key is 17 * b + tz, where tz counts the trailing zeros
+# of m; an integer's is _INT_KEY + a; _NOTHING keeps no slot.
+_X_MIN, _X_END = -280, 280
+_TIE = 2.0 ** -30
+_INT_KEY = 17 * 22              # b <= 21
+_NOTHING = _INT_KEY + 21
+
+
+def _power_of_ten(p: int) -> tuple[float, float]:
+    """10**p as hi + lo: hi correctly rounded, lo the rounded remainder."""
+    num, den = (10 ** p, 1) if p >= 0 else (1, 10 ** -p)
+    hi = num / den                  # int true division rounds correctly
+    hi_num, hi_den = hi.as_integer_ratio()
+    return hi, (num * hi_den - hi_num * den) / (den * hi_den)
+
+
+def _split(a):
+    """Veltkamp's split of float64 a into two halves of at most 26 bits."""
+    t = 134217729.0 * a             # 2**27 + 1
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+def _layout_masks():
+    """Per layout key, three masks over body bytes 0-23 as three words
+    each: 0xFF at the kept slots before the point (char j), 0xFF at those
+    after it (char j - 1), and '.' at a kept point."""
+    b, tz = np.divmod(np.arange(_INT_KEY), 17)
+    # a float's text starts at its first digit, or at the '0' before the
+    # point, and ends at the last nonzero digit of m, without a bare point
+    a = np.r_[np.minimum(b - 1, 4), np.arange(22)]
+    end = np.r_[np.where(20 - tz >= b, 22 - tz, b), np.full(22, 21)]
+    b = np.r_[b, np.full(22, 23)][:, None]
+    j = np.arange(-1, 23)                       # the slot at byte j + 1
+    kept = (a[:, None] <= j) & (j < end[:, None])
+    return [np.ascontiguousarray(
+        np.where(kept & slots, fill, 0).astype(np.uint8).view("<u8").T)
+        for slots, fill in ((j < b, 0xFF), (j > b, 0xFF), (j == b, ord(".")))]
+
+
+_POW10_HI, _POW10_LO = np.array([_power_of_ten(16 - x) for x in
+                                  range(_X_MIN, _X_END)]).T.copy()
+_GROUP = np.arange(10000)
+_DIGITS4 = sum((48 + _GROUP // 10 ** (3 - i) % 10) << 8 * i
+               for i in range(4)).astype("<u8")     # '0000' .. '9999'
+_ZEROS4 = sum((_GROUP % 10 ** i == 0) for i in range(1, 5))
+_BEFORE, _AFTER, _POINT = _layout_masks()
+# per exponent x from _X_MIN to _X_END: 17 * b, and the suffix
+_EXPONENT = np.arange(_X_MIN, _X_END + 1)
+_KEY_BASE = 17 * np.where((_EXPONENT >= -4) & (_EXPONENT <= 16),
+                          _EXPONENT + 5, 5)
+_SUFFIX = np.array([0 if -4 <= x <= 16 else
+                    int.from_bytes(b"e%+03d" % x, "little")
+                    for x in _EXPONENT.tolist()], "<u8")
+_PLAIN = -_X_MIN                # the index of exponent 0: no suffix
+_DECADES = np.array([10 ** i for i in range(1, 20)], np.uint64)
+
+
+def _groups(value):
+    """The five 4-digit groups of uint64 values, most significant first."""
+    groups = np.empty((5, len(value)), np.int16)
+    for i, unit in enumerate(np.uint64(10) ** np.uint64([16, 12, 8, 4])):
+        groups[i] = top = value // unit
+        value = value - top * unit
+    groups[4] = value
+    return groups
+
+
+def _float_cells(x):
+    """The layout of float64 cells, and the mask of cells left to `%`."""
+    ax = np.abs(x)
+    fast = (ax >= 1e-280) & (ax < 1e280)
+    ax = np.where(fast, ax, 1.0)
+    # e = k - _X_MIN for the exponent k of ax; floor(log10) may miss by
+    # one next to a power of ten, and m then falls outside [10**16, 10**17]
+    e = np.floor(np.log10(ax)).astype(np.intp) - _X_MIN
+    np.clip(e, 0, _X_END - _X_MIN - 1, out=e)
+    hi = np.take(_POW10_HI, e)
+    hi_h, hi_l = _split(hi)
+    p = ax * hi                                 # an integer: p >= 2**53
+    ax_h, ax_l = _split(ax)
+    s = ax_h * hi_h - p                         # p + s = |x| * 10**(16 - k)
+    s += ax_h * hi_l
+    s += ax_l * hi_h
+    s += ax_l * hi_l
+    s += ax * np.take(_POW10_LO, e)
+    del hi, hi_h, hi_l, ax_h, ax_l, ax
+    m = p.astype(np.int64)
+    r = np.rint(s)
+    s -= r
+    m += r.astype(np.int64)
+    del p, r
+    # m == 10**17 rounds to 10**16 at exponent k + 1, whichever side of
+    # 10**17 the product lies on; within 0.05 below 10**16, exponent k - 1
+    # rounds up to the same digits
+    carry = m == 10 ** 17
+    fast &= ((np.abs(s) < 0.5 - _TIE) & (m >= 10 ** 16) & (m <= 10 ** 17)
+             & ((m != 10 ** 16) | (s > _TIE - 0.05)))
+    del s
+    m[carry] = 10 ** 16
+    e += carry
+    m[~fast] = 0
+    e[~fast] = _PLAIN
+    zero = x == 0
+    left = ~fast & ~zero
+    groups = _groups(m.astype(np.uint64))
+    tz = np.take(_ZEROS4, groups[4])
+    for i in (3, 2, 1):                         # the groups after i are 0
+        more = np.flatnonzero(tz == 4 * (4 - i))
+        if not len(more):
+            break
+        tz[more] += np.take(_ZEROS4, groups[i, more])
+    key = np.take(_KEY_BASE, e) + tz
+    key[zero] = _INT_KEY + 20                   # '0', as the integer 0
+    key[left] = _NOTHING
+    return (groups, np.signbit(x) & ~left, key, e), left
+
+
+def _int_cells(v):
+    """The layout of integer or bool cells; none is left to `%`."""
+    signed = v.dtype.kind == "i"
+    value = (np.abs(v.astype(np.int64)) if signed else v).astype(np.uint64)
+    key = _INT_KEY + 20 - np.searchsorted(_DECADES, value, side="right")
+    neg = v < 0 if signed else np.zeros(len(v), bool)
+    return ((_groups(value), neg, key, np.full(len(v), _PLAIN)),
+            np.zeros(len(v), bool))
+
+
+def _cell_words(groups, neg, key, e):
+    """Each cell's 32 bytes as four little-endian words, separator NUL."""
+    t = [np.take(_DIGITS4, g) for g in groups]   # 4 chars each
+    char = [0x3000 | t[0] << 16 | t[1] << 48,    # byte j + 1: char j
+            t[1] >> 16 | t[2] << 16 | t[3] << 48,
+            t[3] >> 16 | t[4] << 16]
+    del t
+    words = []
+    for w in range(3):
+        body = char[w] << 8                      # byte j + 1: char j - 1
+        if w:
+            body |= char[w - 1] >> 56
+        body &= np.take(_AFTER[w], key)
+        body |= np.take(_POINT[w], key)
+        words.append(body | char[w] & np.take(_BEFORE[w], key))
+    words[0] |= neg.astype("<u8") * np.uint64(ord("-"))
+    return words + [np.take(_SUFFIX, e)]
+
+
+def _cells(cells):
+    """The layout of one dtype's cells, the mask of cells left to `%`, and
+    the `%` pattern for them."""
+    kind, n = cells.dtype.kind, len(cells)
+    if kind == "f":
+        return *_float_cells(cells.astype(np.float64, copy=False)), "%.17g"
+    if kind == "O":                             # ints of any size
+        return ((np.zeros((5, n), np.int16), np.zeros(n, bool),
+                 np.full(n, _NOTHING), np.full(n, _PLAIN)),
+                np.ones(n, bool), "%d")
+    return *_int_cells(cells), "%d"
+
+
+def _format_rows(blocks) -> bytes:
+    """One block of rows as text: cells by _cell_words, the rest by `%`."""
+    rows = len(blocks[0])
+    width = sum(blk.shape[1] for blk in blocks)
+    if not width:
+        return b"\n" * rows
+    text = bytearray(32 * rows * width)
+    words = np.frombuffer(text, "<u8").reshape(rows, width, 4)
+    left = []                                   # (cell index, text)
+    start = 0
+    # consecutive columns of one dtype are formatted together
+    for _, same in itertools.groupby(blocks, key=lambda blk: blk.dtype):
+        blk = np.hstack(list(same))
+        w = blk.shape[1]
+        cells = blk.ravel()
+        layout, slow, pattern = _cells(cells)
+        for i, word in enumerate(_cell_words(*layout)):
+            words[:, start:start + w, i] = word.reshape(rows, w)
+        for i in np.flatnonzero(slow).tolist():
+            row, col = divmod(i, w)
+            left.append((row * width + start + col, pattern % cells[i]))
+        start += w
+    seps = np.full(width, ord(","), "<u8")
+    seps[-1] = ord("\n")
+    words[:, :, 3] |= seps << np.uint64(56)
+    del words                   # so the cell buffer goes with text
+    text = text.translate(None, b"\0")
+    if left:                    # each left cell is its separator alone
+        chars = np.frombuffer(text, np.uint8)
+        ends = np.flatnonzero((chars == ord(",")) | (chars == ord("\n")))
+        pieces, last = [], 0
+        for i, cell in sorted(left):
+            pieces += [text[last:ends[i]], cell.encode()]
+            last = ends[i]
+        text = b"".join(pieces + [text[last:]])
+    return text
+
+
+def _table_blocks(header, columns) -> list[np.ndarray]:
+    """The columns as matrices, checked before any file is opened."""
+    blocks = []
+    for i, column in enumerate(columns):
+        block = np.asarray(column)
+        first = sum(blk.shape[1] for blk in blocks)
+        name = f"column {i}" + (f" ({header[first]!r})"
+                                if first < len(header) else "")
+        if block.ndim not in (1, 2):
+            raise ValueError(f"{name} must be a vector or a matrix, got "
+                             f"shape {block.shape}")
+        kind = block.dtype.kind
+        if kind not in "biufO" or kind == "O" and not all(
+                isinstance(v, (int, np.integer)) for v in block.flat):
+            raise ValueError(f"{name} must hold bools, integers or floats, "
+                             f"got dtype {block.dtype}")
+        if blocks and len(block) != len(blocks[0]):
+            raise ValueError(f"{name} has {len(block)} rows, column 0 has "
+                             f"{len(blocks[0])}")
+        blocks.append(block[:, None] if block.ndim == 1 else block)
+    if not blocks:
+        raise ValueError("a table needs at least one column")
+    return blocks
 
 
 def write_table(path, header, columns):
     """A CSV file: one header line, then one LF-terminated line per row.
 
-    Each column is a vector, or a matrix that fills several cells per row.
-    Float columns print with %.17g, which round-trips float64; any other
-    column prints with %d.  The cells go through an object array, so an
-    integer prints exactly at any size.  Each block of WRITE_BLOCK_ROWS
-    rows is formatted by one `%` over its flattened cells.
+    Each column is a vector, or a matrix that fills several cells per
+    row, of bools, integers or floats (an object column may hold ints of
+    any size).  Float cells print as '%.17g' % value, which round-trips
+    float64; other cells print as '%d' % value, exactly at any size.
+    Blocks of WRITE_BLOCK_ROWS rows are formatted by numpy array
+    operations; the cells they cannot decide exactly go through `%` one
+    by one: a float within 2**-30 of a 17-digit rounding tie, a
+    non-finite float or one of magnitude below 1e-280 or from 1e280 up,
+    and every cell of an object column.  A column of another dtype or
+    shape, or whose row count differs from the first's, raises
+    ValueError before the file is opened.
     """
-    blocks = [np.asarray(c) for c in columns]
-    blocks = [b[:, None] if b.ndim == 1 else b for b in blocks]
-    row = ",".join("%.17g" if b.dtype.kind == "f" else "%d"
-                   for b in blocks for _ in range(b.shape[1])) + "\n"
-    rows = len(blocks[0])
+    blocks = _table_blocks(header, columns)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for start in range(0, rows, WRITE_BLOCK_ROWS):
-            cells = np.hstack([b[start:start + WRITE_BLOCK_ROWS].astype(object)
-                               for b in blocks])
-            fh.write(row * len(cells) % tuple(cells.ravel()))
+        fh.flush()              # the rows are ASCII bytes
+        for start in range(0, len(blocks[0]), WRITE_BLOCK_ROWS):
+            fh.buffer.write(_format_rows([blk[start:start + WRITE_BLOCK_ROWS]
+                                          for blk in blocks]))
 
 
 def _csv_header(d: int, subject: bool) -> list[str]:

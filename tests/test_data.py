@@ -257,6 +257,115 @@ class TestWriteTable:
                        [np.arange(0), np.zeros((0, 2))])
         assert path.read_bytes() == b"index,e_0,e_1\n"
 
+    def assert_matches_reference(self, columns):
+        """write_table's bytes equal those of each cell through `%` alone."""
+        blocks = [np.asarray(c) for c in columns]
+        blocks = [b[:, None] if b.ndim == 1 else b for b in blocks]
+        header = [f"c_{i}" for i in range(sum(b.shape[1] for b in blocks))]
+        lines = [",".join(header)] + [",".join(
+            ("%.17g" if b.dtype.kind == "f" else "%d") % v
+            for b in blocks for v in b[i].tolist())
+            for i in range(len(blocks[0]))]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.csv"
+            dt.write_table(path, header, columns)
+            assert path.read_bytes() == "".join(
+                line + "\n" for line in lines).encode()
+
+    @settings(max_examples=200, deadline=None)
+    @given(bits=st.lists(st.integers(0, 2**64 - 1), min_size=1,
+                         max_size=80),
+           width=st.integers(1, 4))
+    def test_raw_float64_bit_patterns_print_as_the_reference(self, bits,
+                                                             width):
+        x = np.array(bits, np.uint64).view(np.float64)
+        x = x[:len(x) - len(x) % width].reshape(-1, width)
+        self.assert_matches_reference([x])
+
+    @settings(max_examples=100, deadline=None)
+    @given(values=st.lists(st.integers(-2**63, 2**63 - 1), min_size=1,
+                           max_size=40),
+           thousandths=st.lists(st.integers(-10**9, 10**9), min_size=1,
+                                max_size=40))
+    def test_integers_and_decimal_fractions_print_as_the_reference(
+            self, values, thousandths):
+        # about 8% of k / 1000 round a 17th digit 9 up, a carry into the
+        # digits before it
+        self.assert_matches_reference([np.array(values)])
+        self.assert_matches_reference([np.array(thousandths) / 1000])
+
+    @pytest.mark.parametrize("values", [
+        # signed zeros, infinities, nan and subnormals
+        [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+         2.2250738585072009e-308, 2.2250738585072014e-308, 1e-310],
+        # where %g switches between fixed and exponent notation
+        [1e-05, 9.9999999999999991e-05, 1e-4, 9.9999999999999984e+16,
+         1e16, 1e17, 0.0001, 0.00011, 1.2345678901234567e16],
+        # 17-digit roundings that carry through nines, and exact ties
+        [0.1859334321617, 0.99509197286897, 0.1 + 0.2, 1 / 3, 2 / 3,
+         1000000000000000.25, 1000000000000000.75, 2.0 ** -25,
+         3 * 2.0 ** -25, 4503599627370496.5],
+        # powers of ten and their neighbours, near and past the fast range
+        [10.0 ** k for k in range(-25, 25)]
+        + [1.7976931348623157e308, 1e280, 9.9999999999999997e279, 1e-280,
+           1.0000000000000001e-280, 1e300, 1e-300],
+    ])
+    def test_edge_values_print_as_the_reference(self, values):
+        x = np.array(values)
+        with np.errstate(over="ignore"):        # past the largest float
+            x = np.r_[x, -x, np.nextafter(x, 0), np.nextafter(x, np.inf)]
+        self.assert_matches_reference([x])
+
+    @pytest.mark.parametrize("bias", [-1e-9, 1e-9])
+    def test_a_log10_that_misses_the_exponent_by_one_changes_no_byte(
+            self, monkeypatch, bias):
+        # floor(log10) then misses by one next to every power of ten: low,
+        # 10**17 rounds to 10**16 one exponent up; high, m < 10**16
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda x: log10(x) + bias)
+        x = np.array([10.0 ** k for k in range(-30, 30)])
+        self.assert_matches_reference(
+            [np.r_[x, -x, np.nextafter(x, 0), np.nextafter(x, np.inf)]])
+
+    def test_integer_extremes_print_as_the_reference(self):
+        self.assert_matches_reference([
+            np.array([-2**63, 2**63 - 1, 0, -1, 10**18, -10**18]),
+            np.array([2**63, 2**64 - 1, 10**19, 0, 1, 2**63 + 1],
+                     np.uint64),
+            np.array([2**100, -2**70, 3, 0, -(10**40), 2**64], object),
+            np.array([True, False, True, True, False, False])])
+
+    @pytest.mark.parametrize("rows", [0, 1, 7, dt.WRITE_BLOCK_ROWS + 5])
+    def test_mixed_columns_across_blocks_print_as_the_reference(self, rows):
+        rng = np.random.default_rng(rows)
+        self.assert_matches_reference([
+            np.arange(rows), rng.standard_normal((rows, 3)),
+            rng.integers(0, 5, rows), rng.random(rows) ** 30,
+            rng.standard_normal((rows, 2)).astype(np.float32),
+            rng.integers(-9, 9, (rows, 2)).astype(np.int8)])
+
+    @pytest.mark.parametrize("columns, message", [
+        ([np.arange(3), np.zeros(4)], r"column 1 \('b'\) has 4 rows"),
+        ([np.arange(3), np.array(["x", "y", "z"])],
+         r"column 1 \('b'\) must hold bools, integers or floats"),
+        ([np.arange(3), np.array([1, 2.5, 3], object)],
+         r"column 1 \('b'\) must hold bools, integers or floats"),
+        ([np.zeros((3, 1, 1))], r"column 0 \('a'\) must be a vector"),
+    ])
+    def test_bad_column_leaves_an_existing_file_as_it_was(
+            self, tmp_path, columns, message):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"a,b\n1,2\n")
+        with pytest.raises(ValueError, match=message):
+            dt.write_table(path, ["a", "b"], columns)
+        assert path.read_bytes() == b"a,b\n1,2\n"
+
+    def test_bad_column_creates_no_file(self, tmp_path):
+        path = tmp_path / "t.csv"
+        with pytest.raises(ValueError, match="column 1"):
+            dt.write_table(path, ["a", "b"], [np.arange(3), np.zeros(2)])
+        assert not path.exists()
+
 
 class TestLoadCsvDataset:
     def write(self, tmp_path, text, name="d.csv"):
