@@ -43,7 +43,6 @@ import numpy as np
 from . import data as dt
 from . import model as md
 from . import train as tr
-from .gradcheck_suite import OP_CHECKS, check_full_objective
 from .metrics import evaluate_predictions
 
 _TOLERANCE = 1e-4   # gradcheck pass threshold
@@ -306,12 +305,16 @@ def _check_fits_in_memory(model_cfg: md.ModelConfig, largest_label: int):
             f"{largest_label}): physical memory is {memory} bytes")
 
 
-def _prepared_splits(cfg: ExperimentConfig):
-    """The checked, normalized splits, with the model's dims."""
+def _prepared_splits(cfg: ExperimentConfig, keep_test: bool = True):
+    """The checked, normalized splits, with the model's dims.  Without
+    `keep_test`, the test split is read only to check it and size the
+    model, and comes back empty."""
     train, val, test = _load_splits(cfg)
     if not train:
         raise ValueError("the training split is empty")
     dim, classes = _resolve_dims(cfg, (train, val, test))
+    if not keep_test:
+        test = []
     stats = None
     if cfg.normalize:
         train, rest, stats = dt.normalize_features(train, val + test)
@@ -335,8 +338,14 @@ def _train_once(cfg: ExperimentConfig, train_cfg: tr.TrainConfig,
 
 
 def cmd_train(cfg: ExperimentConfig, out_dir, variant=None) -> int:
+    """Fit a model; write its checkpoint and one log line per epoch.
+
+    The test split is read only so that its channels are checked and its
+    labels size the model; it is dropped before the train and validation
+    splits are normalized, so `fit` holds only what it reads.
+    """
     train_cfg = cfg.train_config()
-    bundle = _prepared_splits(cfg)
+    bundle = _prepared_splits(cfg, keep_test=False)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "training_log.jsonl", "w") as fh:
@@ -416,6 +425,8 @@ def cmd_predict(checkpoint_path, data_path, out_dir) -> int:
 
 
 def cmd_gradcheck(seed: int = 0) -> int:
+    # imported here, so that no other command pays for importing it
+    from .gradcheck_suite import OP_CHECKS, check_full_objective
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     checks = {name: functools.partial(check, np.random.default_rng(seed))

@@ -159,13 +159,14 @@ def _sequence_gradients(state: TrainState, seq: SensorSequence,
 
     - each worker runs its chunk's `md.mstcn_forward` with `record_from`
       the last stage and `project` set with contrast on; it saves each
-      stage's input and returns every stage's logits, then projections;
+      stage's input and the last stage's heads, and returns the values
+      of every stage's logits, then projections;
     - `_loss_phase`: the kept rows of each head (`_kept`) become leaf
       tensors that cover the whole recording, so example selection,
       segment pooling and the objective see it whole; the small loss
       graph on those leaves is differentiated here, and each head's
-      cotangent is built from its rows of the leaf gradient, with zeros
-      on its halo;
+      cotangent, paired with it by position, is built from its rows of
+      the leaf gradient, with zeros on its halo;
     - each worker backpropagates its chunk stage by stage from the last:
       the last on its forward graph, every earlier one re-run recorded
       from its saved input and seeded with its heads' cotangents and, at
@@ -187,8 +188,12 @@ def _sequence_gradients(state: TrainState, seq: SensorSequence,
     until each chunk's backward walks them, freeing each node as it
     passes (the loss graph's backward does so too), so a step still
     holds one stage's graph over the whole recording, plus the halos.
-    While the chunks backpropagate, none of the loss phase's leaves,
-    their gradients, the loss graph or the example pools is alive.
+    Of the other stages, the backward keeps only each one's input: their
+    head values die once the loss phase has copied them into its leaves.
+    The leaves, the loss graph and the example pools die before any
+    cotangent is allocated, and each leaf gradient once its rows are
+    copied out, so while the chunks backpropagate the loss phase leaves
+    only their cotangents, each freed with its stage's backward.
     """
     params, config = state.params, state.model_config
     features = md.checked_features(seq.features, params, config)
@@ -201,27 +206,29 @@ def _sequence_gradients(state: TrainState, seq: SensorSequence,
         return [out.logits] + ([out.projected] if project else [])
 
     def forward(chunk, saved):
-        """The chunk's heads, in `_loss_phase`'s order; appends each
-        stage's (input, heads) to `saved`."""
+        """The chunk's head values, in `_loss_phase`'s order; appends each
+        stage's input to `saved`, with the last stage's recorded heads."""
         read = features[chunk[1]]
         outs = md.mstcn_forward(read, params, config, record_from=last,
                                 project=project)
         inputs = [ad.Tensor(read)] + [out.probs for out in outs[:-1]]
-        saved += [(x, heads_of(out)) for x, out in zip(inputs, outs)]
-        return [head for kind in zip(*(heads for _, heads in saved))
+        saved += [(x, None) for x in inputs[:-1]]
+        saved.append((inputs[-1], heads_of(outs[-1])))
+        return [head.values for kind in zip(*map(heads_of, outs))
                 for head in kind]
 
     def stage_backward(s, x, heads, seeds, g):
         """Stage s's parameter gradients and its input's gradient, from
-        the cotangents in `seeds` of its forward `heads`, which it pops,
-        and `g`, its probabilities' gradient (None for the last stage).
+        `seeds`, the cotangents of its heads by position (None for one
+        the loss does not reach), and `g`, its probabilities' gradient
+        (None for the last stage).  `heads` are the recorded ones, or None
+        for a stage that ran graph-free, which is re-run recorded here.
         Its own function so that the stage's graph dies on return."""
-        recorded = heads
-        if s < last:    # ran graph-free: re-run it recorded
+        if heads is None:
             out = md.stage_forward(x, params.stages[s], project)
-            probs, recorded = out.probs, heads_of(out)
-        cotangents = {new: seeds.pop(old)
-                      for new, old in zip(recorded, heads) if old in seeds}
+            probs, heads = out.probs, heads_of(out)
+        cotangents = {head: seed for head, seed in zip(heads, seeds)
+                      if seed is not None}
         if g is not None:
             cotangents[probs] = g
         grads = ad.backward(cotangents, [x, *params.tensors()])
@@ -233,7 +240,8 @@ def _sequence_gradients(state: TrainState, seq: SensorSequence,
         stage by stage, so no stage's graph outlives its backward."""
         grads, g = {}, None
         while saved:
-            part, g = stage_backward(len(saved) - 1, *saved.pop(), seeds, g)
+            part, g = stage_backward(len(saved) - 1, *saved.pop(),
+                                     seeds.pop(), g)
             grads.update(part)
         return grads
 
@@ -251,16 +259,41 @@ def _sequence_gradients(state: TrainState, seq: SensorSequence,
 
 
 def _loss_phase(heads, chunks, seq: SensorSequence, cfg: TrainConfig, rng,
-                n_stages: int) -> tuple[list[dict], LossBreakdown]:
-    """The middle phase of `_sequence_gradients`: the loss terms of the
-    chunks' `heads`, and each chunk's cotangents, {head: array}.
+                n_stages: int) -> tuple[list[list], LossBreakdown]:
+    """The middle phase of `_sequence_gradients`: the loss terms and each
+    chunk's cotangents.  `heads` holds per chunk its head values, each
+    stage's logits, then each stage's projections.  A chunk's cotangents
+    are per stage, in its heads' order: an array, zero on the halo, or
+    None where the loss does not reach the head.
 
-    Its own function so that the leaves, their gradients, the loss graph
-    and the example pools are all freed on return, before any chunk
-    backpropagates.
+    The graph-free stages' head values die once the leaves are built.
+    The loss graph and the example pools die when `_leaf_gradients`
+    returns and the leaves right after, before any cotangent is
+    allocated, and each leaf gradient once its rows are copied out, so
+    none of them is alive while a chunk backpropagates.
     """
-    leaves = [ad.Tensor(_kept([h.values for h in same], chunks))
-              for same in zip(*heads)]
+    leaves = [ad.Tensor(_kept(same, chunks)) for same in zip(*heads)]
+    del heads
+    grads, breakdown = _leaf_gradients(leaves, seq, cfg, rng, n_stages)
+    del leaves
+    seeds = [[] for _ in chunks]    # per chunk, by head position
+    while grads:
+        grad = grads.pop(0)
+        for chunk_seeds, (rows, read, keep) in zip(seeds, chunks):
+            seed = None
+            if grad is not None:
+                seed = np.zeros((read.stop - read.start, grad.shape[1]))
+                seed[keep] = grad[rows]
+            chunk_seeds.append(seed)
+    return [[chunk_seeds[s::n_stages] for s in range(n_stages)]
+            for chunk_seeds in seeds], breakdown
+
+
+def _leaf_gradients(leaves, seq: SensorSequence, cfg: TrainConfig, rng,
+                    n_stages: int) -> tuple[list, LossBreakdown]:
+    """The loss terms on the whole-recording `leaves` and each leaf's
+    gradient, None where the loss does not reach it.  Its own function
+    so that the loss graph and the example pools die on return."""
     if cfg.contrast_weight > 0:
         # hard-example mining, not output labels: each stage's own argmax
         sets = [build_example_set(
@@ -275,13 +308,7 @@ def _loss_phase(heads, chunks, seq: SensorSequence, cfg: TrainConfig, rng,
     loss, breakdown = total_objective(leaves[:n_stages], seq.labels, sets,
                                       cfg.contrast_weight, cfg.temperature)
     leaf_grads = ad.backward({loss: 1.0}, leaves)
-    cotangents = [{} for _ in chunks]
-    for chunk_heads, (rows, _, keep), seeds in zip(heads, chunks, cotangents):
-        for head, leaf in zip(chunk_heads, leaves):
-            if leaf in leaf_grads:
-                seeds[head] = np.zeros_like(head.values)
-                seeds[head][keep] = leaf_grads[leaf][rows]
-    return cotangents, breakdown
+    return [leaf_grads.get(leaf) for leaf in leaves], breakdown
 
 
 def train_epoch(state: TrainState, sequences: list[SensorSequence],
@@ -289,6 +316,10 @@ def train_epoch(state: TrainState, sequences: list[SensorSequence],
     """One pass over the shuffled sequences: one Adam step per batch of
     cfg.batch_size of them (the last may be shorter), with the mean of
     their gradients.
+
+    A batch holds only the running sum of its gradients, and it is
+    dropped once `adam_step` has read it, so no step's gradient is alive
+    while the next step runs.
 
     Returns the epoch's training-log record: every `LossBreakdown` field
     but `contrast_weight`, summed over the sequences in sequence order
@@ -312,7 +343,9 @@ def train_epoch(state: TrainState, sequences: list[SensorSequence],
                         f"non-finite loss on sequence {int(idx)}")
                 breakdowns.append(breakdown)
                 summed = gradient if i == 0 else summed + gradient
+                del gradient
             adam_step(state, summed / len(batch), cfg.learning_rate)
+            del summed
 
     record = {}
     for field in dataclasses.fields(LossBreakdown):

@@ -1,15 +1,20 @@
 import dataclasses
+import gc
 import inspect
 import json
 import os
+import shutil
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tempseg import cli
+from tempseg import data as dt
+from tempseg import gradcheck_suite
 from tempseg import model as md
 from tempseg import train as tr
 from tempseg.cli import (_load_splits, load_experiment_config, main,
@@ -304,6 +309,97 @@ class TestTrain:
         assert err == ["error: recordings differ in channel count: 2 and 3"]
         assert not (out / "training_log.jsonl").exists()
 
+    @staticmethod
+    def layout(root, test_dim=2, test_label=1):
+        """Config over train/val/test subdirs of 60-sample recordings with
+        2 channels and labels 0-1, but the test split's: `test_dim`
+        channels, label `test_label` in its last 30 samples."""
+        rng = np.random.default_rng(0)
+        for split, n, dim, top in (("train", 2, 2, 1), ("val", 1, 2, 1),
+                                   ("test", 2, test_dim, test_label)):
+            (root / "data" / split).mkdir(parents=True)
+            for i in range(n):
+                write_csv_sequence(
+                    root / "data" / split / f"seq_{i}.csv",
+                    SensorSequence(rng.normal(size=(60, dim)),
+                                   np.arange(60) // 30 * top))
+        config = root / "c.cfg"
+        config.write_text(f"data_dir = {root / 'data'}\nepochs = 1\n"
+                          "batch_size = 1\nlayers_per_stage = 2\n"
+                          "hidden_channels = 8\nprojection_dim = 4\n"
+                          "k_per_class = 4\n")
+        return config
+
+    def test_a_label_only_in_the_test_split_sizes_the_model(self, tmp_path):
+        config = self.layout(tmp_path, test_label=3)
+        assert main(["train", "--config", str(config),
+                     "--out", str(tmp_path / "run")]) == 0
+        state = load_checkpoint(tmp_path / "run" / "model.ckpt")
+        assert state.model_config.num_classes == 4
+
+    def test_a_channel_count_only_in_the_test_split_exits_1(self, tmp_path,
+                                                           capsys):
+        config = self.layout(tmp_path, test_dim=3)
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: recordings differ in channel count: 2 and 3"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("normalize", ["true", "false"])
+    def test_fit_neither_sees_nor_holds_the_test_split(
+            self, tmp_path, monkeypatch, normalize):
+        config = self.layout(tmp_path)
+        config.write_text(config.read_text() + f"normalize = {normalize}\n")
+        test_dir = tmp_path / "data" / "test"
+        loaded, normalized, alive = [], [], []
+        load, norm, fit = dt.load_csv_dataset, dt.normalize_features, tr.fit
+
+        def load_spy(path, *args):
+            sequences = load(path, *args)
+            if Path(path) == test_dir:
+                loaded.extend(weakref.ref(s.features) for s in sequences)
+            return sequences
+
+        def norm_spy(train, others):
+            normalized.append(len(others))
+            return norm(train, others)
+
+        def fit_spy(*args, **kwargs):
+            gc.collect()
+            alive.extend(ref() is not None for ref in loaded)
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(dt, "load_csv_dataset", load_spy)
+        monkeypatch.setattr(dt, "normalize_features", norm_spy)
+        monkeypatch.setattr(tr, "fit", fit_spy)
+        assert main(["train", "--config", str(config),
+                     "--out", str(tmp_path / "run")]) == 0
+        assert normalized == ([1] if normalize == "true" else [])
+        assert alive == [False, False]
+
+    def test_the_test_split_changes_no_output_byte(self, workspace,
+                                                   tmp_path):
+        # with the same channels and labels, what the test recordings hold
+        # reaches neither the checkpoint nor the log
+        root, config, data = workspace
+        other = tmp_path / "data"
+        shutil.copytree(data, other)
+        for path in (other / "test").glob("*.csv"):
+            seq = load_csv_dataset(path)[0]
+            write_csv_sequence(path, SensorSequence(
+                seq.features[::-1] * 3.0, seq.labels[::-1]))
+        outs = []
+        for name, data_dir in (("a", data), ("b", other)):
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(config.read_text() + f"data_dir = {data_dir}\n")
+            assert main(["train", "--config", str(cfg),
+                         "--out", str(tmp_path / name)]) == 0
+            outs.append(tmp_path / name)
+        for name in ("model.ckpt", "training_log.jsonl"):
+            assert ((outs[0] / name).read_bytes()
+                    == (outs[1] / name).read_bytes())
+
     def test_same_seed_checkpoints_are_byte_identical(self, workspace,
                                                       tmp_path):
         root, config, data = workspace
@@ -521,7 +617,8 @@ class TestGradcheck:
         assert all("PASS" in line for line in lines)
 
     def test_fault_injection_fails_the_run(self, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "OP_CHECKS", {"relu": lambda rng: 1.0})
+        monkeypatch.setattr(gradcheck_suite, "OP_CHECKS",
+                            {"relu": lambda rng: 1.0})
         assert main(["gradcheck"]) == 1
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0].split()[0] == "relu" and lines[0].endswith("FAIL")
@@ -902,7 +999,8 @@ class TestMainPlumbing:
 class TestColdStart:
     def test_cli_imports_no_scipy(self):
         # scipy.stats alone took most of a second to import; the package
-        # must start on numpy alone
+        # must start on numpy alone.  The gradcheck suite, 6-9 ms without
+        # cached bytecode, is imported by the gradcheck command alone
         src = Path(__file__).resolve().parent.parent / "src"
         env = {**os.environ, "PYTHONPATH": str(src)}
         out = subprocess.run(
@@ -915,3 +1013,4 @@ class TestColdStart:
         assert {"tempseg", "tempseg.train"} <= set(modules)
         assert not [m for m in modules
                     if m == "scipy" or m.startswith("scipy.")]
+        assert "tempseg.gradcheck_suite" not in modules
