@@ -7,9 +7,11 @@ pass is a single reverse walk over a topologically ordered graph. There is
 no broadcasting: ``add`` and ``mul`` take operands of one shape, and the
 only other structured case is the conv bias.  ``residual_block`` fuses
 one dilated residual layer of the model into a single node, so a
-recorded forward keeps two arrays per layer instead of four;
-``projection_head`` fuses a stage's contrastive head the same way, so
-neither of its pre-activations outlives the forward.
+recorded forward keeps one array per layer, its output, instead of the
+composition's four: the vjp rebuilds the ReLU output from the node's
+input, at one more dilated conv per backward.  ``projection_head``
+fuses a stage's contrastive head the same way and keeps only its
+normalized output, so none of its hidden arrays outlives the forward.
 
 Contracts are matrix-only: every op takes and returns 2-D arrays, with no
 vector forms, except that ``tsum`` and ``softmax_cross_entropy`` return
@@ -274,6 +276,15 @@ def _conv_backward(g: np.ndarray, xv: np.ndarray, wv: np.ndarray,
     return gx, gw, gb
 
 
+def _conv_relu(xv: np.ndarray, wv: np.ndarray, bv: np.ndarray,
+               dilation: int) -> np.ndarray:
+    """relu of the convolution, in place on its fresh output: the hidden
+    array of a fused op, which its forward builds and its vjp rebuilds
+    bitwise from the same arrays instead of keeping it."""
+    act = _conv_forward(xv, wv, bv, dilation)
+    return np.maximum(act, 0.0, out=act)
+
+
 def conv1d_dilated(x: Tensor, w: Tensor, b: Tensor, dilation: int = 1) -> Tensor:
     """Length-preserving dilated 1-D convolution.
 
@@ -307,8 +318,10 @@ def residual_block(h: Tensor, wd: Tensor, bd: Tensor, wm: Tensor, bm: Tensor,
     the biases have M and F entries.  Values and gradients are bitwise
     those of ``add(h, conv1d_dilated(relu(conv1d_dilated(h, wd, bd,
     dilation)), wm, bm, 1))``, but as one graph node that keeps only its
-    input and the ReLU output alive, not the four arrays of the
-    composition.
+    input, which is alive anyway as its parent.  The vjp rebuilds the
+    T x M ReLU output from it with the forward's own expression, one
+    more dilated conv per backward, so the ReLU output dies with the
+    forward instead of living until the backward walks the node.
     """
     h, wd, bd, wm, bm = map(_as_tensor, (h, wd, bd, wm, bm))
     _check_conv(h, wd, bd, dilation, "residual_block")
@@ -316,19 +329,21 @@ def residual_block(h: Tensor, wd: Tensor, bd: Tensor, wm: Tensor, bm: Tensor,
     if wm.shape != (width, mid, 1) or bm.shape != (width,):
         raise ValueError(f"residual_block: mix weight {wm.shape} and bias "
                          f"{bm.shape} must map {mid} channels back to {width}")
-    hv, wdv, wmv = h.values, wd.values, wm.values
-    act = _conv_forward(hv, wdv, bd.values, dilation)
-    np.maximum(act, 0.0, out=act)
+    hv, wdv, bdv, wmv = h.values, wd.values, bd.values, wm.values
 
     def vjp(g):
+        act = _conv_relu(hv, wdv, bdv, dilation)
         ga, gwm, gbm = _conv_backward(g, act, wmv, 1)
         ga *= act > 0       # ga and gx are fresh arrays of _conv_backward
+        del act
         gx, gwd, gbd = _conv_backward(ga, hv, wdv, dilation)
         gx += g
         return gx, gwd, gbd, gwm, gbm
 
-    return Tensor(hv + _conv_forward(act, wmv, bm.values, 1),
-                  (h, wd, bd, wm, bm), vjp, "residual_block")
+    return Tensor(
+        hv + _conv_forward(_conv_relu(hv, wdv, bdv, dilation), wmv,
+                           bm.values, 1),
+        (h, wd, bd, wm, bm), vjp, "residual_block")
 
 
 def projection_head(h: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
@@ -340,8 +355,10 @@ def projection_head(h: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
     have M and P entries.  Values and gradients are bitwise those of the
     composition of ``conv1d_dilated``, ``relu``, ``conv1d_dilated`` and
     ``l2_normalize``, zero rows included, but as one graph node that
-    keeps its input, the ReLU output and the normalized rows with their
-    norms alive, not the two pre-activations.
+    keeps only its input and the normalized rows with their norms.  The
+    vjp rebuilds the T x M ReLU output from the input with the forward's
+    own expression, one more 1x1 conv per backward, so neither
+    pre-activation nor the ReLU output outlives the forward.
     """
     h, w1, b1, w2, b2 = map(_as_tensor, (h, w1, b1, w2, b2))
     _check_conv(h, w1, b1, 1, "projection_head")
@@ -351,10 +368,8 @@ def projection_head(h: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
         raise ValueError(f"projection_head: weights {w1.shape} and "
                          f"{w2.shape}, bias {b2.shape} are not two 1x1 "
                          f"convs through {mid} channels")
-    hv, w1v, w2v = h.values, w1.values, w2.values
-    act = _conv_forward(hv, w1v, b1.values, 1)
-    np.maximum(act, 0.0, out=act)
-    raw = _conv_forward(act, w2v, b2.values, 1)
+    hv, w1v, b1v, w2v = h.values, w1.values, b1.values, w2.values
+    raw = _conv_forward(_conv_relu(hv, w1v, b1v, 1), w2v, b2.values, 1)
     norms = np.linalg.norm(raw, axis=1, keepdims=True)
     safe = np.where(norms > 0, norms, 1.0)
     out = raw / safe
@@ -362,8 +377,10 @@ def projection_head(h: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
     def vjp(g):
         proj = (out * g).sum(axis=1, keepdims=True)
         graw = np.where(norms > 0, (g - out * proj) / safe, 0.0)
+        act = _conv_relu(hv, w1v, b1v, 1)
         ga, gw2, gb2 = _conv_backward(graw, act, w2v, 1)
         ga *= act > 0
+        del act
         gh, gw1, gb1 = _conv_backward(ga, hv, w1v, 1)
         return gh, gw1, gb1, gw2, gb2
 

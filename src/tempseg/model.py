@@ -89,6 +89,9 @@ class ModelParams:
     stages: list[StageParams]
     block: np.ndarray   # the storage that every tensor views
 
+    def __post_init__(self):
+        self._tensors = tuple(t for _, t in self.named_parameters())
+
     def named_parameters(self):
         """(name, tensor) pairs in field order, the block's: "stage{s}.", in
         a block "block{l}.", then the field name with its last "_" as "."."""
@@ -103,8 +106,10 @@ class ModelParams:
         for s, stage in enumerate(self.stages):
             yield from walk(f"stage{s}.", stage)
 
-    def tensors(self) -> list[Tensor]:
-        return [t for _, t in self.named_parameters()]
+    def tensors(self) -> tuple[Tensor, ...]:
+        """The tensors in named_parameters() order, walked once when the
+        params are built: nothing rebinds them."""
+        return self._tensors
 
     def split(self, flat: np.ndarray) -> list[np.ndarray]:
         """`flat`, laid out as `block`, as one view per tensor."""

@@ -184,10 +184,15 @@ def _sequence_gradients(state: TrainState, seq: SensorSequence,
 
     Memory: a worker holds one stage's graph of one chunk at a time, and
     the recompute costs one more forward of every stage but the last.
-    The last stage's graphs of all the chunks are alive from the forward
-    until each chunk's backward walks them, freeing each node as it
-    passes (the loss graph's backward does so too), so a step still
-    holds one stage's graph over the whole recording, plus the halos.
+    A stage graph keeps each block's input and each head's input and
+    output, about 8 arrays of chunk length by hidden width: the fused
+    ops rebuild their ReLU outputs in their vjps, at one more conv per
+    block and per projection head in each backward.  The last stage's
+    graphs of all the chunks are alive from the forward until each
+    chunk's backward walks them, freeing each node as it passes (the
+    loss graph's backward does so too), so a step still holds one
+    stage's graph over the whole recording, plus the halos: about 3.4
+    KiB per sample at the default config.
     Of the other stages, the backward keeps only each one's input: their
     head values die once the loss phase has copied them into its leaves.
     The leaves, the loss graph and the example pools die before any

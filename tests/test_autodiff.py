@@ -187,6 +187,26 @@ class TestResidualBlock:
         for tensor in inputs:
             np.testing.assert_array_equal(got[tensor], want[tensor])
 
+    def test_a_recorded_chain_keeps_one_array_per_block(self, rng):
+        # L blocks over a T x F input with M = F: the outputs, each the
+        # next block's input, and the first input, L + 1 arrays of T x F
+        # and a few hundred bytes of node per block: 7.03 arrays for
+        # L = 6; a block that kept its ReLU output held 2L + 1, 13.04
+        blocks, t_len, width = 6, 1000, 16
+        weights = [[ad.Tensor(rng.normal(size=shape)) for shape in
+                    ((width, width, 3), (width,), (width, width, 1),
+                     (width,))] for _ in range(blocks)]
+        array = t_len * width * 8
+        tracemalloc.start()
+        try:
+            h = ad.Tensor(rng.normal(size=(t_len, width)))
+            for i, params in enumerate(weights):
+                h = ad.residual_block(h, *params, dilation=2 ** i)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (blocks + 1) * array <= held < (blocks + 1.5) * array
+
     def test_mix_weight_must_map_back_to_the_input_width(self, rng):
         h = ad.Tensor(rng.normal(size=(5, 3)))
         wd = ad.Tensor(rng.normal(size=(2, 3, 3)))
@@ -230,6 +250,24 @@ class TestProjectionHead:
         want = ad.backward({oracle: g}, inputs)
         for tensor in inputs:
             assert got[tensor].tobytes() == want[tensor].tobytes()
+
+    def test_a_recorded_head_keeps_no_hidden_width_array(self, rng):
+        # what the node keeps beside its input: the T x P normalized rows
+        # and two T x 1 columns of norms, far less than the T x M ReLU
+        # output that its vjp rebuilds: 49,640 bytes; a head that kept
+        # the ReLU output held 561,736
+        t_len, width, mid, dim = 1000, 4, 64, 4
+        h, w1, b1, w2, b2 = (ad.Tensor(rng.normal(size=shape)) for shape in
+                             ((t_len, width), (mid, width, 1), (mid,),
+                              (dim, mid, 1), (dim,)))
+        tracemalloc.start()
+        try:
+            out = ad.projection_head(h, w1, b1, w2, b2)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.values.nbytes == t_len * dim * 8
+        assert held < t_len * (dim + 2) * 8 + 4096 < t_len * mid * 8
 
     def test_weights_must_be_two_1x1_convs_through_one_width(self, rng):
         h = ad.Tensor(rng.normal(size=(5, 3)))

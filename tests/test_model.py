@@ -206,11 +206,12 @@ class TestSstcnForward:
                              params.stages[0])
 
 
-    def test_recorded_forward_holds_two_arrays_per_block(self):
+    def test_recorded_forward_holds_one_array_per_block(self):
         # default config, T=1126 (a training chunk with its halo): each of
-        # the 12 blocks keeps its output and its relu output, so with the
-        # adapter outputs, logits and softmax the graph holds about 27
-        # T x F arrays; four ops per block held about 51
+        # the 12 blocks keeps only its output, so with the adapter
+        # outputs, logits and softmax the graph holds 14.67 T x F arrays;
+        # blocks that kept their relu outputs too held 26.67, four ops
+        # per block about 51
         cfg = md.ModelConfig(input_dim=6, num_classes=5)
         params = md.init_params(cfg, seed=0)
         x = np.random.default_rng(0).normal(size=(1126, cfg.input_dim))
@@ -221,12 +222,13 @@ class TestSstcnForward:
         finally:
             tracemalloc.stop()
         assert outs[-1].probs._parents
-        assert held <= 32 * 1126 * cfg.hidden_channels * 8
+        assert held <= 20 * 1126 * cfg.hidden_channels * 8
 
-    def test_recorded_head_holds_its_relu_output_and_rows(self):
-        # default config, T=1126: the head keeps the T x 32 relu output,
-        # the T x 16 normalized rows and two T x 1 norm columns; the four
-        # ops it fuses also kept both pre-activations, 48 more columns
+    def test_recorded_head_holds_only_its_rows(self):
+        # default config, T=1126: the head keeps the T x 16 normalized
+        # rows and two T x 1 norm columns, 163,736 bytes in all; keeping
+        # the T x 32 relu output too held 452,120, and the four ops it
+        # fuses also kept both pre-activations, 48 more columns
         cfg = md.ModelConfig(input_dim=6, num_classes=5)
         stage = md.init_params(cfg, seed=0).stages[0]
         t_len = 1126
@@ -239,8 +241,7 @@ class TestSstcnForward:
         finally:
             tracemalloc.stop()
         assert out._parents
-        kept = t_len * (cfg.hidden_channels + cfg.projection_dim) * 8
-        assert held <= kept + 2 * t_len * 8 + 8192
+        assert held <= t_len * (cfg.projection_dim + 2) * 8 + 8192
 
 
 class TestHeads:

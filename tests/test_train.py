@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import os
@@ -853,14 +854,17 @@ class TestFit:
                 "projection_head": 1, "softmax_rows": recomputed})
             assert all(parented for op, parented in graph if op != "leaf")
 
+    ARRAY = 1126 * 32 * 8   # a 1024-sample chunk with its halo, by width
+
     @staticmethod
-    def second_step_peak(monkeypatch, workers):
-        """tracemalloc peak of a default-config T=2000 step, two chunks,
-        on `workers` workers, in arrays of 1126 x 32 float64s (a chunk
-        with its halo by the hidden width).  A first step also imports
-        numpy.ma (through np.unique), so the measured step is the second."""
+    def second_step_peak(monkeypatch, workers, length=2000):
+        """tracemalloc peak, in bytes, of a default-config step over a
+        `length`-sample recording (T=2000: two chunks), on `workers`
+        workers.  A first step also imports numpy.ma (through np.unique),
+        so the measured step is the second."""
         monkeypatch.setattr(tr, "chunk_workers", lambda: workers)
-        seq = synthesize_sequence(default_synth_config())
+        seq = synthesize_sequence(dataclasses.replace(
+            default_synth_config(), total_length=length))
         state = init_train_state(ModelConfig(input_dim=6, num_classes=5), 0)
         tr._sequence_gradients(state, seq, TrainConfig(),
                                np.random.default_rng(0), tr.TRAIN_CHUNK_LENGTH)
@@ -873,29 +877,46 @@ class TestFit:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-        return peak / (1126 * 32 * 8)
+        return peak
 
     def test_a_step_holds_one_stage_graph_per_worker(self, monkeypatch):
-        # one stage's graph per chunk is about 20 arrays; keeping every
-        # stage recorded through the loss phase peaks at about 73, keeping
-        # one chunk's last-stage graph alive through the backward at about
-        # 58, and a backward that frees no node until it returns at
-        # 43.3-43.7 (10 runs); freeing each node as the walk passes it
-        # gives 39.2-41.0.  Letting the graph-free stages' head values die
-        # once the loss phase's leaves are built gives 37.9-39.7 (25 runs;
-        # where the two workers' backward walks overlap decides it);
-        # keeping them through the loss phase gives 39.2-39.7 and to the
-        # end of the step 39.6-42.0 (10 runs each), so on two workers no
-        # bound tells them apart: the one-worker test below does
-        assert self.second_step_peak(monkeypatch, 2) < 40.5
+        # in arrays of ARRAY bytes, 10 runs each unless stated.  A stage
+        # graph keeps each block's input and each head's input and
+        # output, about 8 arrays per chunk; the step reads 24.4-27.2
+        # (30 runs; where the two workers' backward walks overlap
+        # decides it).  A block that keeps its ReLU output reads
+        # 35.9-39.2 (that and a head that keeps it too, the code before
+        # the vjps rebuilt it, 37.9-39.7); keeping every stage recorded
+        # through the loss phase 39.7-41.9.  A backward that frees no
+        # node until it returns reads 27.3-28.5 (30 runs), and keeping
+        # the graph-free stages' head values through the loss phase
+        # 25.5-26.7, to the end of the step 26.9-29.8: those overlap the
+        # step's own spread, so the one-worker test below catches them
+        assert self.second_step_peak(monkeypatch, 2) / self.ARRAY < 30.5
 
     def test_a_serial_step_frees_the_graph_free_heads_before_the_loss(
             self, monkeypatch):
         # on one worker the step peaks in the loss phase's backward, the
-        # same in every run: 37.88 arrays; keeping the graph-free stages'
-        # head values through the loss phase 39.20, to the end of the
-        # step 39.52
-        assert self.second_step_peak(monkeypatch, 1) < 38.5
+        # same in every run: 23.88 arrays; keeping the graph-free stages'
+        # head values through the loss phase or to the end of the step
+        # 25.19, a head that keeps its ReLU output 25.88, a backward that
+        # frees no node until it returns 27.28, a block that keeps its
+        # ReLU output 35.88 (that and the head, the code before the vjps
+        # rebuilt it, 37.88), every stage recorded 39.67
+        assert self.second_step_peak(monkeypatch, 1) / self.ARRAY < 24.5
+
+    def test_a_long_step_holds_a_bounded_graph_per_sample(self, monkeypatch):
+        # one worker, T=16384 (16 chunks): every chunk's last-stage graph
+        # is alive through the loss phase, so the peak grows with the
+        # recording; it reads 3.405 KiB per sample.  Keeping the
+        # graph-free stages' head values through the loss phase reads
+        # 3.607, a head that keeps its ReLU output 3.713, a backward that
+        # frees no node until it returns 3.761, a block that keeps its
+        # ReLU output 5.252 (that and the head, the code before the vjps
+        # rebuilt it, 5.560), every stage recorded 5.833
+        length = 16384
+        peak = self.second_step_peak(monkeypatch, 1, length)
+        assert peak / length / 1024 < 3.5
 
     def test_the_loss_phase_is_freed_before_the_chunks_backpropagate(
             self, monkeypatch):
